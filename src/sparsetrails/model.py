@@ -110,9 +110,6 @@ class ParamRef:
     name: str
     array: np.ndarray
     mask: np.ndarray | None
-    component: str
-    layer_index: int
-    slot: str
 
 
 @dataclass
@@ -170,14 +167,10 @@ class TrailsModel:
                 if layer.weight is not None:
                     refs.append(ParamRef(name=f"{comp_name}/{li}/weight",
                                          array=layer.weight.values,
-                                         mask=layer.weight.mask,
-                                         component=comp_name, layer_index=li,
-                                         slot="weight"))
+                                         mask=layer.weight.mask))
                 if layer.bias is not None:
                     refs.append(ParamRef(name=f"{comp_name}/{li}/bias",
-                                         array=layer.bias, mask=None,
-                                         component=comp_name, layer_index=li,
-                                         slot="bias"))
+                                         array=layer.bias, mask=None))
         return refs
 
     def masked_layers(self, comp_idx: int) -> list[tuple[int, MaskedTensor]]:
@@ -294,12 +287,14 @@ def composite_loss(outputs: HeadOutputs,
 
 
 def model_backward(model: TrailsModel, outputs: HeadOutputs, targets: np.ndarray,
-                   dense: bool = False) -> dict[str, GradientSet]:
+                   probs: list[np.ndarray], dense: bool = False) -> dict[str, GradientSet]:
     """Gradients of the composite loss for every component.
 
-    The backbone gradient aggregates all heads' contributions scaled by
-    1/M. Requires forward_heads(record=True); dense=True additionally
-    materializes gradients at masked-out weight positions.
+    `probs` are the per-head softmax probabilities `composite_loss`
+    returned for these outputs. The backbone gradient aggregates all
+    heads' contributions scaled by 1/M. Requires forward_heads(record=True);
+    dense=True additionally materializes gradients at masked-out weight
+    positions.
     """
     if outputs.backbone_tape is None and model.backbone:
         raise ValueError("backward requires forward_heads(record=True)")
@@ -309,8 +304,7 @@ def model_backward(model: TrailsModel, outputs: HeadOutputs, targets: np.ndarray
     for i, head in enumerate(model.heads):
         if outputs.head_tapes[i] is None:
             raise ValueError("backward requires forward_heads(record=True)")
-        probs = nn.softmax(outputs.logits[i])
-        d_logits = nn.loss_backward(probs, targets, scale=1.0 / m)
+        d_logits = nn.loss_backward(probs[i], targets, scale=1.0 / m)
         gs, dx = nn.stack_backward(head, outputs.head_tapes[i], d_logits, dense=dense)
         grads[f"head{i}"] = gs
         d_hs = dx if d_hs is None else d_hs + dx

@@ -78,7 +78,12 @@ class LayerSpec:
 
 @dataclass
 class MaskedTensor:
-    """A weight array paired with a same-shape binary mask."""
+    """A weight array paired with a same-shape binary mask.
+
+    `values` is zero wherever `mask` is 0: the constructor enforces it and
+    the optimizer and topology updates keep it, so layers compute with
+    `values` directly.
+    """
 
     values: np.ndarray
     mask: np.ndarray
@@ -94,9 +99,6 @@ class MaskedTensor:
 
     def active_count(self) -> int:
         return int(self.mask.sum())
-
-    def effective(self) -> np.ndarray:
-        return self.values * self.mask
 
 
 @dataclass
@@ -179,7 +181,7 @@ def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"linear layer expects {spec.in_dim} input features, "
                 f"got input shape {x.shape}")
-        y = x2 @ layer.weight.effective().T
+        y = x2 @ layer.weight.values.T
         if layer.bias is not None:
             y = y + layer.bias
         return y
@@ -194,7 +196,7 @@ def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
         top, bottom, left, right = _conv_padding(spec)
         padded = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
         cols = _im2col(padded, spec.kernel_h, spec.kernel_w, oh, ow)
-        w2 = layer.weight.effective().reshape(spec.out_channels, -1)
+        w2 = layer.weight.values.reshape(spec.out_channels, -1)
         y = np.einsum("bkp,ok->bop", cols, w2, optimize=True)
         if layer.bias is not None:
             y = y + layer.bias[None, :, None]
@@ -267,7 +269,7 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
         x2 = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
         dw_dense = d_out.T @ x2
         db = d_out.sum(axis=0) if layer.bias is not None else None
-        dx = d_out @ layer.weight.effective()
+        dx = d_out @ layer.weight.values
         grads = LayerGrads(weight=dw_dense * layer.weight.mask, bias=db,
                            weight_dense=dw_dense if dense else None)
         return grads, dx.reshape(orig_shape)
@@ -282,7 +284,7 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
         dw_dense = np.einsum("bop,bkp->ok", d2, cols, optimize=True).reshape(
             layer.weight.values.shape)
         db = d2.sum(axis=(0, 2)) if layer.bias is not None else None
-        w2 = layer.weight.effective().reshape(spec.out_channels, -1)
+        w2 = layer.weight.values.reshape(spec.out_channels, -1)
         dcols = np.einsum("bop,ok->bkp", d2, w2, optimize=True).reshape(
             b, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
         dpadded = np.zeros_like(padded)

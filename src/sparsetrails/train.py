@@ -8,7 +8,7 @@ stay within 3 * f_dense * base_steps * batch.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,44 +138,53 @@ class FlopsLedger:
         return 3 * self.forward_dense * base_steps * batch
 
 
-def _stack_forward_flops(layers: list[nn.Layer], in_shape: tuple[int, ...],
-                         dense: bool) -> tuple[int, tuple[int, ...]]:
-    total = 0
-    shape = in_shape
-    for layer in layers:
-        spec = layer.spec
-        out_shape = model_mod.activation_shape(spec, shape)
-        if spec.kind == "relu":
-            total += int(np.prod(out_shape))
-        elif spec.kind == "linear":
-            active = spec.weight_size if dense else layer.weight.active_count()
-            total += 2 * active + (spec.out_dim if spec.has_bias else 0)
-        elif spec.kind == "conv2d":
-            positions = int(np.prod(out_shape[1:]))
-            active = spec.weight_size if dense else layer.weight.active_count()
-            total += 2 * active * positions
-            if spec.has_bias:
-                total += int(np.prod(out_shape))
-        shape = out_shape
-    return total, shape
+@dataclass(frozen=True)
+class LayerCost:
+    """Per-sample forward cost of one layer in the ledger's convention.
+
+    `fixed` counts bias adds and elementwise work, which masks do not
+    change. Each weight costs 2 * `multiplier` FLOPs, the multiplier being
+    the output positions per channel (1 for linear, 0 for weightless
+    layers); `active` of the layer's `size` weights are unmasked.
+    """
+
+    multiplier: int
+    fixed: int
+    active: int
+    size: int
+
+
+def layer_costs(model: TrailsModel) -> list[LayerCost]:
+    """One walk over the backbone, then every head on the backbone's output."""
+    costs = []
+
+    def walk(layers: list[nn.Layer], shape: tuple[int, ...]) -> tuple[int, ...]:
+        for layer in layers:
+            spec = layer.spec
+            shape = model_mod.activation_shape(spec, shape)
+            elements = int(np.prod(shape))
+            if layer.weight is None:
+                costs.append(LayerCost(multiplier=0, fixed=elements, active=0, size=0))
+            else:
+                costs.append(LayerCost(multiplier=int(np.prod(shape[1:])),
+                                       fixed=elements if spec.has_bias else 0,
+                                       active=layer.weight.active_count(),
+                                       size=spec.weight_size))
+        return shape
+
+    features = walk(model.backbone, tuple(model.spec.input_shape))
+    for head in model.heads:
+        walk(head, features)
+    return costs
 
 
 def count_flops(model: TrailsModel) -> FlopsLedger:
     """Per-sample forward FLOPs of the ensemble: backbone once plus every head."""
-    sparse_total = 0
-    dense_total = 0
-    for dense in (False, True):
-        bb, h_shape = _stack_forward_flops(model.backbone, tuple(model.spec.input_shape),
-                                           dense)
-        total = bb
-        for head in model.heads:
-            head_flops, _ = _stack_forward_flops(head, h_shape, dense)
-            total += head_flops
-        if dense:
-            dense_total = total
-        else:
-            sparse_total = total
-    return FlopsLedger(forward_sparse=sparse_total, forward_dense=dense_total)
+    costs = layer_costs(model)
+    fixed = sum(c.fixed for c in costs)
+    return FlopsLedger(
+        forward_sparse=fixed + sum(2 * c.multiplier * c.active for c in costs),
+        forward_dense=fixed + sum(2 * c.multiplier * c.size for c in costs))
 
 
 def recount_forward_sparse(model: TrailsModel, ledger: FlopsLedger) -> None:
@@ -207,12 +216,15 @@ class Optimizer:
         }
 
     def step(self, grads: dict[str, np.ndarray], lr: float, step: int = 0) -> None:
+        # check every gradient first, so a diverged step changes nothing
+        for name, grad in grads.items():
+            if not np.isfinite(grad).all():
+                kind = "NaN" if np.isnan(grad).any() else "inf"
+                raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
         if self.kind == "adam":
             self.adam_t += 1
         for name, grad in grads.items():
             ref = self.params[name]
-            if np.isnan(grad).any():
-                raise TrainingDiverged(f"NaN gradient in {name}", step=step)
             state = self.state[name]
             if self.kind == "sgd_momentum":
                 g = grad
@@ -241,9 +253,6 @@ class Optimizer:
         """Zero the optimizer state at pruned/regrown weight positions."""
         for slot in self.state[name].values():
             slot.reshape(-1)[flat_indices] = 0.0
-
-    def member_param_names(self, component: str) -> list[str]:
-        return [name for name in self.params if name.startswith(component + "/")]
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +306,9 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
     return report, heads, ens_preds
 
 
-def _grad_arrays(component: str, gs: nn.GradientSet, layers) -> dict[str, np.ndarray]:
+def _grad_arrays(component: str, gs: nn.GradientSet) -> dict[str, np.ndarray]:
     out = {}
-    for li, (layer, lg) in enumerate(zip(layers, gs.layers)):
+    for li, lg in enumerate(gs.layers):
         if lg.weight is not None:
             out[f"{component}/{li}/weight"] = lg.weight
         if lg.bias is not None:
@@ -353,34 +362,9 @@ def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
     charged at the worst per-weight position multiplier, which is exact
     for pure-linear networks.
     """
-    dense = count_flops(model).forward_dense
-    total_weights = 0
-    weight_flops_dense = 0
-    max_multiplier = 1
-    bb_out = tuple(model.spec.input_shape)
-    for layer in model.backbone:
-        spec = layer.spec
-        out_shape = model_mod.activation_shape(spec, bb_out)
-        if spec.weight_size:
-            mult = 1 if spec.kind == "linear" else int(np.prod(out_shape[1:]))
-            total_weights += spec.weight_size
-            weight_flops_dense += 2 * spec.weight_size * mult
-            max_multiplier = max(max_multiplier, mult)
-        bb_out = out_shape
-    for head in model.heads:
-        shape = bb_out
-        for layer in head:
-            spec = layer.spec
-            out_shape = model_mod.activation_shape(spec, shape)
-            if spec.weight_size:
-                mult = 1 if spec.kind == "linear" else int(np.prod(out_shape[1:]))
-                total_weights += spec.weight_size
-                weight_flops_dense += 2 * spec.weight_size * mult
-                max_multiplier = max(max_multiplier, mult)
-            shape = out_shape
-    keep = round_half_up((1.0 - sparsity) * total_weights)
-    nonweight = dense - weight_flops_dense
-    return nonweight + 2 * keep * max_multiplier
+    costs = layer_costs(model)
+    keep = round_half_up((1.0 - sparsity) * sum(c.size for c in costs))
+    return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)
 
 
 def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
@@ -401,8 +385,7 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     config.validate()
     if len(train_set) == 0:
         raise ValueError("training dataset is empty")
-    schedule = config.topology
-    schedule.horizon = config.total_steps
+    schedule = replace(config.topology, horizon=config.total_steps)
     if ledger is None:
         ledger = count_flops(model)
     if schedule.strategy == "prune_oneshot" and sparsity_target is None:
@@ -446,36 +429,32 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
 
         try:
             if model.independent:
+                # each member sees its own batch order and its own unscaled loss
                 losses = []
-                dense_by_comp: dict[str, dict[int, np.ndarray]] = {}
+                all_grads: dict[str, nn.GradientSet] = {}
                 for m in members:
                     x, y = batch_for(m, t)
                     batch_sizes = len(x)
                     logits, tape = nn.stack_forward(model.heads[m], x, record=True)
                     loss_m, probs = nn.loss_forward(logits, y)
                     losses.append(loss_m)
-                    d_logits = nn.loss_backward(probs, y)
-                    gs, _ = nn.stack_backward(model.heads[m], tape, d_logits,
-                                              dense=want_dense)
-                    grads = _grad_arrays(f"head{m}", gs, model.heads[m])
-                    optimizer.step(grads, lr, step=t)
-                    if want_dense:
-                        dense_by_comp[f"head{m}"] = _dense_grad_map(gs)
+                    all_grads[f"head{m}"], _ = nn.stack_backward(
+                        model.heads[m], tape, nn.loss_backward(probs, y), dense=want_dense)
                 loss = float(np.mean(losses))
             else:
                 x, y = batch_for(None, t)
                 batch_sizes = len(x)
                 outputs = forward_heads(model, x, record=True)
-                loss, _ = composite_loss(outputs, y)
-                all_grads = model_backward(model, outputs, y, dense=want_dense)
-                grads = {}
-                for comp_name, layers in zip(model.component_names(), model.components()):
-                    grads.update(_grad_arrays(comp_name, all_grads[comp_name], layers))
-                optimizer.step(grads, lr, step=t)
-                dense_by_comp = {name: _dense_grad_map(all_grads[name])
-                                 for name in model.component_names()} if want_dense else {}
-            if math.isnan(loss):
-                raise TrainingDiverged(f"loss diverged to NaN at step {t}", step=t)
+                loss, per_head = composite_loss(outputs, y)
+                all_grads = model_backward(model, outputs, y, [p for _, p in per_head],
+                                           dense=want_dense)
+            grads = {}
+            for comp_name, gs in all_grads.items():
+                grads.update(_grad_arrays(comp_name, gs))
+            optimizer.step(grads, lr, step=t)
+            dense_by_comp = {name: _dense_grad_map(gs) for name, gs in all_grads.items()}
+            if not math.isfinite(loss):
+                raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
         except TrainingDiverged as exc:
             exc.last_checkpoint = last_checkpoint
             raise

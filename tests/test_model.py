@@ -199,7 +199,8 @@ class TestModelBackward:
         x = toy_batch(Stream(6), 3, 2)
         y = np.array([0, 1, 1])
         out = forward_heads(model, x, record=True)
-        analytic = model_backward(model, out, y)
+        _, per_head = composite_loss(out, y)
+        analytic = model_backward(model, out, y, [p for _, p in per_head])
         fd = model_finite_difference(model, x, y, eps=1e-5)
         for comp in model.component_names():
             for got, want in zip(analytic[comp].layers, fd[comp].layers):
@@ -211,8 +212,10 @@ class TestModelBackward:
     def test_backward_requires_recording(self):
         model = build_trails(toy_spec(), 1, 2, 0.0, seed=0)
         out = forward_heads(model, toy_batch(Stream(0), 2, 2), record=False)
+        y = np.array([0, 1])
+        _, per_head = composite_loss(out, y)
         with pytest.raises(ValueError, match="record=True"):
-            model_backward(model, out, np.array([0, 1]))
+            model_backward(model, out, y, [p for _, p in per_head])
 
 
 class TestIndependentEnsemble:

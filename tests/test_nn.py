@@ -47,7 +47,7 @@ class TestLayerForward:
         layer = init_layer(spec, stream)
         x = stream.normals(2 * 2 * 5 * 6).astype(np.float32).reshape(2, 2, 5, 6)
         got = layer_forward(layer, x)
-        kernel = layer.weight.effective()
+        kernel = layer.weight.values
         expected = np.zeros_like(got)
         for b in range(2):
             for o in range(3):

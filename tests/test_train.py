@@ -69,6 +69,19 @@ class TestOptimizerStep:
         with pytest.raises(TrainingDiverged, match="NaN gradient"):
             opt.step({ref.name: bad}, lr=0.1)
 
+    def test_inf_gradient_aborts_before_touching_any_parameter(self):
+        model = toy_model()
+        refs = model.named_parameters()
+        before = [ref.array.copy() for ref in refs]
+        opt = Optimizer(small_config(optimizer="adam"), refs)
+        grads = {ref.name: np.ones_like(ref.array) for ref in refs}
+        grads[refs[-1].name].reshape(-1)[0] = -np.inf
+        with pytest.raises(TrainingDiverged, match="inf gradient"):
+            opt.step(grads, lr=0.1)
+        for ref, old in zip(refs, before):
+            np.testing.assert_array_equal(ref.array, old)
+        assert opt.adam_t == 0
+
     def test_weight_decay_pulls_toward_zero(self):
         model = toy_model()
         ref = model.named_parameters()[0]
@@ -175,6 +188,23 @@ class TestCountFlops:
                           classifier=[LayerSpec.linear(4, 2, has_bias=False)])
         assert count_flops(bt(net, 1, 1, 0.0, seed=0)).forward_dense == 4 + 16
 
+    def test_layer_costs_hand_count(self):
+        from sparsetrails.model import NetworkSpec, build_trails as bt
+        from sparsetrails.nn import LayerSpec
+        from sparsetrails.train import LayerCost, _post_prune_forward_bound, layer_costs
+        net = NetworkSpec(input_shape=(1, 4, 4), stem=[],
+                          blocks=[[LayerSpec.conv2d(1, 2, 3, 3), LayerSpec.relu()]],
+                          classifier=[LayerSpec.linear(8, 3, has_bias=False)])
+        model = bt(net, 0, 2, 0.0, seed=0)
+        # conv: 2x2 output positions, 2*2*2 bias adds; relu: 8 elements
+        conv = LayerCost(multiplier=4, fixed=8, active=18, size=18)
+        relu = LayerCost(multiplier=0, fixed=8, active=0, size=0)
+        linear = LayerCost(multiplier=1, fixed=0, active=24, size=24)
+        assert layer_costs(model) == [conv, relu, linear, conv, relu, linear]
+        assert count_flops(model).forward_dense == 2 * (8 + 2 * 4 * 18 + 8 + 2 * 24)
+        # 84 weights in all, keep 42, each charged at the worst multiplier 4
+        assert _post_prune_forward_bound(model, 0.5) == 2 * (8 + 8) + 2 * 42 * 4
+
 
 class TestFit:
     def test_two_clusters_reaches_full_train_accuracy(self):
@@ -257,6 +287,23 @@ class TestFit:
         history = fit(model, data, data, config)
         assert history.evals[-1].accuracy >= 0.9
         assert history.evals[-1].pd is not None
+
+    def test_independent_ensemble_takes_one_optimizer_step_per_step(self):
+        from sparsetrails.model import build_independent_ensemble
+        data = gen_synthetic("two_clusters", 48, noise=0.3, seed=9)
+        model = build_independent_ensemble(mlp_spec(2, 6, 2, 2), 3, sparsity=0.0, seed=10)
+        config = small_config(total_steps=4, eval_interval=4, optimizer="adam", lr=0.01)
+        optimizer = Optimizer(config, model.named_parameters())
+        fit(model, data, data, config, optimizer=optimizer)
+        assert optimizer.adam_t == config.total_steps
+
+    def test_fit_leaves_the_callers_schedule_alone(self):
+        data = gen_synthetic("two_clusters", 32, noise=0.3, seed=8)
+        sched = TopologySchedule(strategy="set", delta_t=5, initial_drop_fraction=0.3)
+        config = small_config(total_steps=10, eval_interval=10, topology=sched)
+        history = fit(toy_model(sparsity=0.5, heads=2), data, data, config)
+        assert history.updates
+        assert sched.horizon == 0 and config.topology is sched
 
     def test_oneshot_prunes_to_target_and_freezes(self):
         data = gen_synthetic("two_clusters", 48, noise=0.3, seed=11)
