@@ -18,8 +18,10 @@ Layout (all integers little-endian):
 
 A checkpoint restores parameters, masks, optimizer state and the live
 topology streams, so a resumed run replays the uninterrupted run exactly.
+Files are written whole or not at all (`write_atomic`).
 """
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -81,6 +83,23 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
     return ckpt
 
 
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it over path.
+
+    A write that fails part-way leaves the previous file at path as it was
+    and removes the temp file; readers never see a truncated file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
     out: list[bytes] = [MAGIC, struct.pack("<H", ckpt.version),
                         bytes.fromhex(ckpt.config_hash),
@@ -113,8 +132,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
         out.append(struct.pack("<4Q", *state))
 
     out.append(b"END!")
-    with open(path, "wb") as f:
-        f.write(b"".join(out))
+    write_atomic(path, b"".join(out))
     return path
 
 

@@ -15,6 +15,7 @@ error, 2 training divergence, 3 I/O or checkpoint error.
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import (CheckpointError, capture, load_checkpoint, restore,
-                         save_checkpoint)
+                         save_checkpoint, write_atomic)
 from .config import (ConfigError, config_hash, load_config, make_dataset,
                      make_model, make_train_config, network_spec, resolve)
 from .metrics import disagreement_breakdown
@@ -40,13 +41,24 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
-def write_summary(path: Path, evals) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SUMMARY_COLUMNS)
-        for report in evals:
-            row = report.to_json()
-            writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+def write_summary(path: Path, rows: list[dict]) -> None:
+    """summary.csv from the `metrics` records of the run's evaluations."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(SUMMARY_COLUMNS)
+    for row in rows:
+        writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+    write_atomic(path, text.getvalue().encode())
+
+
+def _earlier_history(path: Path, start_step: int) -> list[str]:
+    """The lines of an existing history.jsonl for steps up to start_step; a
+    last line without its newline is an unfinished write and is dropped."""
+    if not path.exists():
+        return []
+    with open(path) as f:
+        return [line for line in f
+                if line.endswith("\n") and json.loads(line)["step"] <= start_step]
 
 
 def write_disagreements(path: Path, model, test_set) -> int:
@@ -91,7 +103,12 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
 
     oneshot_target = cfg["sparsity"] \
         if cfg["topology"]["strategy"] == "prune_oneshot" else None
+    # resuming into the run's own directory keeps the evaluations before the
+    # checkpoint; the ones after it are about to be recomputed
+    kept = _earlier_history(out / "history.jsonl", start_step) \
+        if resume is not None else []
     history_file = open(out / "history.jsonl", "w")
+    history_file.writelines(kept)
 
     def on_eval(report, updates, events):
         record = {"step": report.step, "metrics": report.to_json(),
@@ -119,7 +136,8 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     finally:
         history_file.close()
 
-    write_summary(out / "summary.csv", history.evals)
+    write_summary(out / "summary.csv", [json.loads(line)["metrics"] for line in kept]
+                  + [report.to_json() for report in history.evals])
     save_checkpoint(capture(model, optimizer, ledger, tconf.total_steps,
                             resolved_hash), str(out / "checkpoint.bin"))
     if dump_disagreements:

@@ -13,7 +13,6 @@ no shared layers at all, each member owning its own stem, trained with
 independent losses.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,13 +177,6 @@ class TrailsModel:
         return [(li, layer.weight) for li, layer in enumerate(layers)
                 if layer.weight is not None]
 
-    def astype_copy(self, dtype) -> "TrailsModel":
-        clone = copy.copy(self)
-        clone.backbone = nn.stack_astype(self.backbone, dtype)
-        clone.heads = [nn.stack_astype(h, dtype) for h in self.heads]
-        clone.topo_streams = {}
-        return clone
-
 
 def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
                      master: Stream, comp_idx: int) -> tuple[list[Layer], SparsityPlan | None]:
@@ -331,33 +323,3 @@ def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np
 def head_predictions(outputs: HeadOutputs) -> np.ndarray:
     """Per-head argmax classes, shape (M, batch)."""
     return np.stack([np.argmax(y, axis=1) for y in outputs.logits])
-
-
-def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.ndarray,
-                            eps: float = 1e-3) -> dict[str, GradientSet]:
-    """Finite-difference oracle for the composite loss (float64 shadow model)."""
-    shadow = model.astype_copy(np.float64)
-    x64 = np.asarray(batch, dtype=np.float64)
-
-    def loss_fn() -> float:
-        outputs = forward_heads(shadow, x64)
-        loss, _ = composite_loss(outputs, targets)
-        return loss
-
-    result: dict[str, GradientSet] = {}
-    for comp_name, layers in zip(shadow.component_names(), shadow.components()):
-        gs = GradientSet(layers=[], dense=False)
-        for layer in layers:
-            params, slots = [], []
-            if layer.weight is not None:
-                params.append((layer.weight.values, layer.weight.mask))
-                slots.append("weight")
-            if layer.bias is not None:
-                params.append((layer.bias, None))
-                slots.append("bias")
-            lg = nn.LayerGrads()
-            for slot, grad in zip(slots, nn.finite_difference_gradient(loss_fn, params, eps)):
-                setattr(lg, slot, grad)
-            gs.layers.append(lg)
-        result[comp_name] = gs
-    return result

@@ -11,7 +11,6 @@ its inputs, which lets the finite-difference oracle run the same code in
 float64 while training runs in float32.
 """
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -315,77 +314,3 @@ def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
     for i in range(len(layers) - 1, -1, -1):
         grads[i], d_out = _layer_backward(layers[i], tape[i], d_out, dense)
     return GradientSet(layers=grads, dense=dense), d_out
-
-
-# ---------------------------------------------------------------------------
-# finite differences (testing oracle)
-# ---------------------------------------------------------------------------
-
-def stack_astype(layers: list[Layer], dtype) -> list[Layer]:
-    out = []
-    for layer in layers:
-        clone = Layer(spec=copy.deepcopy(layer.spec))
-        if layer.weight is not None:
-            clone.weight = MaskedTensor(values=layer.weight.values.astype(dtype),
-                                        mask=layer.weight.mask.copy())
-        if layer.bias is not None:
-            clone.bias = layer.bias.astype(dtype)
-        out.append(clone)
-    return out
-
-
-def finite_difference_gradient(loss_fn, params: list[tuple[np.ndarray, np.ndarray | None]],
-                               eps: float = 1e-3) -> list[np.ndarray]:
-    """Central differences of loss_fn over each (array, mask) parameter.
-
-    Perturbs the live arrays in place (restoring them afterwards), so
-    loss_fn must read those same arrays. Only active positions (mask 1,
-    or everything for mask=None) are probed; the rest stay zero.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    out = []
-    for arr, mask in params:
-        grad = np.zeros(arr.shape, dtype=np.float64)
-        flat = arr.reshape(-1)
-        active = range(flat.size) if mask is None else np.flatnonzero(mask.reshape(-1))
-        for i in active:
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn()
-            flat[i] = orig - eps
-            down = loss_fn()
-            flat[i] = orig
-            grad.reshape(-1)[i] = (up - down) / (2.0 * eps)
-        out.append(grad)
-    return out
-
-
-def stack_finite_difference(layers: list[Layer], x: np.ndarray, targets: np.ndarray,
-                            eps: float = 1e-3) -> GradientSet:
-    """Finite-difference gradient of the stack's mean-CE loss (float64 copy)."""
-    shadow = stack_astype(layers, np.float64)
-    x64 = np.asarray(x, dtype=np.float64)
-
-    def loss_fn() -> float:
-        logits, _ = stack_forward(shadow, x64)
-        loss, _ = loss_forward(logits, targets)
-        return loss
-
-    params, owners = [], []
-    for layer in shadow:
-        if layer.weight is not None:
-            params.append((layer.weight.values, layer.weight.mask))
-            owners.append((layer, "weight"))
-        if layer.bias is not None:
-            params.append((layer.bias, None))
-            owners.append((layer, "bias"))
-    flat_grads = finite_difference_gradient(loss_fn, params, eps)
-
-    by_layer = {id(layer): LayerGrads() for layer in shadow}
-    for (layer, slot), grad in zip(owners, flat_grads):
-        if slot == "weight":
-            by_layer[id(layer)].weight = grad
-        else:
-            by_layer[id(layer)].bias = grad
-    return GradientSet(layers=[by_layer[id(layer)] for layer in shadow], dense=False)

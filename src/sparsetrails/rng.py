@@ -100,15 +100,20 @@ class Stream:
                 return u % n
 
     # -- bulk helpers ------------------------------------------------------
+    #
+    # Each helper returns exactly the values, and leaves the stream in exactly
+    # the state, that the same number of scalar calls would (`random`,
+    # `open_unit`, `randbelow`); the draws are only computed in bulk.
 
     def uniforms(self, n: int) -> np.ndarray:
-        return np.array([self.random() for _ in range(n)], dtype=np.float64)
+        return (_bulk_u64(self, n) >> 11).astype(np.float64) * _DOUBLE_SCALE
 
     def gumbels(self, n: int) -> np.ndarray:
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = -math.log(-math.log(self.open_unit()))
-        return out
+        opens = ((_bulk_u64(self, n) >> 11).astype(np.float64) + 0.5) * _DOUBLE_SCALE
+        # math.log, not np.log: the two may differ in the last bit, and a
+        # Gumbel-top-k ranking is sensitive to that
+        return np.array([-math.log(-math.log(x)) for x in opens.tolist()],
+                        dtype=np.float64)
 
     def normal(self) -> float:
         """Standard normal via Box-Muller (spare value cached)."""
@@ -126,21 +131,24 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        perm = list(range(n))
+        swaps = _bulk_below(self, np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n), via partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from range({n})")
-        pool = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.randbelow(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+        offsets = _bulk_below(self, np.arange(n, n - k, -1, dtype=np.uint64))
+        swaps = (offsets + np.arange(k, dtype=np.uint64)).tolist()
+        moved: dict[int, int] = {}  # pool positions that no longer hold their index
+        picks = []
+        for i, j in enumerate(swaps):
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return np.array(picks, dtype=np.int64)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -152,3 +160,112 @@ class Stream:
     def set_state(self, state: tuple[int, int, int, int]) -> None:
         self._s0, self._s1, self._s2, self._s3 = (w & _MASK64 for w in state)
         self._gauss_spare = None
+
+
+# ---------------------------------------------------------------------------
+# bulk draws across jump-ahead lanes
+# ---------------------------------------------------------------------------
+#
+# The xoshiro256** state update is linear over GF(2): read as a 256-bit
+# column vector v (bit i of word w at row 64*w + i), one step is v -> A v
+# for a fixed 256x256 bit matrix A. So the state k steps ahead is A^k v, and
+# n draws can be split into lanes of B consecutive steps whose start states
+# A^(l*B) v come from a few matrix products; all lanes then step together as
+# uint64 arrays. Blackman & Vigna, "Scrambled Linear Pseudorandom Number
+# Generators" (arXiv:1805.01407); Haramoto et al., "Efficient Jump Ahead
+# for F2-Linear Random Number Generators" (INFORMS J. Computing, 2008).
+
+_LANE_CUTOFF = 2048   # below this many draws, lane set-up costs more than it saves
+_powers: list[np.ndarray] = []   # _powers[k] = A^(2^k) as 0/1 uint8, filled lazily
+
+
+def _state_bits(words) -> np.ndarray:
+    """(4, L) uint64 state words -> (256, L) 0/1 float32 columns."""
+    raw = np.ascontiguousarray(np.asarray(words, dtype="<u8").T).view(np.uint8)
+    bits = np.unpackbits(raw.reshape(-1, 4, 8), axis=2, bitorder="little")
+    return bits.reshape(-1, 256).T.astype(np.float32)
+
+
+def _bits_state(bits: np.ndarray) -> np.ndarray:
+    """(256, L) 0/1 columns -> (4, L) uint64 state words."""
+    lanes = bits.shape[1]
+    packed = np.packbits(bits.T.astype(np.uint8).reshape(lanes, 4, 64), axis=2,
+                         bitorder="little")
+    words = np.ascontiguousarray(packed).view("<u8").reshape(lanes, 4)
+    return np.ascontiguousarray(words.T, dtype=np.uint64)
+
+
+def _jump(k: int) -> np.ndarray:
+    """A^(2^k) as float32 0/1, squaring from A as far as needed."""
+    if not _powers:
+        probe = Stream(0)
+        columns = []
+        for bit in range(256):
+            words = [0, 0, 0, 0]
+            words[bit // 64] = 1 << (bit % 64)
+            probe.set_state(words)
+            probe.next_u64()
+            columns.append(probe.get_state())
+        _powers.append(_state_bits(np.array(columns, dtype=np.uint64).T).astype(np.uint8))
+    while len(_powers) <= k:
+        # entries of a 0/1 product are at most 256, exact in float32
+        a = _powers[-1].astype(np.float32)
+        _powers.append(((a @ a) % 2).astype(np.uint8))
+    return _powers[k].astype(np.float32)
+
+
+def _bulk_u64(stream: Stream, n: int) -> np.ndarray:
+    """The next n outputs of `stream.next_u64()` as uint64, advancing it n steps."""
+    if n < _LANE_CUTOFF:
+        return np.array([stream.next_u64() for _ in range(n)], dtype=np.uint64)
+    b = n.bit_length() // 2
+    steps = 1 << b                        # B ~ sqrt(n) steps per lane
+    # after the n-th draw the stream is in lane `last`'s state after
+    # `remainder` of its steps; that lane is stepped too, even when no
+    # draw of it is kept
+    last, remainder = divmod(n, steps)
+    lanes = last + 1
+    starts = _state_bits(np.array([stream.get_state()], dtype=np.uint64).T)
+    j = b
+    while starts.shape[1] < lanes:        # [V, A^(B 2^j) V]
+        ahead = starts[:, :lanes - starts.shape[1]]
+        starts = np.concatenate([starts, (_jump(j) @ ahead) % 2], axis=1)
+        j += 1
+    s0, s1, s2, s3 = _bits_state(starts)
+    seen = np.empty((steps, lanes), dtype=np.uint64)   # s1 before each step
+    for i in range(steps):
+        if i == remainder:
+            final = (int(s0[last]), int(s1[last]), int(s2[last]), int(s3[last]))
+        seen[i] = s1
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = (s3 << 45) | (s3 >> 19)
+    stream.set_state(final)
+    x = seen.T.reshape(-1)[:n] * 5
+    return ((x << 7) | (x >> 57)) * 9
+
+
+def _bulk_below(stream: Stream, bounds: np.ndarray) -> np.ndarray:
+    """`stream.randbelow(m)` for each m in bounds (uint64, all >= 1), in order.
+
+    A draw u is rejected when u >= 2^64 - (2^64 mod m), and the next draw is
+    tried for the same bound, so the stream moves exactly as under the
+    scalar calls.
+    """
+    out = np.empty(bounds.size, dtype=np.uint64)
+    ceiling = ~((0 - bounds) % bounds)    # largest accepted draw per bound
+    done = 0
+    while done < bounds.size:
+        draws = _bulk_u64(stream, bounds.size - done)   # at least one per bound left
+        while draws.size:
+            end = done + draws.size
+            rejected = np.flatnonzero(draws > ceiling[done:end])
+            take = int(rejected[0]) if rejected.size else draws.size
+            out[done:done + take] = draws[:take] % bounds[done:done + take]
+            done += take
+            draws = draws[take + 1:]
+    return out

@@ -1,0 +1,156 @@
+"""Reference implementations the tests compare the package against.
+
+- Finite-difference gradients of a layer stack and of a whole model, run
+  on a float64 copy through the package's own dtype-following forward pass.
+- The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
+  `random`, `open_unit` or `randbelow` call per value, exactly as the
+  bulk helpers must reproduce them.
+"""
+
+import copy
+import math
+
+import numpy as np
+
+from sparsetrails.model import TrailsModel, composite_loss, forward_heads
+from sparsetrails.nn import (GradientSet, Layer, LayerGrads, MaskedTensor,
+                             loss_forward, stack_forward)
+from sparsetrails.rng import Stream
+
+# ---------------------------------------------------------------------------
+# finite differences
+# ---------------------------------------------------------------------------
+
+
+def stack_astype(layers: list[Layer], dtype) -> list[Layer]:
+    out = []
+    for layer in layers:
+        clone = Layer(spec=copy.deepcopy(layer.spec))
+        if layer.weight is not None:
+            clone.weight = MaskedTensor(values=layer.weight.values.astype(dtype),
+                                        mask=layer.weight.mask.copy())
+        if layer.bias is not None:
+            clone.bias = layer.bias.astype(dtype)
+        out.append(clone)
+    return out
+
+
+def model_astype(model: TrailsModel, dtype) -> TrailsModel:
+    clone = copy.copy(model)
+    clone.backbone = stack_astype(model.backbone, dtype)
+    clone.heads = [stack_astype(h, dtype) for h in model.heads]
+    clone.topo_streams = {}
+    return clone
+
+
+def finite_difference_gradient(loss_fn, params: list[tuple[np.ndarray, np.ndarray | None]],
+                               eps: float = 1e-3) -> list[np.ndarray]:
+    """Central differences of loss_fn over each (array, mask) parameter.
+
+    Perturbs the live arrays in place (restoring them afterwards), so
+    loss_fn must read those same arrays. Only active positions (mask 1,
+    or everything for mask=None) are probed; the rest stay zero.
+    """
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    out = []
+    for arr, mask in params:
+        grad = np.zeros(arr.shape, dtype=np.float64)
+        flat = arr.reshape(-1)
+        active = range(flat.size) if mask is None else np.flatnonzero(mask.reshape(-1))
+        for i in active:
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss_fn()
+            flat[i] = orig - eps
+            down = loss_fn()
+            flat[i] = orig
+            grad.reshape(-1)[i] = (up - down) / (2.0 * eps)
+        out.append(grad)
+    return out
+
+
+def _layer_params(layer: Layer) -> tuple[list, list[str]]:
+    params, slots = [], []
+    if layer.weight is not None:
+        params.append((layer.weight.values, layer.weight.mask))
+        slots.append("weight")
+    if layer.bias is not None:
+        params.append((layer.bias, None))
+        slots.append("bias")
+    return params, slots
+
+
+def _stack_gradients(layers: list[Layer], loss_fn, eps: float) -> GradientSet:
+    gs = GradientSet(layers=[], dense=False)
+    for layer in layers:
+        params, slots = _layer_params(layer)
+        grads = LayerGrads()
+        for slot, grad in zip(slots, finite_difference_gradient(loss_fn, params, eps)):
+            setattr(grads, slot, grad)
+        gs.layers.append(grads)
+    return gs
+
+
+def stack_finite_difference(layers: list[Layer], x: np.ndarray, targets: np.ndarray,
+                            eps: float = 1e-3) -> GradientSet:
+    """Finite-difference gradient of the stack's mean-CE loss (float64 copy)."""
+    shadow = stack_astype(layers, np.float64)
+    x64 = np.asarray(x, dtype=np.float64)
+
+    def loss_fn() -> float:
+        logits, _ = stack_forward(shadow, x64)
+        loss, _ = loss_forward(logits, targets)
+        return loss
+
+    return _stack_gradients(shadow, loss_fn, eps)
+
+
+def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.ndarray,
+                            eps: float = 1e-3) -> dict[str, GradientSet]:
+    """Finite-difference oracle for the composite loss (float64 shadow model)."""
+    shadow = model_astype(model, np.float64)
+    x64 = np.asarray(batch, dtype=np.float64)
+
+    def loss_fn() -> float:
+        loss, _ = composite_loss(forward_heads(shadow, x64), targets)
+        return loss
+
+    return {name: _stack_gradients(layers, loss_fn, eps)
+            for name, layers in zip(shadow.component_names(), shadow.components())}
+
+
+# ---------------------------------------------------------------------------
+# scalar random draws
+# ---------------------------------------------------------------------------
+
+
+def uniforms(stream: Stream, n: int) -> np.ndarray:
+    return np.array([stream.random() for _ in range(n)], dtype=np.float64)
+
+
+def gumbels(stream: Stream, n: int) -> np.ndarray:
+    out = np.empty(n, dtype=np.float64)
+    for i in range(n):
+        out[i] = -math.log(-math.log(stream.open_unit()))
+    return out
+
+
+def permutation(stream: Stream, n: int) -> np.ndarray:
+    """Fisher-Yates permutation of range(n)."""
+    perm = np.arange(n, dtype=np.int64)
+    for i in range(n - 1, 0, -1):
+        j = stream.randbelow(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def choice_without_replacement(stream: Stream, n: int, k: int) -> np.ndarray:
+    """k distinct integers from range(n), via partial Fisher-Yates."""
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot draw {k} distinct values from range({n})")
+    pool = np.arange(n, dtype=np.int64)
+    for i in range(k):
+        j = i + stream.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()

@@ -21,14 +21,14 @@ from sparsetrails.metrics import ece, nll, prediction_disagreement
 from sparsetrails.model import (NetworkSpec, build_independent_ensemble,
                                 build_trails, mlp_spec)
 from sparsetrails.nn import (LayerSpec, MaskedTensor, loss_forward,
-                             stack_backward, stack_finite_difference,
-                             stack_forward)
+                             stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import allocate, round_half_up
 from sparsetrails.topology import TopologySchedule, select_grow, select_prune
 from sparsetrails.train import (Optimizer, TrainConfig, count_flops, fit)
 
 from conftest import gradcheck_stack, max_relative_error
+from oracles import stack_finite_difference
 
 
 @contextmanager

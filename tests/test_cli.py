@@ -1,10 +1,16 @@
+import builtins
 import csv
+import errno
 import json
 
 import numpy as np
 import pytest
 
-from sparsetrails.cli import main, read_summary_final_row
+from sparsetrails import checkpoint
+from sparsetrails.checkpoint import capture, load_checkpoint, save_checkpoint
+from sparsetrails.cli import SUMMARY_COLUMNS, main, read_summary_final_row, write_summary
+from sparsetrails.config import make_model, make_train_config, resolve
+from sparsetrails.train import Optimizer, count_flops
 
 
 def write_config(tmp_path, **overrides):
@@ -29,6 +35,37 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class FailingOpen:
+    """Stands in for `open` in the checkpoint module: from the fail_on-th
+    call on, a file writes half of what it is given and then raises, as a
+    full disk would."""
+
+    def __init__(self, fail_on: int):
+        self.fail_on = fail_on
+        self.calls = 0
+
+    def __call__(self, path, mode="r"):
+        self.calls += 1
+        f = builtins.open(path, mode)
+        return _HalfWriter(f) if self.calls >= self.fail_on else f
+
+
+class _HalfWriter:
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        self.f.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class TestTrainCommand:
@@ -162,3 +199,54 @@ class TestSweepCommand:
                 (out / f"blocks_in_head={value}" / "seed=1" /
                  "config.resolved.json").read_text())
             assert resolved["split_index"] == 2 - value
+
+
+class TestArtifactWrites:
+    def test_resume_in_place_keeps_earlier_history(self, tmp_path):
+        cfg = write_config(tmp_path, checkpoint_every=20, eval_interval=10,
+                           train={"total_steps": 40})
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        history = (out / "history.jsonl").read_bytes()
+        summary = (out / "summary.csv").read_bytes()
+        assert main(["train", "--config", str(cfg), "--quiet",
+                     "--resume", str(out / "checkpoint_000020.bin")]) == 0
+        lines = (out / "history.jsonl").read_text().splitlines()
+        assert [json.loads(l)["step"] for l in lines] == [10, 20, 30, 40]
+        assert (out / "history.jsonl").read_bytes() == history
+        assert (out / "summary.csv").read_bytes() == summary
+
+    def test_failed_checkpoint_write_exits_three_and_keeps_earlier_files(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = write_config(tmp_path, checkpoint_every=10)
+        out = tmp_path / "run"
+        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=2), raising=False)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 3
+        assert "i/o error" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert load_checkpoint(str(out / "checkpoint_000010.bin")).step == 10
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint_000010.bin", "config.resolved.json", "history.jsonl"]
+
+    @pytest.mark.parametrize("writer", ["checkpoint", "summary"])
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / "artifact"
+        if writer == "checkpoint":
+            cfg = resolve(json.loads(write_config(tmp_path).read_text()))
+            model = make_model(cfg)
+            tconf = make_train_config(cfg)
+            ckpt = capture(model, Optimizer(tconf, model.named_parameters()),
+                           count_flops(model), 0, "0" * 64)
+            write = lambda: save_checkpoint(ckpt, str(path))
+        else:
+            row = dict.fromkeys(SUMMARY_COLUMNS, 0.5)
+            write = lambda: write_summary(path, [row])
+        path.write_bytes(b"previous contents")
+        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=1), raising=False)
+        with pytest.raises(OSError):
+            write()
+        assert path.read_bytes() == b"previous contents"
+        assert [p.name for p in tmp_path.iterdir() if p.name != "cfg.json"] == ["artifact"]
+        monkeypatch.undo()
+        write()
+        assert path.read_bytes() != b"previous contents"

@@ -4,12 +4,12 @@ import pytest
 from sparsetrails import nn
 from sparsetrails.model import (HeadOutputs, build_independent_ensemble, build_trails,
                                 composite_loss, forward_heads, head_predictions,
-                                mlp_spec, model_backward, model_finite_difference,
-                                small_cnn_spec, soft_vote)
+                                mlp_spec, model_backward, small_cnn_spec, soft_vote)
 from sparsetrails.nn import stack_forward
 from sparsetrails.rng import Stream
 
 from conftest import max_relative_error
+from oracles import model_finite_difference
 
 
 def toy_spec(blocks=3, hidden=8, input_dim=2, classes=2):

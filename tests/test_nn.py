@@ -9,10 +9,11 @@ from hypothesis.extra.numpy import arrays
 from sparsetrails import nn
 from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, init_layer,
                              layer_forward, loss_forward, stack_backward,
-                             stack_finite_difference, stack_forward)
+                             stack_forward)
 from sparsetrails.rng import Stream
 
 from conftest import gradcheck_stack, make_linear, max_relative_error, random_stack
+from oracles import finite_difference_gradient, stack_finite_difference
 
 
 class TestLayerForward:
@@ -178,7 +179,7 @@ class TestFiniteDifferences:
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
-            nn.finite_difference_gradient(lambda: 0.0, [], eps=0.0)
+            finite_difference_gradient(lambda: 0.0, [], eps=0.0)
 
     @pytest.mark.parametrize("seed,kind,sparsity", [(11, "mlp", 0.0), (12, "mlp", 0.5),
                                                     (13, "conv", 0.0), (14, "conv", 0.4)])

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsetrails import rng
 from sparsetrails.rng import Stream
+
+import oracles
 
 
 def test_xoshiro_core_known_outputs():
@@ -92,3 +95,65 @@ def test_state_roundtrip_resumes_sequence():
     fresh = Stream(0)
     fresh.set_state(saved)
     assert [fresh.next_u64() for _ in range(5)] == expected
+
+
+# -- bulk draws against the scalar loops -------------------------------------
+
+CUTOFF = rng._LANE_CUTOFF
+# 4096 draws run as 64 lanes of 64 steps, so 4095 and 4097 end one step
+# before and after a lane boundary; 10007 is prime
+BULK_SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 4095, 4096, 4097, 10007]
+HELPERS = ["uniforms", "gumbels", "permutation", "choice_third", "choice_all"]
+
+
+def draw(helper: str, stream, n: int, bulk: bool) -> np.ndarray:
+    """One helper's draws, from the package (bulk) or from the scalar oracle."""
+    name, args = helper, (n,)
+    if helper.startswith("choice"):
+        k = n if helper == "choice_all" else n // 3
+        name, args = "choice_without_replacement", (n, k)
+    return getattr(stream, name)(*args) if bulk else getattr(oracles, name)(stream, *args)
+
+
+def assert_bulk_matches_oracle(helper: str, seed: int, n: int) -> None:
+    bulk, scalar = Stream(seed), Stream(seed)
+    got, want = draw(helper, bulk, n, True), draw(helper, scalar, n, False)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert bulk.get_state() == scalar.get_state()
+
+
+@pytest.mark.parametrize("n", BULK_SIZES)
+@pytest.mark.parametrize("helper", HELPERS)
+def test_bulk_draws_equal_scalar_loops(helper, n):
+    assert_bulk_matches_oracle(helper, 1000 + n, n)
+
+
+@given(st.integers(min_value=0, max_value=2**64 - 1),
+       st.integers(min_value=0, max_value=20_000), st.sampled_from(HELPERS))
+@settings(max_examples=25, deadline=None)
+def test_bulk_draws_equal_scalar_loops_sweep(seed, n, helper):
+    assert_bulk_matches_oracle(helper, seed, n)
+
+
+def test_bulk_known_outputs_from_state_1_2_3_4():
+    bulk, scalar = Stream(0), Stream(0)
+    bulk.set_state((1, 2, 3, 4))
+    scalar.set_state((1, 2, 3, 4))
+    n = 2 * CUTOFF + 3
+    got = rng._bulk_u64(bulk, n)
+    assert got[:3].tolist() == [11520, 0, 1509978240]
+    assert got.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert bulk.get_state() == scalar.get_state()
+
+
+def test_bulk_bounded_draws_follow_randbelow_rejections():
+    # randbelow(2^63 + 1) rejects every draw >= 2^63 + 1, about half of them
+    bound = 2**63 + 1
+    n = 2 * CUTOFF
+    bulk, scalar, plain = Stream(77), Stream(77), Stream(77)
+    got = rng._bulk_below(bulk, np.full(n, bound, dtype=np.uint64))
+    assert got.tolist() == [scalar.randbelow(bound) for _ in range(n)]
+    assert bulk.get_state() == scalar.get_state()
+    rng._bulk_u64(plain, n)
+    assert plain.get_state() != scalar.get_state()  # rejections did happen
