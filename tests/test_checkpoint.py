@@ -132,3 +132,35 @@ class TestRejection:
         other_opt = Optimizer(config, other.named_parameters())
         with pytest.raises(CheckpointError, match="do not match"):
             restore(load_checkpoint(str(path)), other, other_opt, count_flops(other))
+
+    def _restore_into_fresh(self, tmp_path, corrupt):
+        """Save a trained state, corrupt the loaded checkpoint, restore it fresh."""
+        model, optimizer, ledger, config, _ = trained_state()
+        path = tmp_path / "c.bin"
+        save_checkpoint(capture(model, optimizer, ledger, 15, "00" * 32), str(path))
+        ckpt = load_checkpoint(str(path))
+        corrupt(ckpt)
+        fresh = build_trails(mlp_spec(2, 6, 2, 2), 1, 2, 0.5, seed=99)
+        restore(ckpt, fresh, Optimizer(config, fresh.named_parameters()), count_flops(fresh))
+
+    def test_restore_rejects_misshapen_optimizer_slot(self, tmp_path):
+        def corrupt(ckpt):
+            ckpt.opt_state["head0/2/weight@momentum"] = np.ones(1, dtype=np.float32)
+        with pytest.raises(CheckpointError, match=r"head0/2/weight@momentum has shape \(1,\)"):
+            self._restore_into_fresh(tmp_path, corrupt)
+
+    def test_restore_rejects_missing_mask(self, tmp_path):
+        def corrupt(ckpt):
+            del ckpt.masks["backbone/0/weight"]
+        with pytest.raises(CheckpointError, match="missing mask backbone/0/weight"):
+            self._restore_into_fresh(tmp_path, corrupt)
+
+    def test_restore_rejects_nonzero_weight_at_masked_position(self, tmp_path):
+        def put(value):
+            def corrupt(ckpt):
+                name = next(n for n, m in ckpt.masks.items() if not m.all())
+                ckpt.params[name][ckpt.masks[name] == 0] = value
+            return corrupt
+        self._restore_into_fresh(tmp_path, put(-0.0))  # -0.0 is zero
+        with pytest.raises(CheckpointError, match="nonzero where its mask is 0"):
+            self._restore_into_fresh(tmp_path, put(1e-30))

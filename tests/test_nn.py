@@ -13,7 +13,8 @@ from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, init_layer,
 from sparsetrails.rng import Stream
 
 from conftest import gradcheck_stack, make_linear, max_relative_error, random_stack
-from oracles import finite_difference_gradient, stack_finite_difference
+from oracles import (conv2d_backward, conv2d_forward, finite_difference_gradient,
+                     stack_finite_difference)
 
 
 class TestLayerForward:
@@ -68,6 +69,38 @@ class TestLayerForward:
         layer = init_layer(LayerSpec.conv2d(2, 2, 3, 3), stream)
         with pytest.raises(ValueError, match=r"\(B, 2, H, W\)"):
             layer_forward(layer, np.zeros((1, 3, 5, 5), dtype=np.float32))
+
+
+class TestConvOracle:
+    # (5, 7) is as large as the 5x7 input: one output position under "valid"
+    @pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("in_channels", [1, 3])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 2), (3, 2), (1, 1), (5, 7)])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    def test_forward_and_backward_match_direct_loops(self, padding, kernel, in_channels,
+                                                     batch, dtype, rtol):
+        kh, kw = kernel
+        rng = np.random.default_rng([kh, kw, in_channels, batch])
+        shape = (2, in_channels, kh, kw)
+        mask = (rng.random(shape) < 0.7).astype(np.uint8)
+        layer = Layer(spec=LayerSpec.conv2d(in_channels, 2, kh, kw, padding=padding),
+                      weight=MaskedTensor(values=rng.standard_normal(shape).astype(dtype),
+                                          mask=mask),
+                      bias=rng.standard_normal(2).astype(dtype))
+        x = rng.standard_normal((batch, in_channels, 5, 7)).astype(dtype)
+        out, tape = stack_forward([layer], x, record=True)
+        d_out = rng.standard_normal(out.shape).astype(dtype)
+        grads, dx = stack_backward([layer], tape, d_out, dense=True)
+        grads = grads.layers[0]
+
+        want_dw, want_db, want_dx = conv2d_backward(x, layer.weight.values, d_out, padding)
+        for got, want in [(out, conv2d_forward(x, layer.weight.values, layer.bias, padding)),
+                          (grads.weight_dense, want_dw), (grads.weight, want_dw * mask),
+                          (grads.bias, want_db), (dx, want_dx)]:
+            assert got.dtype == dtype and got.shape == want.shape
+            # entries that cancel to near zero are held to rtol of the array's scale
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
 class TestMaskedTensor:
