@@ -3,26 +3,32 @@
 Layout (all integers little-endian):
 
     magic     8 bytes  b"STRLCKPT"
-    version   u16      currently 1
+    version   u16      currently 2
     confhash  32 bytes sha256 of the canonical resolved config JSON
     step      u64
     optkind   u8       0 = sgd_momentum, 1 = adam
     adam_t    u64
     flops     u64      cumulative training FLOPs
-    PRM section: u32 count, then per parameter
-        u16 name length, name utf-8, u8 ndim, u32 per dim, float32 data
-    MSK section: u32 count, same naming, mask bits packed 8-per-byte
-    OPT section: u32 count, names "param@slot", float32 arrays
+    PRM section: u32 count, then one record per parameter
+        u16 name length, name utf-8, u8 ndim, u32 per dim,
+        u8 masked flag, then (masked only) mask bits packed 8-per-byte,
+        float32 values at the active positions (every position if unmasked),
+        then the same positions of each optimizer slot, in Optimizer.SLOTS order
     RNG section: u32 count, stream name, 4 x u64 xoshiro state words
     trailer   b"END!"
+    crc       u32      zlib.crc32 of every earlier byte
 
-A checkpoint restores parameters, masks, optimizer state and the live
-topology streams, so a resumed run replays the uninterrupted run exactly.
-Files are written whole or not at all (`write_atomic`).
+Masked entries are not stored: weights and optimizer state are exactly
++0.0 there, and loading rebuilds them so. A checkpoint restores
+parameters, masks, optimizer state and the live topology streams, so a
+resumed run replays the uninterrupted run exactly. Files are written whole
+or not at all (`write_atomic`).
 """
 
+import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +37,7 @@ from .model import TrailsModel
 from .train import FlopsLedger, Optimizer, recount_forward_sparse
 
 MAGIC = b"STRLCKPT"
-VERSION = 1
+VERSION = 2
 _OPT_KINDS = {"sgd_momentum": 0, "adam": 1}
 _OPT_NAMES = {v: k for k, v in _OPT_KINDS.items()}
 
@@ -54,15 +60,16 @@ class Checkpoint:
     rng_states: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
 
 
-def _write_name(out: list[bytes], name: str) -> None:
-    raw = name.encode("utf-8")
-    out.append(struct.pack("<H", len(raw)))
-    out.append(raw)
+def _slot_key(name: str, slot: str) -> str:
+    """The Checkpoint.opt_state key of a parameter's optimizer slot."""
+    return f"{name}@{slot}"
 
 
-def _write_array_header(out: list[bytes], arr: np.ndarray) -> None:
-    out.append(struct.pack("<B", arr.ndim))
-    out.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
+def _topo_streams(model: TrailsModel) -> dict:
+    """The model's topology streams, keyed "component/layer"."""
+    names = model.component_names()
+    return {f"{names[comp]}/{layer}": stream
+            for (comp, layer), stream in model.topo_streams.items()}
 
 
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
@@ -74,12 +81,10 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
         ckpt.params[ref.name] = ref.array
         if ref.mask is not None:
             ckpt.masks[ref.name] = ref.mask
-    for name, slots in optimizer.state.items():
-        for slot, arr in slots.items():
-            ckpt.opt_state[f"{name}@{slot}"] = arr
-    comp_names = model.component_names()
-    for (comp_idx, layer_idx), stream in model.topo_streams.items():
-        ckpt.rng_states[f"{comp_names[comp_idx]}/{layer_idx}"] = stream.get_state()
+        for slot, arr in optimizer.state[ref.name].items():
+            ckpt.opt_state[_slot_key(ref.name, slot)] = arr
+    ckpt.rng_states = {key: stream.get_state()
+                       for key, stream in _topo_streams(model).items()}
     return ckpt
 
 
@@ -100,39 +105,37 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+def _named(name: str, fmt: str, *fields) -> bytes:
+    """u16 name length, the utf-8 name, then fields packed by fmt."""
+    raw = name.encode("utf-8")
+    return struct.pack(f"<H{len(raw)}s{fmt}", len(raw), raw, *fields)
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
     out: list[bytes] = [MAGIC, struct.pack("<H", ckpt.version),
                         bytes.fromhex(ckpt.config_hash),
-                        struct.pack("<Q", ckpt.step),
-                        struct.pack("<B", _OPT_KINDS[ckpt.optimizer_kind]),
-                        struct.pack("<Q", ckpt.adam_t),
-                        struct.pack("<Q", ckpt.cumulative_flops)]
+                        struct.pack("<QBQQ", ckpt.step, _OPT_KINDS[ckpt.optimizer_kind],
+                                    ckpt.adam_t, ckpt.cumulative_flops),
+                        b"PRM", struct.pack("<I", len(ckpt.params))]
+    # few numpy calls per record: on small models they are most of the save time
+    slots = Optimizer.SLOTS[ckpt.optimizer_kind]
+    for name, values in ckpt.params.items():
+        mask = ckpt.masks.get(name)
+        out.append(_named(name, f"B{values.ndim}IB", values.ndim, *values.shape,
+                          mask is not None))
+        if mask is not None:
+            out.append(np.packbits(mask).tobytes())
+            active = (mask != 0).ravel().nonzero()[0]
+        for arr in [values] + [ckpt.opt_state[_slot_key(name, slot)] for slot in slots]:
+            arr = arr if mask is None else arr.take(active)
+            out.append(np.ascontiguousarray(arr, "<f4").tobytes())
 
-    out.append(b"PRM" + struct.pack("<I", len(ckpt.params)))
-    for name, arr in ckpt.params.items():
-        _write_name(out, name)
-        _write_array_header(out, arr)
-        out.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-    out.append(b"MSK" + struct.pack("<I", len(ckpt.masks)))
-    for name, mask in ckpt.masks.items():
-        _write_name(out, name)
-        _write_array_header(out, mask)
-        out.append(np.packbits(mask.reshape(-1).astype(np.uint8)).tobytes())
-
-    out.append(b"OPT" + struct.pack("<I", len(ckpt.opt_state)))
-    for name, arr in ckpt.opt_state.items():
-        _write_name(out, name)
-        _write_array_header(out, arr)
-        out.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-    out.append(b"RNG" + struct.pack("<I", len(ckpt.rng_states)))
+    out += [b"RNG", struct.pack("<I", len(ckpt.rng_states))]
     for name, state in ckpt.rng_states.items():
-        _write_name(out, name)
-        out.append(struct.pack("<4Q", *state))
-
+        out.append(_named(name, "4Q", *state))
     out.append(b"END!")
-    write_atomic(path, b"".join(out))
+    data = b"".join(out)
+    write_atomic(path, data + struct.pack("<I", zlib.crc32(data)))
     return path
 
 
@@ -158,10 +161,6 @@ class _Reader:
         (n,) = self.unpack("<H")
         return self.take(n).decode("utf-8")
 
-    def shape(self) -> tuple[int, ...]:
-        (ndim,) = self.unpack("<B")
-        return self.unpack(f"<{ndim}I") if ndim else ()
-
     def expect_tag(self, tag: bytes, section: str) -> None:
         self.section = section
         got = self.take(3)
@@ -174,7 +173,15 @@ class _Reader:
 def load_checkpoint(path: str) -> Checkpoint:
     with open(path, "rb") as f:
         data = f.read()
-    r = _Reader(data)
+    try:
+        return _parse(_Reader(data), path)
+    except CheckpointError:
+        raise
+    except ValueError as exc:  # a name that is not UTF-8, a shape numpy cannot hold
+        raise CheckpointError(f"{path}: corrupt checkpoint ({exc})") from exc
+
+
+def _parse(r: _Reader, path: str) -> Checkpoint:
     if r.take(8) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = r.unpack("<H")
@@ -182,53 +189,48 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(
             f"unsupported checkpoint version {version} (expected {VERSION})")
     confhash = r.take(32).hex()
-    (step,) = r.unpack("<Q")
-    (optkind,) = r.unpack("<B")
+    step, optkind, adam_t, flops = r.unpack("<QBQQ")
     if optkind not in _OPT_NAMES:
         raise CheckpointError(f"corrupt checkpoint: unknown optimizer kind {optkind}")
-    (adam_t,) = r.unpack("<Q")
-    (flops,) = r.unpack("<Q")
     ckpt = Checkpoint(version=version, config_hash=confhash, step=step,
                       optimizer_kind=_OPT_NAMES[optkind], adam_t=adam_t,
                       cumulative_flops=flops)
 
-    r.expect_tag(b"PRM", "params")
+    r.expect_tag(b"PRM", "parameters")
     (count,) = r.unpack("<I")
     for _ in range(count):
         name = r.name()
-        shape = r.shape()
-        size = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * size)
-        ckpt.params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-
-    r.expect_tag(b"MSK", "masks")
-    (count,) = r.unpack("<I")
-    for _ in range(count):
-        name = r.name()
-        shape = r.shape()
-        size = int(np.prod(shape)) if shape else 1
-        raw = r.take((size + 7) // 8)
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:size]
-        ckpt.masks[name] = bits.reshape(shape).astype(np.uint8)
-
-    r.expect_tag(b"OPT", "optimizer state")
-    (count,) = r.unpack("<I")
-    for _ in range(count):
-        name = r.name()
-        shape = r.shape()
-        size = int(np.prod(shape)) if shape else 1
-        raw = r.take(4 * size)
-        ckpt.opt_state[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+        (ndim,) = r.unpack("<B")
+        *shape, masked = r.unpack(f"<{ndim}IB")
+        size = math.prod(shape)
+        active = slice(None)
+        if masked:
+            bits = np.unpackbits(np.frombuffer(r.take((size + 7) // 8), np.uint8),
+                                 count=size)
+            ckpt.masks[name] = bits.reshape(shape)
+            active = (bits != 0).nonzero()[0]  # ~3x faster on bool than on uint8
+        keys = [(ckpt.params, name)] + [(ckpt.opt_state, _slot_key(name, slot))
+                                        for slot in Optimizer.SLOTS[ckpt.optimizer_kind]]
+        n = active.size if masked else size
+        # the record's bytes are read before any array is sized from its shape
+        rows = np.frombuffer(r.take(4 * n * len(keys)), "<f4").reshape(len(keys), n)
+        for (entries, key), row in zip(keys, rows):
+            dense = np.zeros(size, np.float32)
+            dense[active] = row
+            entries[key] = dense.reshape(shape)
 
     r.expect_tag(b"RNG", "rng streams")
     (count,) = r.unpack("<I")
     for _ in range(count):
         name = r.name()
-        ckpt.rng_states[name] = tuple(r.unpack("<4Q"))
+        ckpt.rng_states[name] = r.unpack("<4Q")
 
     r.section = "trailer"
     if r.take(4) != b"END!":
         raise CheckpointError("corrupt checkpoint: missing trailer")
+    (crc,) = r.unpack("<I")
+    if r.pos != len(r.data) or crc != zlib.crc32(memoryview(r.data)[:-4]):
+        raise CheckpointError(f"{path}: corrupt checkpoint (CRC-32 mismatch or trailing bytes)")
     return ckpt
 
 
@@ -251,10 +253,12 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
         missing = set(refs) ^ set(ckpt.params)
         raise CheckpointError(
             f"checkpoint parameters do not match the model (mismatch: {sorted(missing)[:4]})")
+    if ckpt.optimizer_kind != optimizer.kind:
+        raise CheckpointError(
+            f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
+            f"{optimizer.kind!r}")
     for name, ref in refs.items():
-        values = ckpt.params[name]
-        if ref.array.shape != values.shape:
-            raise CheckpointError(f"shape mismatch for {name}")
+        values = _entry(ckpt.params, name, ref.array.shape, "parameter")
         if ref.mask is not None:
             mask = _entry(ckpt.masks, name, ref.mask.shape, "mask")
             if np.logical_and(values, np.logical_not(mask)).any():
@@ -262,17 +266,11 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
                     f"checkpoint weight {name} is nonzero where its mask is 0")
             ref.mask[...] = mask
         ref.array[...] = values
-    if ckpt.optimizer_kind != optimizer.kind:
-        raise CheckpointError(
-            f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
-            f"{optimizer.kind!r}")
+        for slot, arr in optimizer.state[name].items():
+            arr[...] = _entry(ckpt.opt_state, _slot_key(name, slot), arr.shape,
+                              "optimizer slot")
     optimizer.adam_t = ckpt.adam_t
-    for name, slots in optimizer.state.items():
-        for slot, arr in slots.items():
-            arr[...] = _entry(ckpt.opt_state, f"{name}@{slot}", arr.shape, "optimizer slot")
-    comp_names = model.component_names()
-    for (comp_idx, layer_idx), stream in model.topo_streams.items():
-        key = f"{comp_names[comp_idx]}/{layer_idx}"
+    for key, stream in _topo_streams(model).items():
         if key not in ckpt.rng_states:
             raise CheckpointError(f"checkpoint missing rng stream {key}")
         stream.set_state(ckpt.rng_states[key])

@@ -41,14 +41,20 @@ def _fmt(value) -> str:
     return f"{value:.6g}"
 
 
+def _write_csv(path: Path, rows: list[list]) -> None:
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, text.getvalue().encode())
+
+
+def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n").encode())
+
+
 def write_summary(path: Path, rows: list[dict]) -> None:
     """summary.csv from the `metrics` records of the run's evaluations."""
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(SUMMARY_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
-    write_atomic(path, text.getvalue().encode())
+    _write_csv(path, [SUMMARY_COLUMNS]
+               + [[_fmt(row[c]) for c in SUMMARY_COLUMNS] for row in rows])
 
 
 def _earlier_history(path: Path, start_step: int) -> list[str]:
@@ -61,16 +67,14 @@ def _earlier_history(path: Path, start_step: int) -> list[str]:
                 if line.endswith("\n") and json.loads(line)["step"] <= start_step]
 
 
-def write_disagreements(path: Path, model, test_set) -> int:
-    report, heads, ens = evaluate(model, test_set, step=-1)
-    records = disagreement_breakdown(heads, ens, test_set.labels)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["sample"] + [f"head{i}" for i in range(model.num_heads)]
-                        + ["ensemble", "label"])
-        for rec in records:
-            writer.writerow([rec.sample] + rec.head_classes
-                            + [rec.ensemble_class, rec.label])
+def write_disagreements(path: Path, heads: np.ndarray, ens: np.ndarray,
+                        labels: np.ndarray) -> int:
+    """disagreements.csv from an evaluation's per-head and ensemble predictions."""
+    records = disagreement_breakdown(heads, ens, labels)
+    _write_csv(path, [["sample"] + [f"head{i}" for i in range(len(heads))]
+                      + ["ensemble", "label"]]
+               + [[rec.sample] + rec.head_classes + [rec.ensemble_class, rec.label]
+                  for rec in records])
     return len(records)
 
 
@@ -80,8 +84,7 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     resolved_hash = config_hash(cfg)
-    (out / "config.resolved.json").write_text(
-        json.dumps(cfg, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "config.resolved.json", cfg, sort_keys=True)
 
     train_set, test_set = make_dataset(cfg)
     model = make_model(cfg)
@@ -141,7 +144,9 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     save_checkpoint(capture(model, optimizer, ledger, tconf.total_steps,
                             resolved_hash), str(out / "checkpoint.bin"))
     if dump_disagreements:
-        write_disagreements(out / "disagreements.csv", model, test_set)
+        _, heads, ens = evaluate(model, test_set, tconf.total_steps,
+                                 batch_size=tconf.batch_size)
+        write_disagreements(out / "disagreements.csv", heads, ens, test_set.labels)
     return out, history
 
 
@@ -158,11 +163,13 @@ def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
     if ckpt.config_hash != config_hash(cfg) and not force:
         raise CheckpointError("checkpoint/config hash mismatch; pass --force")
     step = restore(ckpt, model, optimizer, ledger)
-    report, heads, ens = evaluate(model, test_set, step=step, ledger=ledger)
+    # fit evaluates at the training batch size; so does eval, to reproduce its numbers
+    report, heads, ens = evaluate(model, test_set, step=step, ledger=ledger,
+                                  batch_size=tconf.batch_size)
     payload = report.to_json()
-    (out / "eval.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "eval.json", payload)
     if dump_disagreements:
-        write_disagreements(out / "disagreements.csv", model, test_set)
+        write_disagreements(out / "disagreements.csv", heads, ens, test_set.labels)
     if not quiet:
         print(json.dumps(payload, indent=2))
     return payload
@@ -219,22 +226,19 @@ def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
         results[value].append(read_summary_final_row(run_dir / "summary.csv"))
 
     sweep_path = out_root / "sweep.csv"
-    with open(sweep_path, "w", newline="") as f:
-        writer = csv.writer(f)
-        header = ["axis", "value", "seeds"]
+    rows = [["axis", "value", "seeds"]]
+    for metric in _AGG_METRICS:
+        rows[0] += [f"{metric}_mean", f"{metric}_std"]
+    for value in values:
+        row = [axis, _fmt(value), str(len(seeds))]
         for metric in _AGG_METRICS:
-            header += [f"{metric}_mean", f"{metric}_std"]
-        writer.writerow(header)
-        for value in values:
-            row = [axis, _fmt(value), str(len(seeds))]
-            for metric in _AGG_METRICS:
-                samples = [r[metric] for r in results[value] if r[metric] is not None]
-                if samples:
-                    row += [_fmt(float(np.mean(samples))),
-                            _fmt(float(np.std(samples)))]
-                else:
-                    row += ["", ""]
-            writer.writerow(row)
+            samples = [r[metric] for r in results[value] if r[metric] is not None]
+            if samples:
+                row += [_fmt(float(np.mean(samples))), _fmt(float(np.std(samples)))]
+            else:
+                row += ["", ""]
+        rows.append(row)
+    _write_csv(sweep_path, rows)
     if not quiet:
         print(f"[sweep] aggregated results in {sweep_path}")
     return sweep_path

@@ -114,65 +114,85 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(path, message)
 
 
-def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# The JSON type of each field whose default is null.
+_NULL_FIELD_TYPES = {
+    "dataset.images": "string", "dataset.labels": "string",
+    "dataset.test_images": "string", "dataset.test_labels": "string",
+    "dataset.limit": "integer", "dataset.seed": "integer",
+    "network.input_shape": "array", "network.stem": "array",
+    "network.classifier": "array", "train.base_steps": "integer",
+    "checkpoint_every": "integer",
+}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _json_type(value) -> str:
+    for kind, name in ((bool, "boolean"), (int, "integer"), (float, "number"),
+                       (str, "string"), (list, "array"), (dict, "object")):
+        if isinstance(value, kind):
+            return name
+    return "null"
+
+
+def _check_types(cfg: dict, defaults: dict, path: str = "") -> None:
+    """Every field has its default's JSON type. A number field also takes an
+    integer, a field whose default is null takes null or the type in
+    _NULL_FIELD_TYPES, and network.blocks is a list of layer lists for kind
+    "layers"."""
+    for key, default in defaults.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(default, dict) and default:
+            _check_types(cfg[key], default, here)
+            continue
+        want = _NULL_FIELD_TYPES[here] if default is None else _json_type(default)
+        allowed = {want, "null"} if default is None else {want}
+        if want == "number":
+            allowed.add("integer")
+        if here == "network.blocks" and cfg["kind"] == "layers":
+            allowed = {"array"}
+        got = _json_type(cfg[key])
+        _require(got in allowed, here, f"must be {' or '.join(sorted(allowed))}, got {got}")
 
 
 def validate_resolved(cfg: dict) -> None:
-    _require(_is_int(cfg["seed"]), "seed", "must be an integer")
-    _require(isinstance(cfg["out_dir"], str), "out_dir", "must be a string")
+    _check_types(cfg, DEFAULTS)
 
     ds = cfg["dataset"]
     _require(ds["kind"] in SYNTHETIC_KINDS + ("idx",), "dataset.kind",
              f"must be one of {SYNTHETIC_KINDS + ('idx',)}")
     if ds["kind"] == "idx":
-        _require(isinstance(ds["images"], str), "dataset.images",
-                 "required for idx datasets")
-        _require(isinstance(ds["labels"], str), "dataset.labels",
-                 "required for idx datasets")
+        _require(ds["images"] is not None, "dataset.images", "required for idx datasets")
+        _require(ds["labels"] is not None, "dataset.labels", "required for idx datasets")
     else:
-        _require(_is_int(ds["n"]) and ds["n"] >= 2, "dataset.n", "must be >= 2")
-        _require(_is_num(ds["noise"]) and ds["noise"] >= 0, "dataset.noise",
-                 "must be nonnegative")
-    _require(_is_num(ds["test_fraction"]) and 0.0 < ds["test_fraction"] < 1.0,
-             "dataset.test_fraction", "must be in (0, 1)")
-    _require(isinstance(ds["normalize"], bool), "dataset.normalize",
-             "must be a boolean")
+        _require(ds["n"] >= 2, "dataset.n", "must be >= 2")
+        _require(ds["noise"] >= 0, "dataset.noise", "must be nonnegative")
+    for given, needed in (("test_images", "test_labels"), ("test_labels", "test_images")):
+        _require(ds[given] is None or ds[needed] is not None, f"dataset.{needed}",
+                 f"required with dataset.{given}")
+    _require(ds["limit"] is None or ds["limit"] >= 1, "dataset.limit",
+             "must be a positive integer or null")
+    _require(0.0 < ds["test_fraction"] < 1.0, "dataset.test_fraction", "must be in (0, 1)")
 
     net = cfg["network"]
     _require(net["kind"] in ("mlp", "cnn", "layers"), "network.kind",
              "must be mlp, cnn, or layers")
     if net["kind"] == "mlp":
         for key in ("input_dim", "hidden_dim", "blocks", "classes"):
-            _require(_is_int(net[key]) and net[key] >= 1, f"network.{key}",
-                     "must be a positive integer")
+            _require(net[key] >= 1, f"network.{key}", "must be a positive integer")
     elif net["kind"] == "cnn":
-        _require(isinstance(net["input_shape"], list) and len(net["input_shape"]) == 3,
+        _require(net["input_shape"] is not None and len(net["input_shape"]) == 3,
                  "network.input_shape", "must be [channels, height, width]")
         for key in ("channels", "blocks", "classes"):
-            _require(_is_int(net[key]) and net[key] >= 1, f"network.{key}",
-                     "must be a positive integer")
+            _require(net[key] >= 1, f"network.{key}", "must be a positive integer")
 
-    _require(_is_int(cfg["split_index"]) and cfg["split_index"] >= 0, "split_index",
-             "must be a nonnegative integer")
-    _require(_is_int(cfg["heads"]) and cfg["heads"] >= 1, "heads",
-             "must be a positive integer")
-    _require(_is_num(cfg["sparsity"]) and 0.0 <= cfg["sparsity"] < 1.0, "sparsity",
-             "must be in [0, 1)")
+    _require(cfg["split_index"] >= 0, "split_index", "must be a nonnegative integer")
+    _require(cfg["heads"] >= 1, "heads", "must be a positive integer")
+    _require(0.0 <= cfg["sparsity"] < 1.0, "sparsity", "must be in [0, 1)")
     _require(cfg["allocation"] in ("uniform", "er", "erk"), "allocation",
              "must be uniform, er, or erk")
-    _require(isinstance(cfg["independent_members"], bool), "independent_members",
-             "must be a boolean")
     _require(cfg["vote"] in ("probs", "logits"), "vote", "must be probs or logits")
-    _require(_is_int(cfg["eval_interval"]) and cfg["eval_interval"] >= 1,
-             "eval_interval", "must be a positive integer")
-    if cfg["checkpoint_every"] is not None:
-        _require(_is_int(cfg["checkpoint_every"]) and cfg["checkpoint_every"] >= 1,
-                 "checkpoint_every", "must be a positive integer or null")
+    _require(cfg["eval_interval"] >= 1, "eval_interval", "must be a positive integer")
+    _require(cfg["checkpoint_every"] is None or cfg["checkpoint_every"] >= 1,
+             "checkpoint_every", "must be a positive integer or null")
 
     try:
         make_topology(cfg).validate()

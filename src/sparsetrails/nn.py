@@ -79,9 +79,11 @@ class LayerSpec:
 class MaskedTensor:
     """A weight array paired with a same-shape binary mask.
 
-    `values` is zero wherever `mask` is 0: the constructor enforces it and
+    `values` is +0.0 wherever `mask` is 0: the constructor enforces it and
     the optimizer and topology updates keep it, so layers compute with
-    `values` directly.
+    `values` directly, and a checkpoint that stores only the active
+    entries rebuilds the rest bit for bit (`values * mask` would leave
+    -0.0 at masked negative values).
     """
 
     values: np.ndarray
@@ -94,7 +96,7 @@ class MaskedTensor:
         if not np.isin(self.mask, (0, 1)).all():
             raise ValueError("mask entries must be 0 or 1")
         self.mask = self.mask.astype(np.uint8)
-        self.values = self.values * self.mask  # enforce mask-zero invariant
+        self.values = np.where(self.mask, self.values, 0)
 
     def active_count(self) -> int:
         return int(self.mask.sum())

@@ -240,6 +240,6 @@ def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
         old_active = np.flatnonzero(mt.mask.reshape(-1))
         dropped = old_active[new_mask[old_active] == 0]
         mt.mask[...] = new_mask.reshape(mt.mask.shape)
-        mt.values *= mt.mask
+        mt.values.reshape(-1)[dropped] = 0.0
         pruned[key] = dropped.tolist()
     return pruned

@@ -61,6 +61,12 @@ class TrainConfig:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
+        # outside these ranges Adam's bias correction or update can divide by zero
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.schedule not in ("step_decay", "cosine_warmup"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if list(self.milestones) != sorted(self.milestones) or any(

@@ -378,7 +378,8 @@ def test_criterion_11_sparsity_sweep_aggregation(tmp_path):
                   quiet=True)
 
         import csv as csv_mod
-        rows = {r["value"]: r for r in csv_mod.DictReader(open(out / "sweep.csv"))}
+        rows = {r["value"]: r
+                for r in csv_mod.DictReader((out / "sweep.csv").read_text().splitlines())}
         assert len(rows) == len(values)
         curve = []
         for value in values:

@@ -97,7 +97,57 @@ class TestRoundTrip:
             assert a.array.tobytes() == b.array.tobytes()
 
 
+class TestCanonicalZero:
+    @pytest.mark.parametrize("kind, strategy, prune_method", [
+        ("sgd_momentum", "rigl", "magnitude"),
+        ("adam", "set", "soft_magnitude"),
+        ("sgd_momentum", "prune_oneshot", "magnitude"),
+    ])
+    def test_masked_entries_are_positive_zero_and_reload_bit_exact(
+            self, tmp_path, kind, strategy, prune_method):
+        data = gen_synthetic("rings", 48, noise=0.2, seed=1)
+        oneshot = strategy == "prune_oneshot"
+        model = build_trails(mlp_spec(2, 6, 2, 2), 1, 2, 0.0 if oneshot else 0.5, seed=0)
+        config = TrainConfig(total_steps=20, batch_size=16, eval_interval=20, lr=0.05,
+                             optimizer=kind, seed=0,
+                             topology=TopologySchedule(strategy=strategy,
+                                                       prune_method=prune_method,
+                                                       delta_t=5))
+        optimizer = Optimizer(config, model.named_parameters())
+        ledger = count_flops(model)
+        fit(model, data, data, config, sparsity_target=0.5 if oneshot else None,
+            optimizer=optimizer, ledger=ledger)
+        ckpt = capture(model, optimizer, ledger, 20, "00" * 32)
+        masked_entries = 0
+        for name, mask in ckpt.masks.items():
+            masked = mask == 0
+            masked_entries += int(masked.sum())
+            for arr in [ckpt.params[name]] + [ckpt.opt_state[f"{name}@{slot}"]
+                                               for slot in Optimizer.SLOTS[kind]]:
+                assert not np.signbit(arr[masked]).any(), name
+        assert masked_entries > 0
+        path = tmp_path / "c.bin"
+        save_checkpoint(ckpt, str(path))
+        loaded = load_checkpoint(str(path))
+        for part in ("params", "masks", "opt_state"):
+            for key, arr in getattr(ckpt, part).items():
+                assert getattr(loaded, part)[key].tobytes() == arr.tobytes(), key
+
+
 class TestRejection:
+    def test_every_flipped_bit_is_rejected(self, tmp_path):
+        model, optimizer, ledger, _, _ = trained_state()
+        path = tmp_path / "c.bin"
+        save_checkpoint(capture(model, optimizer, ledger, 15, "00" * 32), str(path))
+        data = path.read_bytes()
+        flipped = tmp_path / "flipped.bin"
+        for offset in range(len(data)):
+            corrupt = bytearray(data)
+            corrupt[offset] ^= 1 << (offset % 8)
+            flipped.write_bytes(bytes(corrupt))
+            with pytest.raises(CheckpointError):
+                load_checkpoint(str(flipped))
+
     def test_truncated_file_names_section(self, tmp_path):
         model, optimizer, ledger, _, _ = trained_state()
         path = tmp_path / "c.bin"

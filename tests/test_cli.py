@@ -2,14 +2,17 @@ import builtins
 import csv
 import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsetrails import checkpoint
 from sparsetrails.checkpoint import capture, load_checkpoint, save_checkpoint
-from sparsetrails.cli import SUMMARY_COLUMNS, main, read_summary_final_row, write_summary
+from sparsetrails.cli import (SUMMARY_COLUMNS, main, read_summary_final_row, run_eval,
+                              run_experiment, run_sweep, write_summary)
 from sparsetrails.config import make_model, make_train_config, resolve
+from sparsetrails.data import Dataset, write_idx
 from sparsetrails.train import Optimizer, count_flops
 
 
@@ -39,16 +42,19 @@ def write_config(tmp_path, **overrides):
 
 class FailingOpen:
     """Stands in for `open` in the checkpoint module: from the fail_on-th
-    call on, a file writes half of what it is given and then raises, as a
-    full disk would."""
+    file opened for writing whose name starts with `prefix` on, a file
+    writes half of what it is given and then raises, as a full disk would."""
 
-    def __init__(self, fail_on: int):
+    def __init__(self, fail_on: int, prefix: str = ""):
         self.fail_on = fail_on
+        self.prefix = prefix
         self.calls = 0
 
     def __call__(self, path, mode="r"):
-        self.calls += 1
         f = builtins.open(path, mode)
+        if "w" not in mode or not Path(path).name.startswith(self.prefix):
+            return f
+        self.calls += 1
         return _HalfWriter(f) if self.calls >= self.fail_on else f
 
 
@@ -111,7 +117,8 @@ class TestTrainCommand:
         cfg = write_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--quiet",
                      "--dump-disagreements"]) == 0
-        rows = list(csv.reader(open(tmp_path / "run" / "disagreements.csv")))
+        rows = list(csv.reader(
+            (tmp_path / "run" / "disagreements.csv").read_text().splitlines()))
         assert rows[0] == ["sample", "head0", "head1", "ensemble", "label"]
 
     def test_resume_matches_uninterrupted_history(self, tmp_path):
@@ -149,6 +156,44 @@ class TestEvalCommand:
         assert 0.0 <= payload["accuracy"] <= 1.0
         assert payload["step"] == 30
 
+    def test_eval_reproduces_the_final_history_record(self, tmp_path):
+        # more test images than evaluate's default batch, so a conv net
+        # evaluated at another batch size differs in the low digits
+        def images(n, seed):
+            labels = np.arange(n) % 3
+            x = np.random.default_rng(seed).random((n, 1, 8, 8)) * 0.5 \
+                + labels[:, None, None, None] / 4
+            return Dataset(inputs=x.astype(np.float32), labels=labels, num_classes=3)
+
+        paths = {key: str(tmp_path / f"{key}.idx") for key in
+                 ("images", "labels", "test_images", "test_labels")}
+        write_idx(images(32, 1), paths["images"], paths["labels"])
+        write_idx(images(520, 2), paths["test_images"], paths["test_labels"])
+        cfg = write_config(tmp_path, dataset={"kind": "idx", **paths},
+                           network={"kind": "cnn", "input_shape": [1, 8, 8],
+                                    "channels": 4, "blocks": 2, "classes": 3},
+                           topology={"strategy": "set", "delta_t": 5},
+                           train={"total_steps": 10}, eval_interval=10)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["eval", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "ev"),
+                     "--resume", str(tmp_path / "run" / "checkpoint.bin")]) == 0
+        last = json.loads((tmp_path / "run" / "history.jsonl").read_text()
+                          .splitlines()[-1])["metrics"]
+        payload = json.loads((tmp_path / "ev" / "eval.json").read_text())
+        for key in ("accuracy", "nll", "ece", "pd", "perplexity", "flops_cumulative"):
+            assert payload[key] == last[key], key
+
+    def test_version_1_checkpoint_exits_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        path = tmp_path / "run" / "checkpoint.bin"
+        data = bytearray(path.read_bytes())
+        data[8:10] = (1).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        assert main(["eval", "--config", str(cfg), "--quiet",
+                     "--resume", str(path)]) == 3
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
 
 class TestSweepCommand:
     def test_grid_runs_and_aggregate_rows(self, tmp_path):
@@ -159,7 +204,7 @@ class TestSweepCommand:
                      "--seeds", "1,2,3", "--out", str(out)]) == 0
         run_dirs = [p for p in out.rglob("summary.csv")]
         assert len(run_dirs) == 9
-        rows = list(csv.DictReader(open(out / "sweep.csv")))
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
         assert [r["value"] for r in rows] == ["1", "2", "3"]
         assert all(r["seeds"] == "3" for r in rows)
 
@@ -169,7 +214,8 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg), "--quiet",
                      "--axis", "sparsity", "--values", "0.0,0.5",
                      "--seeds", "1,2", "--out", str(out)]) == 0
-        rows = {r["value"]: r for r in csv.DictReader(open(out / "sweep.csv"))}
+        rows = {r["value"]: r
+                for r in csv.DictReader((out / "sweep.csv").read_text().splitlines())}
         for value in ("0", "0.5"):
             finals = [read_summary_final_row(out / f"sparsity={v}" / f"seed={s}" / "summary.csv")
                       for v, s in [(float(value), 1), (float(value), 2)]]
@@ -220,7 +266,8 @@ class TestArtifactWrites:
             self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, checkpoint_every=10)
         out = tmp_path / "run"
-        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=2), raising=False)
+        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=2, prefix="checkpoint"),
+                            raising=False)
         assert main(["train", "--config", str(cfg), "--quiet"]) == 3
         assert "i/o error" in capsys.readouterr().err
         monkeypatch.undo()
@@ -228,25 +275,44 @@ class TestArtifactWrites:
         assert sorted(p.name for p in out.iterdir()) == [
             "checkpoint_000010.bin", "config.resolved.json", "history.jsonl"]
 
-    @pytest.mark.parametrize("writer", ["checkpoint", "summary"])
+    @pytest.mark.parametrize("writer", ["checkpoint", "summary", "config", "eval",
+                                        "disagreements", "sweep"])
     def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch, writer):
-        path = tmp_path / "artifact"
+        cfg = resolve(json.loads(write_config(tmp_path, train={"total_steps": 10},
+                                              eval_interval=10).read_text()))
+        out = Path(cfg["out_dir"])
+        out.mkdir()
         if writer == "checkpoint":
-            cfg = resolve(json.loads(write_config(tmp_path).read_text()))
+            path = out / "checkpoint.bin"
             model = make_model(cfg)
             tconf = make_train_config(cfg)
             ckpt = capture(model, Optimizer(tconf, model.named_parameters()),
                            count_flops(model), 0, "0" * 64)
             write = lambda: save_checkpoint(ckpt, str(path))
-        else:
+        elif writer == "summary":
+            path = out / "summary.csv"
             row = dict.fromkeys(SUMMARY_COLUMNS, 0.5)
             write = lambda: write_summary(path, [row])
+        elif writer == "config":
+            path = out / "config.resolved.json"
+            write = lambda: run_experiment(cfg, quiet=True)
+        elif writer == "eval":
+            path = out / "eval.json"
+            run_experiment(cfg, quiet=True)
+            write = lambda: run_eval(cfg, str(out / "checkpoint.bin"), quiet=True)
+        elif writer == "disagreements":
+            path = out / "disagreements.csv"
+            write = lambda: run_experiment(cfg, dump_disagreements=True, quiet=True)
+        else:
+            path = out / "sweep.csv"
+            write = lambda: run_sweep(cfg, "heads", [1], [1], str(out), quiet=True)
         path.write_bytes(b"previous contents")
-        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=1), raising=False)
+        monkeypatch.setattr(checkpoint, "open", FailingOpen(fail_on=1, prefix=path.name),
+                            raising=False)
         with pytest.raises(OSError):
             write()
         assert path.read_bytes() == b"previous contents"
-        assert [p.name for p in tmp_path.iterdir() if p.name != "cfg.json"] == ["artifact"]
+        assert not list(tmp_path.rglob("*.tmp"))
         monkeypatch.undo()
         write()
         assert path.read_bytes() != b"previous contents"

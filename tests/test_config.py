@@ -20,6 +20,23 @@ def minimal(**overrides):
     return cfg
 
 
+BAD_FIELDS = [
+    ("dataset.limit", -5, "dataset.limit: must be a positive integer"),
+    ("dataset.limit", 2.5, "dataset.limit: must be integer or null, got number"),
+    ("dataset.seed", "abc", "dataset.seed: must be integer or null, got string"),
+    ("dataset.test_images", "t.idx", "dataset.test_labels: required with dataset.test_images"),
+    ("dataset.test_labels", "l.idx", "dataset.test_images: required with dataset.test_labels"),
+    ("topology.normalize_by_mean", "no", "topology.normalize_by_mean: must be boolean"),
+    ("topology.delta_t", 2.5, "topology.delta_t: must be integer, got number"),
+    ("train.momentum", "0.9", "train.momentum: must be integer or number, got string"),
+    ("train.total_steps", 2.5, "train.total_steps: must be integer, got number"),
+    ("train.drop_last", 1, "train.drop_last: must be boolean, got integer"),
+    ("train.beta1", 1.0, r"train: beta1 must be in \[0, 1\)"),
+    ("train.beta2", -0.1, r"train: beta2 must be in \[0, 1\)"),
+    ("train.adam_eps", 0, "train: adam_eps must be positive"),
+]
+
+
 class TestResolve:
     def test_minimal_config_resolves(self):
         cfg = resolve(minimal())
@@ -82,6 +99,16 @@ class TestResolve:
         }
         cfg["split_index"] = 0
         with pytest.raises(ConfigError, match="network"):
+            resolve(cfg)
+
+
+    @pytest.mark.parametrize("path, value, message", BAD_FIELDS,
+                             ids=[f"{path}={value!r}" for path, value, _ in BAD_FIELDS])
+    def test_mistyped_or_out_of_range_field_names_it(self, path, value, message):
+        cfg = minimal()
+        section, key = path.split(".")
+        cfg.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=message):
             resolve(cfg)
 
 

@@ -56,8 +56,8 @@ class TestLoadIdx:
         ds = load_idx(ip, lp)
         ip2, lp2 = str(tmp_path / "i2.idx"), str(tmp_path / "l2.idx")
         write_idx(ds, ip2, lp2)
-        assert open(ip2, "rb").read() == images
-        assert open(lp2, "rb").read() == labels
+        assert (tmp_path / "i2.idx").read_bytes() == images
+        assert (tmp_path / "l2.idx").read_bytes() == labels
 
 
 class TestSynthetic:
