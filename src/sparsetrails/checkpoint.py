@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TrailsModel
-from .train import FlopsLedger, Optimizer, recount_forward_sparse
+from .train import FlopsLedger, Optimizer, count_flops
 
 MAGIC = b"STRLCKPT"
 VERSION = 2
@@ -275,5 +275,5 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             raise CheckpointError(f"checkpoint missing rng stream {key}")
         stream.set_state(ckpt.rng_states[key])
     ledger.cumulative_train = ckpt.cumulative_flops
-    recount_forward_sparse(model, ledger)
+    ledger.forward_sparse = count_flops(model).forward_sparse
     return ckpt.step

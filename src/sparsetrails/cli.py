@@ -93,7 +93,6 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     ledger = count_flops(model)
 
     start_step = 0
-    last_checkpoint = None
     if resume is not None:
         ckpt = load_checkpoint(resume)
         if ckpt.config_hash != resolved_hash and not force:
@@ -102,7 +101,6 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
                 f"(hash {ckpt.config_hash[:12]} != {resolved_hash[:12]}); "
                 "pass --force to override")
         start_step = restore(ckpt, model, optimizer, ledger)
-        last_checkpoint = resume
 
     oneshot_target = cfg["sparsity"] \
         if cfg["topology"]["strategy"] == "prune_oneshot" else None
@@ -123,19 +121,25 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
             print(f"step {report.step:6d}  loss {report.train_loss:.4f}  "
                   f"acc {report.accuracy:.4f}  nll {report.nll:.4f}  pd {pd}")
 
+    # the newest file a diverged run can resume from
+    last_checkpoint = resume
+
     def on_checkpoint(step, mdl, opt, ledg):
+        nonlocal last_checkpoint
         every = cfg["checkpoint_every"]
         if every and step % every == 0:
             path = out / f"checkpoint_{step:06d}.bin"
             save_checkpoint(capture(mdl, opt, ledg, step, resolved_hash), str(path))
-            return str(path)
-        return None
+            last_checkpoint = str(path)
 
     try:
         history = fit(model, train_set, test_set, tconf,
                       sparsity_target=oneshot_target, start_step=start_step,
                       optimizer=optimizer, ledger=ledger, on_eval=on_eval,
-                      on_checkpoint=on_checkpoint, last_checkpoint=last_checkpoint)
+                      on_checkpoint=on_checkpoint)
+    except TrainingDiverged as exc:
+        exc.last_checkpoint = last_checkpoint
+        raise
     finally:
         history_file.close()
 
@@ -144,8 +148,10 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     save_checkpoint(capture(model, optimizer, ledger, tconf.total_steps,
                             resolved_hash), str(out / "checkpoint.bin"))
     if dump_disagreements:
-        _, heads, ens = evaluate(model, test_set, tconf.total_steps,
-                                 batch_size=tconf.batch_size)
+        heads, ens = history.head_preds, history.ensemble_preds
+        if heads is None:  # resumed at total_steps: fit ran no step to evaluate
+            _, heads, ens = evaluate(model, test_set, tconf.total_steps,
+                                     batch_size=tconf.batch_size)
         write_disagreements(out / "disagreements.csv", heads, ens, test_set.labels)
     return out, history
 

@@ -133,24 +133,43 @@ def _json_type(value) -> str:
     return "null"
 
 
+# The JSON type of the elements of each array field.
+_ELEMENT_TYPES = {
+    "train.milestones": "number", "network.input_shape": "integer",
+    "network.stem": "object", "network.classifier": "object",
+}
+
+
+def _check_type(value, want: str, path: str, nullable: bool = False) -> None:
+    """value has JSON type want; a number may also be an integer."""
+    allowed = {want, "null"} if nullable else {want}
+    if want == "number":
+        allowed.add("integer")
+    got = _json_type(value)
+    _require(got in allowed, path, f"must be {' or '.join(sorted(allowed))}, got {got}")
+
+
 def _check_types(cfg: dict, defaults: dict, path: str = "") -> None:
-    """Every field has its default's JSON type. A number field also takes an
-    integer, a field whose default is null takes null or the type in
-    _NULL_FIELD_TYPES, and network.blocks is a list of layer lists for kind
-    "layers"."""
+    """Every field has its default's JSON type. A field whose default is
+    null takes null or the type in _NULL_FIELD_TYPES, array elements have
+    the type in _ELEMENT_TYPES, and network.blocks is a list of layer lists
+    for kind "layers"."""
     for key, default in defaults.items():
         here = f"{path}.{key}" if path else key
+        value = cfg[key]
         if isinstance(default, dict) and default:
-            _check_types(cfg[key], default, here)
-            continue
-        want = _NULL_FIELD_TYPES[here] if default is None else _json_type(default)
-        allowed = {want, "null"} if default is None else {want}
-        if want == "number":
-            allowed.add("integer")
-        if here == "network.blocks" and cfg["kind"] == "layers":
-            allowed = {"array"}
-        got = _json_type(cfg[key])
-        _require(got in allowed, here, f"must be {' or '.join(sorted(allowed))}, got {got}")
+            _check_types(value, default, here)
+        elif here == "network.blocks" and cfg["kind"] == "layers":
+            _check_type(value, "array", here)
+            for i, block in enumerate(value):
+                _check_type(block, "array", f"{here}[{i}]")
+                for j, layer in enumerate(block):
+                    _check_type(layer, "object", f"{here}[{i}][{j}]")
+        else:
+            want = _NULL_FIELD_TYPES[here] if default is None else _json_type(default)
+            _check_type(value, want, here, nullable=default is None)
+            for i, element in enumerate(value if isinstance(value, list) else []):
+                _check_type(element, _ELEMENT_TYPES[here], f"{here}[{i}]")
 
 
 def validate_resolved(cfg: dict) -> None:

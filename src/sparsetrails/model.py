@@ -118,29 +118,21 @@ class HeadOutputs:
     backbone_tape: list[np.ndarray] | None = None
     head_tapes: list[list[np.ndarray] | None] = field(default_factory=list)
 
-    @property
-    def num_heads(self) -> int:
-        return len(self.logits)
-
 
 class TrailsModel:
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
-                 sparsity: float, allocation: str, seed: int,
-                 backbone: list[Layer], heads: list[list[Layer]],
-                 plans: list[SparsityPlan | None], vote: str = "probs",
-                 independent: bool = False):
+                 sparsity: float, seed: int, backbone: list[Layer],
+                 heads: list[list[Layer]], plans: list[SparsityPlan | None],
+                 vote: str = "probs", independent: bool = False):
         self.spec = spec
         self.split_index = split_index
         self.num_heads = num_heads
         self.sparsity = sparsity
-        self.allocation = allocation
-        self.seed = seed
         self.backbone = backbone
         self.heads = heads
         self.plans = plans
         self.vote = vote
         self.independent = independent
-        self.backbone_forward_count = 0
         # live streams for stochastic pruning / random regrowth, one per
         # (component, layer); checkpointable
         self.topo_streams: dict[tuple[int, int], Stream] = {}
@@ -229,8 +221,8 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
         heads.append(head)
         plans.append(plan)
     return TrailsModel(spec=spec, split_index=split_index, num_heads=num_heads,
-                       sparsity=sparsity, allocation=allocation, seed=seed,
-                       backbone=backbone, heads=heads, plans=plans, vote=vote)
+                       sparsity=sparsity, seed=seed, backbone=backbone, heads=heads,
+                       plans=plans, vote=vote)
 
 
 def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: float,
@@ -248,9 +240,8 @@ def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: fl
         heads.append(member)
         plans.append(plan)
     return TrailsModel(spec=spec, split_index=0, num_heads=num_members,
-                       sparsity=sparsity, allocation=allocation, seed=seed,
-                       backbone=[], heads=heads, plans=plans, vote=vote,
-                       independent=True)
+                       sparsity=sparsity, seed=seed, backbone=[], heads=heads,
+                       plans=plans, vote=vote, independent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,6 @@ def forward_heads(model: TrailsModel, batch: np.ndarray,
                   record: bool = False) -> HeadOutputs:
     """Backbone once, then every head on the cached backbone output."""
     h_s, bb_tape = nn.stack_forward(model.backbone, batch, record=record)
-    model.backbone_forward_count += 1
     out = HeadOutputs(logits=[], backbone_output=h_s, backbone_tape=bb_tape)
     for head in model.heads:
         y, tape = nn.stack_forward(head, h_s, record=record)
@@ -305,7 +295,7 @@ def model_backward(model: TrailsModel, outputs: HeadOutputs, targets: np.ndarray
                                   dense=dense)
         grads["backbone"] = gs
     else:
-        grads["backbone"] = GradientSet(layers=[], dense=dense)
+        grads["backbone"] = GradientSet(layers=[])
     return grads
 
 

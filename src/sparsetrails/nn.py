@@ -119,7 +119,6 @@ class LayerGrads:
 @dataclass
 class GradientSet:
     layers: list[LayerGrads] = field(default_factory=list)
-    dense: bool = False
 
 
 def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None) -> Layer:
@@ -335,4 +334,4 @@ def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         grads[i], d_out = _layer_backward(layers[i], tape[i], d_out, dense)
-    return GradientSet(layers=grads, dense=dense), d_out
+    return GradientSet(layers=grads), d_out

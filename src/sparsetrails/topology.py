@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import MaskedTensor
+from .nn import GradientSet, MaskedTensor
 from .rng import Stream
 from .sparsity import round_half_up
 
@@ -112,7 +112,7 @@ def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
     without replacement with weight proportional to exp(-|theta| / (tau * mu)),
     mu being the mean active |theta| (Gumbel-top-k over the log-weights).
     """
-    active = np.flatnonzero(weights.mask.reshape(-1))
+    active = np.flatnonzero(weights.mask.reshape(-1) != 0)
     if k > active.size:
         raise ValueError(f"cannot prune {k} of {active.size} active weights")
     if k == 0:
@@ -165,15 +165,15 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
                     schedule: TopologySchedule, t: int, *,
                     component: str = "",
                     streams: dict[int, Stream] | None = None,
-                    dense_grads: dict[int, np.ndarray] | None = None,
-                    on_change=None) -> UpdateRecord:
+                    grads: GradientSet | None = None) -> UpdateRecord:
     """One prune/regrow pass over a component's maskable layers.
 
     Per layer, k = round(p(t) * active) positions are pruned and the same
-    number regrown (weights initialized to 0). `on_change(layer, indices)`
-    is invoked with the union of pruned and grown flat indices so the
-    caller can reset optimizer state there. Mutates masks and values in
-    place; returns the record of what changed.
+    number regrown (weights initialized to 0). RigL regrows where the
+    dense weight gradient in `grads` (the component's gradients from a
+    `dense=True` backward) is largest. Mutates masks and values in place
+    and returns the record of what changed; the caller resets optimizer
+    state at each layer's pruned and grown positions.
     """
     if schedule.strategy not in ("set", "rigl"):
         raise ValueError(f"topology updates not defined for strategy {schedule.strategy!r}")
@@ -195,12 +195,10 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
         flat_vals = mt.values.reshape(-1)
         flat_mask[pruned] = 0
         flat_vals[pruned] = 0.0
-        grad = dense_grads.get(layer_idx) if dense_grads else None
+        grad = grads.layers[layer_idx].weight_dense if grads is not None else None
         grown = select_grow(mt.mask, k, grow_method, dense_grad=grad, stream=stream)
         flat_mask[grown] = 1
         flat_vals[grown] = 0.0
-        if on_change is not None and k:
-            on_change(layer_idx, np.concatenate([pruned, grown]))
         record.layers.append(LayerUpdate(layer=layer_idx,
                                          pruned=pruned.tolist(), grown=grown.tolist(),
                                          active_before=before,
@@ -237,7 +235,7 @@ def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
     for i, (key, mt) in enumerate(masked_layers):
         new_mask = np.zeros(mt.values.size, dtype=np.uint8)
         new_mask[keep_per_layer[i]] = 1
-        old_active = np.flatnonzero(mt.mask.reshape(-1))
+        old_active = np.flatnonzero(mt.mask.reshape(-1) != 0)
         dropped = old_active[new_mask[old_active] == 0]
         mt.mask[...] = new_mask.reshape(mt.mask.shape)
         mt.values.reshape(-1)[dropped] = 0.0

@@ -26,10 +26,13 @@ from .topology import TopologySchedule, UpdateRecord, one_shot_global_prune, \
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, message: str, step: int, last_checkpoint: str | None = None):
+    """A non-finite gradient or loss at `step`. The CLI sets
+    `last_checkpoint` to the newest file the run can resume from."""
+
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
-        self.last_checkpoint = last_checkpoint
+        self.last_checkpoint: str | None = None
 
 
 @dataclass
@@ -130,10 +133,6 @@ class FlopsLedger:
     forward_dense: int
     cumulative_train: int = 0
 
-    @property
-    def inference_per_sample(self) -> int:
-        return self.forward_sparse
-
     def train_step_flops(self, batch: int) -> int:
         return 3 * self.forward_sparse * batch
 
@@ -193,10 +192,6 @@ def count_flops(model: TrailsModel) -> FlopsLedger:
         forward_dense=fixed + sum(2 * c.multiplier * c.size for c in costs))
 
 
-def recount_forward_sparse(model: TrailsModel, ledger: FlopsLedger) -> None:
-    ledger.forward_sparse = count_flops(model).forward_sparse
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 # ---------------------------------------------------------------------------
@@ -204,9 +199,12 @@ def recount_forward_sparse(model: TrailsModel, ledger: FlopsLedger) -> None:
 class Optimizer:
     """Masked SGD-with-momentum or Adam over a model's named parameters.
 
-    After every update, masked weight positions and their state entries
-    are exactly zero. Weight decay is folded into the gradient for SGD
-    and omitted for Adam.
+    Masked weight positions and their state entries are exactly +0.0.
+    `step` keeps them so by masking each weight gradient before the update,
+    and whoever changes a mask (`fit`, after a topology update or the
+    one-shot prune) zeroes the state at the changed positions through
+    `reset_positions`. Weight decay is folded into the gradient for SGD and
+    omitted for Adam.
     """
 
     SLOTS = {"sgd_momentum": ("momentum",), "adam": ("m", "v")}
@@ -232,14 +230,15 @@ class Optimizer:
         for name, grad in grads.items():
             ref = self.params[name]
             state = self.state[name]
+            if ref.mask is not None:
+                grad = grad * ref.mask
             if self.kind == "sgd_momentum":
-                g = grad
                 if self.config.weight_decay:
-                    g = g + self.config.weight_decay * ref.array
+                    grad = grad + self.config.weight_decay * ref.array
                 v = state["momentum"]
                 v *= self.config.momentum
-                v += g
-                ref.array -= (lr * v).astype(ref.array.dtype)
+                v += grad
+                ref.array -= lr * v
             else:
                 m, v = state["m"], state["v"]
                 m *= self.config.beta1
@@ -248,14 +247,9 @@ class Optimizer:
                 v += (1.0 - self.config.beta2) * grad * grad
                 m_hat = m / (1.0 - self.config.beta1 ** self.adam_t)
                 v_hat = v / (1.0 - self.config.beta2 ** self.adam_t)
-                ref.array -= (lr * m_hat / (np.sqrt(v_hat) + self.config.adam_eps)
-                              ).astype(ref.array.dtype)
-            if ref.mask is not None:
-                ref.array *= ref.mask
-                for slot in state.values():
-                    slot *= ref.mask
+                ref.array -= lr * m_hat / (np.sqrt(v_hat) + self.config.adam_eps)
 
-    def reset_positions(self, name: str, flat_indices: np.ndarray) -> None:
+    def reset_positions(self, name: str, flat_indices: list[int]) -> None:
         """Zero the optimizer state at pruned/regrown weight positions."""
         for slot in self.state[name].values():
             slot.reshape(-1)[flat_indices] = 0.0
@@ -280,6 +274,9 @@ class TrainHistory:
     updates: list[UpdateRecord] = field(default_factory=list)
     events: list[dict] = field(default_factory=list)
     ledger: FlopsLedger | None = None
+    # the last evaluation's per-head and ensemble predictions
+    head_preds: np.ndarray | None = None
+    ensemble_preds: np.ndarray | None = None
 
 
 def evaluate(model: TrailsModel, dataset: Dataset, step: int,
@@ -320,11 +317,6 @@ def _grad_arrays(component: str, gs: nn.GradientSet) -> dict[str, np.ndarray]:
         if lg.bias is not None:
             out[f"{component}/{li}/bias"] = lg.bias
     return out
-
-
-def _dense_grad_map(gs: nn.GradientSet) -> dict[int, np.ndarray]:
-    return {li: lg.weight_dense for li, lg in enumerate(gs.layers)
-            if lg.weight_dense is not None}
 
 
 def validate_flops_budget(model: TrailsModel, config: TrainConfig,
@@ -377,16 +369,20 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         config: TrainConfig, sparsity_target: float | None = None, *,
         start_step: int = 0, optimizer: Optimizer | None = None,
         ledger: FlopsLedger | None = None, on_eval=None,
-        on_checkpoint=None, last_checkpoint: str | None = None) -> TrainHistory:
+        on_checkpoint=None) -> TrainHistory:
     """Run the training loop from start_step+1 through total_steps.
 
     Forward -> composite loss -> backward -> masked optimizer step; every
     delta_t steps each component (backbone, then every head) gets a
     topology update at the cosine-decayed drop fraction. prune_oneshot
     trains dense, applies one global magnitude prune at the configured
-    point (to `sparsity_target`), and fine-tunes with frozen masks.
+    point (to `sparsity_target`), and fine-tunes with frozen masks. After
+    either mask change the optimizer state is zeroed at every position
+    the change reports (pruned and grown alike).
     on_eval(report, updates, events) fires per evaluation;
-    on_checkpoint(step, model, optimizer, ledger) per checkpoint interval.
+    on_checkpoint(step, model, optimizer, ledger) fires after every step
+    and its return value is ignored. A non-finite gradient or loss raises
+    TrainingDiverged.
     """
     config.validate()
     if len(train_set) == 0:
@@ -433,54 +429,46 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         want_dense = schedule.strategy == "rigl" and schedule.is_update_step(t)
         batch_sizes = 0
 
-        try:
-            if model.independent:
-                # each member sees its own batch order and its own unscaled loss
-                losses = []
-                all_grads: dict[str, nn.GradientSet] = {}
-                for m in members:
-                    x, y = batch_for(m, t)
-                    batch_sizes = len(x)
-                    logits, tape = nn.stack_forward(model.heads[m], x, record=True)
-                    loss_m, probs = nn.loss_forward(logits, y)
-                    losses.append(loss_m)
-                    all_grads[f"head{m}"], _ = nn.stack_backward(
-                        model.heads[m], tape, nn.loss_backward(probs, y), dense=want_dense)
-                loss = float(np.mean(losses))
-            else:
-                x, y = batch_for(None, t)
+        if model.independent:
+            # each member sees its own batch order and its own unscaled loss
+            losses = []
+            all_grads: dict[str, nn.GradientSet] = {}
+            for m in members:
+                x, y = batch_for(m, t)
                 batch_sizes = len(x)
-                outputs = forward_heads(model, x, record=True)
-                loss, per_head = composite_loss(outputs, y)
-                all_grads = model_backward(model, outputs, y, [p for _, p in per_head],
-                                           dense=want_dense)
-            grads = {}
-            for comp_name, gs in all_grads.items():
-                grads.update(_grad_arrays(comp_name, gs))
-            optimizer.step(grads, lr, step=t)
-            dense_by_comp = {name: _dense_grad_map(gs) for name, gs in all_grads.items()}
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
-        except TrainingDiverged as exc:
-            exc.last_checkpoint = last_checkpoint
-            raise
+                logits, tape = nn.stack_forward(model.heads[m], x, record=True)
+                loss_m, probs = nn.loss_forward(logits, y)
+                losses.append(loss_m)
+                all_grads[f"head{m}"], _ = nn.stack_backward(
+                    model.heads[m], tape, nn.loss_backward(probs, y), dense=want_dense)
+            loss = float(np.mean(losses))
+        else:
+            x, y = batch_for(None, t)
+            batch_sizes = len(x)
+            outputs = forward_heads(model, x, record=True)
+            loss, per_head = composite_loss(outputs, y)
+            all_grads = model_backward(model, outputs, y, [p for _, p in per_head],
+                                       dense=want_dense)
+        grads = {}
+        for comp_name, gs in all_grads.items():
+            grads.update(_grad_arrays(comp_name, gs))
+        optimizer.step(grads, lr, step=t)
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
         ledger.charge_step(batch_sizes)
         history.steps.append(StepRecord(step=t, loss=loss, lr=lr, drop_fraction=p_t))
 
         if schedule.is_update_step(t):
-            comp_names = model.component_names()
-            for comp_idx, comp_name in enumerate(comp_names):
+            for comp_idx, comp_name in enumerate(model.component_names()):
                 masked = model.masked_layers(comp_idx)
                 if not masked:
                     continue
                 streams = {li: model.topo_streams[(comp_idx, li)] for li, _ in masked}
-
-                def reset(layer_idx, flat, _comp=comp_name):
-                    optimizer.reset_positions(f"{_comp}/{layer_idx}/weight", flat)
-
-                record = topology_update(
-                    masked, schedule, t, component=comp_name, streams=streams,
-                    dense_grads=dense_by_comp.get(comp_name, {}), on_change=reset)
+                record = topology_update(masked, schedule, t, component=comp_name,
+                                         streams=streams, grads=all_grads.get(comp_name))
+                for u in record.layers:
+                    optimizer.reset_positions(f"{comp_name}/{u.layer}/weight",
+                                              u.pruned + u.grown)
                 history.updates.append(record)
                 pending_updates.append(record)
 
@@ -491,9 +479,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                     named.append((f"{comp_name}/{li}/weight", mt))
             pruned = one_shot_global_prune(named, sparsity_target)
             for name, dropped in pruned.items():
-                optimizer.reset_positions(name, np.asarray(dropped, dtype=np.int64))
+                optimizer.reset_positions(name, dropped)
             model.sparsity = sparsity_target
-            recount_forward_sparse(model, ledger)
+            ledger.forward_sparse = count_flops(model).forward_sparse
             remaining = (config.total_steps - t) * ledger.train_step_flops(
                 config.batch_size)
             budget = ledger.dense_budget(config.dense_base_steps, config.batch_size)
@@ -508,8 +496,8 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
             pending_events.append(event)
 
         if t % config.eval_interval == 0 or t == config.total_steps:
-            report, _, _ = evaluate(model, test_set, t, ledger,
-                                    batch_size=config.batch_size)
+            report, history.head_preds, history.ensemble_preds = evaluate(
+                model, test_set, t, ledger, batch_size=config.batch_size)
             report.train_loss = loss
             report.lr = lr
             report.drop_fraction = p_t
@@ -519,8 +507,6 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
             pending_updates, pending_events = [], []
 
         if on_checkpoint is not None:
-            saved = on_checkpoint(t, model, optimizer, ledger)
-            if saved:
-                last_checkpoint = saved
+            on_checkpoint(t, model, optimizer, ledger)
 
     return history

@@ -84,7 +84,7 @@ def _layer_params(layer: Layer) -> tuple[list, list[str]]:
 
 
 def _stack_gradients(layers: list[Layer], loss_fn, eps: float) -> GradientSet:
-    gs = GradientSet(layers=[], dense=False)
+    gs = GradientSet(layers=[])
     for layer in layers:
         params, slots = _layer_params(layer)
         grads = LayerGrads()

@@ -7,13 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsetrails import checkpoint
+from sparsetrails import checkpoint, cli, train
 from sparsetrails.checkpoint import capture, load_checkpoint, save_checkpoint
 from sparsetrails.cli import (SUMMARY_COLUMNS, main, read_summary_final_row, run_eval,
                               run_experiment, run_sweep, write_summary)
 from sparsetrails.config import make_model, make_train_config, resolve
 from sparsetrails.data import Dataset, write_idx
 from sparsetrails.train import Optimizer, count_flops
+
+RINGS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "rings.json"
 
 
 def write_config(tmp_path, **overrides):
@@ -120,6 +122,50 @@ class TestTrainCommand:
         rows = list(csv.reader(
             (tmp_path / "run" / "disagreements.csv").read_text().splitlines()))
         assert rows[0] == ["sample", "head0", "head1", "ensemble", "label"]
+
+    def test_dump_disagreements_reuses_the_final_evaluation(self, tmp_path, monkeypatch):
+        cfg = resolve(json.loads(write_config(tmp_path).read_text()))
+        evaluated = []
+
+        def counted(original):
+            def wrapper(model, dataset, step, *args, **kwargs):
+                evaluated.append(step)
+                return original(model, dataset, step, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(train, "evaluate", counted(train.evaluate))
+        monkeypatch.setattr(cli, "evaluate", counted(cli.evaluate))
+        out, _ = run_experiment(cfg, dump_disagreements=True, quiet=True)
+        assert evaluated == [15, 30]
+        # resumed at its last step, fit trains and evaluates nothing, so the
+        # CLI evaluates the restored model; the predictions are the same
+        evaluated.clear()
+        resumed = dict(cfg, out_dir=str(tmp_path / "resumed"))
+        run_experiment(resumed, resume=str(out / "checkpoint.bin"),
+                       dump_disagreements=True, quiet=True)
+        assert evaluated == [30]
+        assert (tmp_path / "resumed" / "disagreements.csv").read_bytes() == \
+            (out / "disagreements.csv").read_bytes()
+
+    def test_divergence_exits_two_naming_the_newest_checkpoint(self, tmp_path, capsys):
+        cfg = json.loads(RINGS_CONFIG.read_text())
+        cfg["train"]["lr"] = 30
+        cfg.update(checkpoint_every=1, out_dir=str(tmp_path / "run"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        newest = tmp_path / "run" / "checkpoint_000004.bin"
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "training diverged" in err
+        assert f"last checkpoint retained at {newest}" in err
+        assert not (tmp_path / "run" / "checkpoint_000005.bin").exists()
+        # a resumed run that diverges before its first save names the resume file
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(path), "--quiet",
+                         "--out", str(tmp_path / "again"), "--resume", str(newest)]) == 2
+        assert f"last checkpoint retained at {newest}" in capsys.readouterr().err
+        assert not list((tmp_path / "again").glob("checkpoint*"))
 
     def test_resume_matches_uninterrupted_history(self, tmp_path):
         cfg = write_config(tmp_path, checkpoint_every=10, eval_interval=5,

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -34,6 +35,35 @@ BAD_FIELDS = [
     ("train.beta1", 1.0, r"train: beta1 must be in \[0, 1\)"),
     ("train.beta2", -0.1, r"train: beta2 must be in \[0, 1\)"),
     ("train.adam_eps", 0, "train: adam_eps must be positive"),
+]
+
+
+LAYERS_NETWORK = {
+    "kind": "layers", "input_shape": [2],
+    "stem": [{"kind": "linear", "in": 2, "out": 4}, {"kind": "relu"}],
+    "blocks": [[{"kind": "linear", "in": 4, "out": 4}, {"kind": "relu"}]],
+    "classifier": [{"kind": "linear", "in": 4, "out": 2}],
+}
+CNN_NETWORK = {"kind": "cnn", "input_shape": [1, 8, 8], "channels": 2, "blocks": 1,
+               "classes": 2}
+
+BAD_ELEMENTS = [
+    ("train", {"total_steps": 20, "milestones": ["a"]},
+     "train.milestones[0]: must be integer or number, got string"),
+    ("train", {"total_steps": 20, "milestones": [0.5, True]},
+     "train.milestones[1]: must be integer or number, got boolean"),
+    ("network", {**CNN_NETWORK, "input_shape": [1, "8", 8]},
+     "network.input_shape[1]: must be integer, got string"),
+    ("network", {**CNN_NETWORK, "input_shape": [1, 8, 8.0]},
+     "network.input_shape[2]: must be integer, got number"),
+    ("network", {**LAYERS_NETWORK, "stem": ["x"]},
+     "network.stem[0]: must be object, got string"),
+    ("network", {**LAYERS_NETWORK, "classifier": [3]},
+     "network.classifier[0]: must be object, got integer"),
+    ("network", {**LAYERS_NETWORK, "blocks": [{"kind": "relu"}]},
+     "network.blocks[0]: must be array, got object"),
+    ("network", {**LAYERS_NETWORK, "blocks": [[{"kind": "relu"}, None]]},
+     "network.blocks[0][1]: must be object, got null"),
 ]
 
 
@@ -78,15 +108,7 @@ class TestResolve:
             resolve(bad)
 
     def test_explicit_layer_network(self):
-        cfg = minimal()
-        cfg["network"] = {
-            "kind": "layers",
-            "input_shape": [2],
-            "stem": [{"kind": "linear", "in": 2, "out": 4}, {"kind": "relu"}],
-            "blocks": [[{"kind": "linear", "in": 4, "out": 4}, {"kind": "relu"}]],
-            "classifier": [{"kind": "linear", "in": 4, "out": 2}],
-        }
-        cfg["split_index"] = 0
+        cfg = minimal(network=LAYERS_NETWORK, split_index=0)
         spec = network_spec(resolve(cfg))
         assert spec.num_blocks == 1
 
@@ -109,6 +131,14 @@ class TestResolve:
         section, key = path.split(".")
         cfg.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError, match=message):
+            resolve(cfg)
+
+    @pytest.mark.parametrize("section, value, message", BAD_ELEMENTS,
+                             ids=[message.split(":")[0] for _, _, message in BAD_ELEMENTS])
+    def test_mistyped_list_element_names_its_index(self, section, value, message):
+        cfg = minimal(split_index=0)
+        cfg[section] = value
+        with pytest.raises(ConfigError, match=re.escape(message)):
             resolve(cfg)
 
 

@@ -98,13 +98,21 @@ class TestForwardHeads:
         for y in out.logits[1:]:
             np.testing.assert_array_equal(out.logits[0], y)
 
-    def test_backbone_runs_once_per_batch(self):
+    def test_backbone_runs_once_per_batch(self, monkeypatch):
         model = build_trails(toy_spec(), 1, 5, 0.0, seed=0)
         x = toy_batch(Stream(2), 3, 2)
-        before = model.backbone_forward_count
+        backbone_runs = []
+        original = nn.stack_forward
+
+        def counting(layers, *args, **kwargs):
+            if layers is model.backbone:
+                backbone_runs.append(1)
+            return original(layers, *args, **kwargs)
+
+        monkeypatch.setattr(nn, "stack_forward", counting)
         forward_heads(model, x)
         forward_heads(model, x)
-        assert model.backbone_forward_count == before + 2
+        assert len(backbone_runs) == 2
 
     def test_head_independence_zeroing_one_head(self):
         model = build_trails(toy_spec(), 1, 3, 0.0, seed=9)

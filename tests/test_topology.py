@@ -206,15 +206,6 @@ class TestTopologyUpdate:
         assert first[0] == second[0] and first[1] == second[1]
         np.testing.assert_array_equal(first[2], second[2])
 
-    def test_optimizer_state_reset_callback_sees_all_changes(self):
-        weights = mt([0.1, 0.2, 0.3, 0.4, 0.0, 0.0], [1, 1, 1, 1, 0, 0])
-        seen = {}
-        sched = make_schedule(strategy="set", horizon=100, initial_drop_fraction=1.0)
-        rec = topology_update([(0, weights)], sched, 50, streams={0: Stream(5)},
-                              on_change=lambda li, idx: seen.setdefault(li, idx))
-        upd = rec.layers[0]
-        assert sorted(seen[0].tolist()) == sorted(upd.pruned + upd.grown)
-
 
 class TestOneShotGlobalPrune:
     def test_zero_sparsity_keeps_everything(self):

@@ -320,6 +320,50 @@ class TestFit:
         assert active == round(0.5 * total)
         assert history.ledger.forward_sparse < history.ledger.forward_dense
 
+    @pytest.mark.parametrize("strategy", ["rigl", "prune_oneshot"])
+    def test_optimizer_state_reset_at_every_mask_change(self, strategy, monkeypatch):
+        data = gen_synthetic("rings", 48, noise=0.2, seed=5)
+        resets = []
+        original = Optimizer.reset_positions
+
+        def recording(opt, name, flat):
+            resets.append((name, sorted(int(i) for i in flat)))
+            original(opt, name, flat)
+
+        monkeypatch.setattr(Optimizer, "reset_positions", recording)
+        if strategy == "rigl":
+            model = toy_model(sparsity=0.6, heads=2, seed=6)
+            sched = TopologySchedule(strategy="rigl", delta_t=5, initial_drop_fraction=0.4)
+            config = small_config(total_steps=20, eval_interval=20, topology=sched)
+            target = None
+        else:
+            model = toy_model(sparsity=0.0, heads=2)
+            sched = TopologySchedule(strategy="prune_oneshot", prune_at_fraction=0.5)
+            config = small_config(total_steps=40, base_steps=40, eval_interval=40,
+                                  topology=sched)
+            target = 0.5
+        before = {p.name: p.mask.copy() for p in model.named_parameters()
+                  if p.mask is not None}
+        optimizer = Optimizer(config, model.named_parameters())
+        history = fit(model, data, data, config, sparsity_target=target,
+                      optimizer=optimizer)
+
+        if strategy == "rigl":
+            want = [(f"{r.component}/{u.layer}/weight", sorted(u.pruned + u.grown))
+                    for r in history.updates for u in r.layers]
+        else:
+            # masks are frozen after the prune, so the final ones show what it dropped
+            want = [(p.name, np.flatnonzero(before[p.name] > p.mask).tolist())
+                    for p in model.named_parameters() if p.mask is not None]
+            counts = history.events[0]["pruned_counts"]
+            assert counts == {name: len(flat) for name, flat in want}
+        assert want and any(flat for _, flat in want)
+        assert sorted(resets) == sorted(want)
+        for p in model.named_parameters():
+            if p.mask is not None:
+                for slot in optimizer.state[p.name].values():
+                    assert np.all(slot[p.mask == 0] == 0.0)
+
     def test_divergence_raises_with_step(self):
         data = gen_synthetic("two_clusters", 32, noise=0.3, seed=12)
         model = toy_model(sparsity=0.0, heads=1)
