@@ -8,6 +8,7 @@ into checkpoints.
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 from typing import Any
@@ -26,6 +27,14 @@ class ConfigError(ValueError):
     def __init__(self, field_path: str, message: str):
         super().__init__(f"{field_path}: {message}")
         self.field = field_path
+
+
+def _section(cls, skip: tuple[str, ...] = ()) -> dict[str, Any]:
+    """The JSON defaults of a dataclass's fields that have a plain default,
+    tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls)
+            if f.name not in skip and f.default is not dataclasses.MISSING}
 
 
 DEFAULTS: dict[str, Any] = {
@@ -61,34 +70,11 @@ DEFAULTS: dict[str, Any] = {
     "allocation": "er",
     "independent_members": False,
     "vote": "probs",
-    "topology": {
-        "strategy": "rigl",
-        "prune_method": "magnitude",
-        "soft_temperature": 3.0,
-        "normalize_by_mean": True,
-        "delta_t": 100,
-        "initial_drop_fraction": 0.5,
-        "stop_fraction": 0.0,
-        "prune_at_fraction": 0.5,
-    },
-    "train": {
-        "optimizer": "sgd_momentum",
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "beta1": 0.9,
-        "beta2": 0.999,
-        "adam_eps": 1e-8,
-        "lr": 0.1,
-        "schedule": "step_decay",
-        "milestones": [0.25, 0.5, 0.75],
-        "decay_factor": 0.1,
-        "warmup_fraction": 0.1,
-        "min_lr_fraction": 0.1,
-        "batch_size": 128,
-        "total_steps": 1000,
-        "base_steps": None,
-        "drop_last": False,
-    },
+    "topology": _section(TopologySchedule),
+    # eval_interval and seed are top-level fields; TrainConfig gives total_steps
+    # no default
+    "train": {"total_steps": 1000,
+              **_section(TrainConfig, skip=("eval_interval", "seed"))},
     "eval_interval": 100,
     "checkpoint_every": None,
 }
@@ -214,7 +200,7 @@ def validate_resolved(cfg: dict) -> None:
              "checkpoint_every", "must be a positive integer or null")
 
     try:
-        make_topology(cfg).validate()
+        TopologySchedule(**cfg["topology"]).validate()
     except ConfigError:
         raise
     except ValueError as exc:
@@ -309,31 +295,10 @@ def network_spec(cfg: dict) -> NetworkSpec:
     return spec
 
 
-def make_topology(cfg: dict) -> TopologySchedule:
-    t = cfg["topology"]
-    return TopologySchedule(
-        strategy=t["strategy"], prune_method=t["prune_method"],
-        soft_temperature=t["soft_temperature"],
-        normalize_by_mean=t["normalize_by_mean"], delta_t=t["delta_t"],
-        initial_drop_fraction=t["initial_drop_fraction"],
-        stop_fraction=t["stop_fraction"], prune_at_fraction=t["prune_at_fraction"],
-        horizon=cfg["train"]["total_steps"],
-    )
-
-
 def make_train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        total_steps=t["total_steps"], optimizer=t["optimizer"],
-        momentum=t["momentum"], weight_decay=t["weight_decay"], beta1=t["beta1"],
-        beta2=t["beta2"], adam_eps=t["adam_eps"], lr=t["lr"],
-        schedule=t["schedule"], milestones=tuple(t["milestones"]),
-        decay_factor=t["decay_factor"], warmup_fraction=t["warmup_fraction"],
-        min_lr_fraction=t["min_lr_fraction"], batch_size=t["batch_size"],
-        base_steps=t["base_steps"], drop_last=t["drop_last"],
-        eval_interval=cfg["eval_interval"], seed=cfg["seed"],
-        topology=make_topology(cfg),
-    )
+    train = {k: tuple(v) if isinstance(v, list) else v for k, v in cfg["train"].items()}
+    return TrainConfig(**train, eval_interval=cfg["eval_interval"], seed=cfg["seed"],
+                       topology=TopologySchedule(**cfg["topology"]))
 
 
 def make_model(cfg: dict) -> TrailsModel:

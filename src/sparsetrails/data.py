@@ -6,7 +6,6 @@ label files, each dimension a 4-byte big-endian integer, payload one
 unsigned byte per element. Pixels are scaled to [0, 1] on load.
 """
 
-import csv
 import struct
 from dataclasses import dataclass
 
@@ -208,11 +207,3 @@ def batches(dataset: Dataset, plan: BatchPlan, epoch: int) -> list[np.ndarray]:
         out.pop()
     return out
 
-
-def to_csv(dataset: Dataset, path: str) -> None:
-    flat = dataset.inputs.reshape(len(dataset), -1)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"f{i}" for i in range(flat.shape[1])] + ["label"])
-        for row, label in zip(flat, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])

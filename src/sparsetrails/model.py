@@ -114,7 +114,6 @@ class ParamRef:
 @dataclass
 class HeadOutputs:
     logits: list[np.ndarray]
-    backbone_output: np.ndarray
     backbone_tape: list[np.ndarray] | None = None
     head_tapes: list[list[np.ndarray] | None] = field(default_factory=list)
 
@@ -252,7 +251,7 @@ def forward_heads(model: TrailsModel, batch: np.ndarray,
                   record: bool = False) -> HeadOutputs:
     """Backbone once, then every head on the cached backbone output."""
     h_s, bb_tape = nn.stack_forward(model.backbone, batch, record=record)
-    out = HeadOutputs(logits=[], backbone_output=h_s, backbone_tape=bb_tape)
+    out = HeadOutputs(logits=[], backbone_tape=bb_tape)
     for head in model.heads:
         y, tape = nn.stack_forward(head, h_s, record=record)
         out.logits.append(y)

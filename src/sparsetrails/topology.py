@@ -38,7 +38,6 @@ class TopologySchedule:
     normalize_by_mean: bool = True
     delta_t: int = 100
     initial_drop_fraction: float = 0.5
-    horizon: int = 0
     stop_fraction: float = 0.0
     prune_at_fraction: float = 0.5  # prune_oneshot: fraction of training spent dense
 
@@ -60,12 +59,12 @@ class TopologySchedule:
             raise ValueError(
                 f"prune_at_fraction must be in (0, 1), got {self.prune_at_fraction}")
 
-    def is_update_step(self, t: int) -> bool:
+    def is_update_step(self, t: int, total_steps: int) -> bool:
         if self.strategy not in ("set", "rigl"):
             return False
         if t < 1 or t % self.delta_t != 0:
             return False
-        return t <= round_half_up((1.0 - self.stop_fraction) * self.horizon)
+        return t <= round_half_up((1.0 - self.stop_fraction) * total_steps)
 
 
 @dataclass
@@ -162,24 +161,25 @@ def select_grow(mask: np.ndarray, k: int, method: str,
 
 
 def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
-                    schedule: TopologySchedule, t: int, *,
+                    schedule: TopologySchedule, t: int, total_steps: int, *,
                     component: str = "",
                     streams: dict[int, Stream] | None = None,
                     grads: GradientSet | None = None) -> UpdateRecord:
     """One prune/regrow pass over a component's maskable layers.
 
     Per layer, k = round(p(t) * active) positions are pruned and the same
-    number regrown (weights initialized to 0). RigL regrows where the
-    dense weight gradient in `grads` (the component's gradients from a
-    `dense=True` backward) is largest. Mutates masks and values in place
-    and returns the record of what changed; the caller resets optimizer
-    state at each layer's pruned and grown positions.
+    number regrown (weights initialized to 0); p(t) decays to zero at
+    t = total_steps. RigL regrows where the dense weight gradient in
+    `grads` (the component's gradients from a `dense=True` backward) is
+    largest. Mutates masks and values in place and returns the record of
+    what changed; the caller resets optimizer state at each layer's pruned
+    and grown positions.
     """
     if schedule.strategy not in ("set", "rigl"):
         raise ValueError(f"topology updates not defined for strategy {schedule.strategy!r}")
     if t % schedule.delta_t != 0:
         raise ValueError(f"step {t} is off the update schedule (delta_t={schedule.delta_t})")
-    p_t = drop_fraction(t, schedule.horizon, schedule.initial_drop_fraction)
+    p_t = drop_fraction(t, total_steps, schedule.initial_drop_fraction)
     grow_method = "random" if schedule.strategy == "set" else "gradient"
     record = UpdateRecord(step=t, component=component)
 

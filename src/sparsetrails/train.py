@@ -8,7 +8,7 @@ stay within 3 * f_dense * base_steps * batch.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -365,6 +365,9 @@ def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
     return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)
 
 
+# the loop's isfinite checks report divergence; numpy's overflow warnings would
+# only repeat it (or, under -W error, raise out of the step instead)
+@np.errstate(over="ignore", invalid="ignore")
 def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         config: TrainConfig, sparsity_target: float | None = None, *,
         start_step: int = 0, optimizer: Optimizer | None = None,
@@ -387,7 +390,7 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     config.validate()
     if len(train_set) == 0:
         raise ValueError("training dataset is empty")
-    schedule = replace(config.topology, horizon=config.total_steps)
+    schedule = config.topology
     if ledger is None:
         ledger = count_flops(model)
     if schedule.strategy == "prune_oneshot" and sparsity_target is None:
@@ -424,9 +427,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
 
     for t in range(start_step + 1, config.total_steps + 1):
         lr = lr_at(t, config)
-        p_t = drop_fraction(min(t, config.total_steps), config.total_steps,
-                            schedule.initial_drop_fraction)
-        want_dense = schedule.strategy == "rigl" and schedule.is_update_step(t)
+        p_t = drop_fraction(t, config.total_steps, schedule.initial_drop_fraction)
+        update = schedule.is_update_step(t, config.total_steps)
+        want_dense = update and schedule.strategy == "rigl"
         batch_sizes = 0
 
         if model.independent:
@@ -458,14 +461,15 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         ledger.charge_step(batch_sizes)
         history.steps.append(StepRecord(step=t, loss=loss, lr=lr, drop_fraction=p_t))
 
-        if schedule.is_update_step(t):
+        if update:
             for comp_idx, comp_name in enumerate(model.component_names()):
                 masked = model.masked_layers(comp_idx)
                 if not masked:
                     continue
                 streams = {li: model.topo_streams[(comp_idx, li)] for li, _ in masked}
-                record = topology_update(masked, schedule, t, component=comp_name,
-                                         streams=streams, grads=all_grads.get(comp_name))
+                record = topology_update(masked, schedule, t, config.total_steps,
+                                         component=comp_name, streams=streams,
+                                         grads=all_grads.get(comp_name))
                 for u in record.layers:
                     optimizer.reset_positions(f"{comp_name}/{u.layer}/weight",
                                               u.pruned + u.grown)

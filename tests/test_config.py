@@ -4,7 +4,9 @@ import re
 import pytest
 
 from sparsetrails.config import (ConfigError, config_hash, load_config,
-                                 make_dataset, make_model, network_spec, resolve)
+                                 make_dataset, make_model, make_train_config,
+                                 network_spec, resolve)
+from sparsetrails.train import TrainConfig
 
 
 def minimal(**overrides):
@@ -154,6 +156,15 @@ class TestHash:
         c = resolve(minimal(sparsity=0.6), seed=0)
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) != config_hash(c)
+
+    def test_resolved_defaults_are_pinned(self):
+        # every checkpoint embeds this hash: a changed default would make
+        # --resume refuse older checkpoints unless --force is passed
+        cfg = resolve({})
+        assert config_hash(cfg) == \
+            "55ac39f8fe14b4763e7159b10f556c8c9bd447a4e11fd413431be95bd0318669"
+        assert make_train_config(cfg) == TrainConfig(total_steps=1000, eval_interval=100,
+                                                     seed=0)
 
 
 class TestBuilders:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sparsetrails.data import (BatchPlan, apply_normalization, batches,
-                               gen_synthetic, load_idx, normalize, split, to_csv,
-                               write_idx)
+                               gen_synthetic, load_idx, normalize, split, write_idx)
 
 
 def write_pair(tmp_path, images: bytes, labels: bytes):
@@ -141,14 +140,3 @@ class TestBatches:
         assert sorted(e0.tolist()) == sorted(e1.tolist())
         assert e0.tolist() != e1.tolist()
 
-
-def test_csv_export_roundtrips_values(tmp_path):
-    ds = gen_synthetic("xor_grid", 10, 0.1, seed=7)
-    path = tmp_path / "out.csv"
-    to_csv(ds, str(path))
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "f0,f1,label"
-    assert len(lines) == 11
-    first = lines[1].split(",")
-    assert float(first[0]) == pytest.approx(float(ds.inputs[0, 0]))
-    assert int(first[2]) == int(ds.labels[0])

@@ -141,14 +141,13 @@ class TestCompositeLoss:
     def test_mean_of_two_head_losses(self):
         logits_a = np.array([[10.0, 0.0]], dtype=np.float32)
         logits_b = np.array([[0.0, 10.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits_a, logits_b], backbone_output=None)
+        out = HeadOutputs(logits=[logits_a, logits_b])
         total, per_head = composite_loss(out, np.array([0]))
         assert total == pytest.approx((per_head[0][0] + per_head[1][0]) / 2.0)
 
     def test_arithmetic_mean_hand_case(self):
         out = HeadOutputs(logits=[np.log(np.array([[0.6703, 0.3297]], dtype=np.float32)),
-                                  np.log(np.array([[0.4493, 0.5507]], dtype=np.float32))],
-                          backbone_output=None)
+                                  np.log(np.array([[0.4493, 0.5507]], dtype=np.float32))])
         total, per_head = composite_loss(out, np.array([0]))
         assert per_head[0][0] == pytest.approx(0.4, abs=1e-3)
         assert per_head[1][0] == pytest.approx(0.8, abs=1e-3)
@@ -160,43 +159,40 @@ class TestSoftVote:
         probs = [np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]),
                  np.array([[0.55, 0.45]])]
         logits = [np.log(p).astype(np.float32) for p in probs]
-        out = HeadOutputs(logits=logits, backbone_output=None)
+        out = HeadOutputs(logits=logits)
         ens, preds = soft_vote(out)
         np.testing.assert_allclose(ens, [[0.45, 0.55]], atol=1e-6)
         assert preds.tolist() == [1]
 
     def test_shared_argmax_is_preserved(self):
         out = HeadOutputs(logits=[np.array([[3.0, 1.0, 0.0]], dtype=np.float32),
-                                  np.array([[5.0, 4.0, 0.0]], dtype=np.float32)],
-                          backbone_output=None)
+                                  np.array([[5.0, 4.0, 0.0]], dtype=np.float32)])
         _, preds = soft_vote(out)
         assert preds.tolist() == [0]
 
     def test_single_head_is_its_own_prediction(self):
         logits = np.array([[0.2, 1.5, -1.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits], backbone_output=None)
+        out = HeadOutputs(logits=[logits])
         ens, preds = soft_vote(out)
         np.testing.assert_allclose(ens, nn.softmax(logits), atol=1e-7)
         assert preds.tolist() == [1]
 
     def test_identical_heads_equal_single_head_softmax_exactly(self):
         logits = np.array([[0.3, -0.7], [1.0, 2.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits, logits.copy(), logits.copy()],
-                          backbone_output=None)
+        out = HeadOutputs(logits=[logits, logits.copy(), logits.copy()])
         ens, _ = soft_vote(out)
         np.testing.assert_array_equal(ens, nn.softmax(logits))
 
     def test_logit_voting_mode(self):
         a = np.array([[2.0, 0.0]], dtype=np.float32)
         b = np.array([[0.0, 1.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[a, b], backbone_output=None)
+        out = HeadOutputs(logits=[a, b])
         ens, preds = soft_vote(out, vote="logits")
         np.testing.assert_allclose(ens, nn.softmax(np.array([[1.0, 0.5]])), atol=1e-6)
         assert preds.tolist() == [0]
 
     def test_argmax_tie_takes_lowest_class(self):
-        out = HeadOutputs(logits=[np.zeros((1, 3), dtype=np.float32)],
-                          backbone_output=None)
+        out = HeadOutputs(logits=[np.zeros((1, 3), dtype=np.float32)])
         _, preds = soft_vote(out)
         assert preds.tolist() == [0]
 

@@ -136,7 +136,7 @@ class TestSelectGrow:
 
 
 def make_schedule(**kw):
-    defaults = dict(strategy="set", delta_t=10, initial_drop_fraction=0.5, horizon=100)
+    defaults = dict(strategy="set", delta_t=10, initial_drop_fraction=0.5)
     defaults.update(kw)
     return TopologySchedule(**defaults)
 
@@ -145,7 +145,7 @@ class TestTopologyUpdate:
     def test_final_step_is_identity(self):
         weights = mt([1.0, 2.0, 3.0, 4.0])
         sched = make_schedule()
-        rec = topology_update([(0, weights)], sched, 100,
+        rec = topology_update([(0, weights)], sched, 100, 100,
                               streams={0: Stream(0)})
         assert rec.layers[0].pruned == [] and rec.layers[0].grown == []
 
@@ -155,8 +155,8 @@ class TestTopologyUpdate:
         mask = np.zeros(20, dtype=np.uint8)
         mask[stream.choice_without_replacement(20, 10)] = 1
         weights = mt(values, mask)
-        sched = make_schedule(horizon=200)
-        rec = topology_update([(0, weights)], sched, 100, streams={0: Stream(1)})
+        sched = make_schedule()
+        rec = topology_update([(0, weights)], sched, 100, 200, streams={0: Stream(1)})
         update = rec.layers[0]
         assert len(update.pruned) == len(update.grown) == 3  # round(0.25 * 10 + 0.5) = 3
         assert update.active_before == update.active_after == 10
@@ -164,8 +164,8 @@ class TestTopologyUpdate:
 
     def test_grown_weights_start_at_zero(self):
         weights = mt([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])
-        sched = make_schedule(strategy="set", horizon=100, initial_drop_fraction=1.0)
-        rec = topology_update([(0, weights)], sched, 50, streams={0: Stream(2)})
+        sched = make_schedule(strategy="set", initial_drop_fraction=1.0)
+        rec = topology_update([(0, weights)], sched, 50, 100, streams={0: Stream(2)})
         for g in rec.layers[0].grown:
             assert weights.values.reshape(-1)[g] == 0.0
             assert weights.mask.reshape(-1)[g] == 1
@@ -179,8 +179,8 @@ class TestTopologyUpdate:
                 mask[0] = 1
             weights = mt(values, mask)
             before = set(np.flatnonzero(weights.mask))
-            sched = make_schedule(horizon=100)
-            rec = topology_update([(0, weights)], sched, 10,
+            sched = make_schedule()
+            rec = topology_update([(0, weights)], sched, 10, 100,
                                   streams={0: stream.child(trial)})
             upd = rec.layers[0]
             survivors = before - set(upd.pruned)
@@ -188,17 +188,17 @@ class TestTopologyUpdate:
 
     def test_off_schedule_rejected(self):
         with pytest.raises(ValueError, match="off the update schedule"):
-            topology_update([(0, mt([1.0]))], make_schedule(delta_t=10), 15)
+            topology_update([(0, mt([1.0]))], make_schedule(delta_t=10), 15, 100)
 
     def test_static_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            topology_update([(0, mt([1.0]))], make_schedule(strategy="static"), 10)
+            topology_update([(0, mt([1.0]))], make_schedule(strategy="static"), 10, 100)
 
     def test_set_reproducible_across_runs(self):
         def run():
             weights = mt(np.arange(1, 13, dtype=np.float32), np.tile([1, 0], 6))
-            sched = make_schedule(horizon=40)
-            rec = topology_update([(0, weights)], sched, 20,
+            sched = make_schedule()
+            rec = topology_update([(0, weights)], sched, 20, 40,
                                   streams={0: Stream(77).child("topo", 0, 0)})
             return rec.layers[0].pruned, rec.layers[0].grown, weights.mask.copy()
 

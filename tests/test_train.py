@@ -303,7 +303,9 @@ class TestFit:
         config = small_config(total_steps=10, eval_interval=10, topology=sched)
         history = fit(toy_model(sparsity=0.5, heads=2), data, data, config)
         assert history.updates
-        assert sched.horizon == 0 and config.topology is sched
+        assert config.topology is sched
+        assert sched == TopologySchedule(strategy="set", delta_t=5,
+                                         initial_drop_fraction=0.3)
 
     def test_oneshot_prunes_to_target_and_freezes(self):
         data = gen_synthetic("two_clusters", 48, noise=0.3, seed=11)
@@ -368,9 +370,8 @@ class TestFit:
         data = gen_synthetic("two_clusters", 32, noise=0.3, seed=12)
         model = toy_model(sparsity=0.0, heads=1)
         config = small_config(total_steps=30, lr=1e18, schedule="step_decay")
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(TrainingDiverged):
-                fit(model, data, data, config)
+        with pytest.raises(TrainingDiverged):
+            fit(model, data, data, config)
 
 
 class TestEvaluate:
