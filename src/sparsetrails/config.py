@@ -199,18 +199,13 @@ def validate_resolved(cfg: dict) -> None:
     _require(cfg["checkpoint_every"] is None or cfg["checkpoint_every"] >= 1,
              "checkpoint_every", "must be a positive integer or null")
 
-    try:
-        TopologySchedule(**cfg["topology"]).validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("topology", str(exc)) from exc
-    try:
-        make_train_config(cfg).validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError("train", str(exc)) from exc
+    # the train section's check repeats the topology one: topology errors come first
+    for section, check in (("topology", TopologySchedule(**cfg["topology"]).validate),
+                           ("train", make_train_config(cfg).validate)):
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(section, str(exc)) from exc
     spec = network_spec(cfg)  # raises on inconsistent layer shapes
     _require(cfg["split_index"] <= spec.num_blocks, "split_index",
              f"must be <= the network's block count ({spec.num_blocks})")

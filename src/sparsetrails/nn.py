@@ -257,10 +257,12 @@ def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.nda
         raise ValueError(
             f"target out of range [0, {logits.shape[1]}): min={targets.min()}, "
             f"max={targets.max()}")
-    probs = softmax(logits)
-    # loss reduction in float64 so the scalar is accurate even when a
-    # float32 probability rounds to 1
-    shifted = (logits - logits.max(axis=1, keepdims=True)).astype(np.float64)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=1, keepdims=True)
+    # loss reduction in float64 so the scalar is accurate even when a float32
+    # probability rounds to 1 (a second exp: summing `e` would change bits)
+    shifted = shifted.astype(np.float64)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_p = shifted[np.arange(len(targets)), targets] - log_z
     return float(-log_p.mean()), probs

@@ -46,18 +46,16 @@ class TopologySchedule:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.prune_method not in PRUNE_METHODS:
             raise ValueError(f"unknown prune method {self.prune_method!r}")
-        if self.delta_t < 1:
-            raise ValueError(f"delta_t must be >= 1, got {self.delta_t}")
-        if not 0.0 < self.initial_drop_fraction <= 1.0:
-            raise ValueError(
-                f"initial_drop_fraction must be in (0, 1], got {self.initial_drop_fraction}")
-        if self.prune_method == "soft_magnitude" and self.soft_temperature <= 0:
-            raise ValueError("soft_temperature must be positive")
-        if not 0.0 <= self.stop_fraction < 1.0:
-            raise ValueError(f"stop_fraction must be in [0, 1), got {self.stop_fraction}")
-        if not 0.0 < self.prune_at_fraction < 1.0:
-            raise ValueError(
-                f"prune_at_fraction must be in (0, 1), got {self.prune_at_fraction}")
+        for name, ok, span in (
+                ("delta_t", self.delta_t >= 1, ">= 1"),
+                ("initial_drop_fraction", 0.0 < self.initial_drop_fraction <= 1.0,
+                 "in (0, 1]"),
+                ("soft_temperature", self.prune_method != "soft_magnitude"
+                 or self.soft_temperature > 0, "positive"),
+                ("stop_fraction", 0.0 <= self.stop_fraction < 1.0, "in [0, 1)"),
+                ("prune_at_fraction", 0.0 < self.prune_at_fraction < 1.0, "in (0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {span}, got {getattr(self, name)}")
 
     def is_update_step(self, t: int, total_steps: int) -> bool:
         if self.strategy not in ("set", "rigl"):
@@ -101,6 +99,17 @@ def drop_fraction(t: int, horizon: int, p0: float) -> float:
     return p0 * (1.0 + math.cos(math.pi * t / horizon)) / 2.0
 
 
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the k >= 1 largest (non-NaN) scores, ties to the
+    lowest position, as in `np.argsort(-scores, kind="stable")[:k]`; a
+    partition finds the k-th largest, so nothing is fully sorted."""
+    kth = np.partition(scores, scores.size - k)[scores.size - k]
+    keep = scores > kth
+    ties = (scores == kth).nonzero()[0]
+    keep[ties[:k - np.count_nonzero(keep)]] = True
+    return keep.nonzero()[0]
+
+
 def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
                  temperature: float = 3.0, normalize_by_mean: bool = True,
                  stream: Stream | None = None) -> np.ndarray:
@@ -116,10 +125,10 @@ def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
         raise ValueError(f"cannot prune {k} of {active.size} active weights")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    magnitudes = np.abs(weights.values.reshape(-1)[active]).astype(np.float64)
+    magnitudes = np.abs(weights.values.take(active)).astype(np.float64)
 
     if method == "magnitude":
-        order = np.argsort(magnitudes, kind="stable")
+        keys = -magnitudes
     elif method == "soft_magnitude":
         if stream is None:
             raise ValueError("soft_magnitude pruning requires a random stream")
@@ -131,10 +140,9 @@ def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
         else:
             log_w = np.zeros_like(magnitudes)  # mu == 0 degenerates to uniform
         keys = log_w + stream.gumbels(magnitudes.size)
-        order = np.argsort(-keys, kind="stable")
     else:
         raise ValueError(f"unknown prune method {method!r}")
-    return np.sort(active[order[:k]])
+    return active[_top_k(keys, k)]
 
 
 def select_grow(mask: np.ndarray, k: int, method: str,
@@ -154,9 +162,8 @@ def select_grow(mask: np.ndarray, k: int, method: str,
     if method == "gradient":
         if dense_grad is None:
             raise ValueError("gradient growth requires dense gradients")
-        g = np.abs(dense_grad.reshape(-1)[inactive]).astype(np.float64)
-        order = np.argsort(-g, kind="stable")  # ties resolve to ascending flat index
-        return np.sort(inactive[order[:k]])
+        # ties resolve to ascending flat index
+        return inactive[_top_k(np.abs(dense_grad.take(inactive)), k)]
     raise ValueError(f"unknown grow method {method!r}")
 
 

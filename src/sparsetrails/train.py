@@ -58,32 +58,32 @@ class TrainConfig:
     topology: TopologySchedule = field(default_factory=TopologySchedule)
 
     def validate(self) -> None:
-        if self.total_steps < 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
         if self.optimizer not in ("sgd_momentum", "adam"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.lr <= 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
-        # outside these ranges Adam's bias correction or update can divide by zero
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
         if self.schedule not in ("step_decay", "cosine_warmup"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if list(self.milestones) != sorted(self.milestones) or any(
                 not 0.0 < m < 1.0 for m in self.milestones):
             raise ValueError("milestones must be sorted fractions in (0, 1)")
-        if not 0.0 < self.warmup_fraction < 1.0:
-            raise ValueError(
-                f"warmup_fraction must be in (0, 1), got {self.warmup_fraction}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.eval_interval < 1:
-            raise ValueError(f"eval_interval must be >= 1, got {self.eval_interval}")
-        if self.base_steps is not None and self.base_steps < 1:
-            raise ValueError(f"base_steps must be >= 1, got {self.base_steps}")
+        # outside these ranges momentum or the LR schedule misbehaves, and
+        # Adam's bias correction or update can divide by zero
+        for name, ok, span in (
+                ("total_steps", self.total_steps >= 1, ">= 1"),
+                ("momentum", 0.0 <= self.momentum < 1.0, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("beta1", 0.0 <= self.beta1 < 1.0, "in [0, 1)"),
+                ("beta2", 0.0 <= self.beta2 < 1.0, "in [0, 1)"),
+                ("adam_eps", self.adam_eps > 0, "positive"),
+                ("decay_factor", 0.0 < self.decay_factor <= 1.0, "in (0, 1]"),
+                ("warmup_fraction", 0.0 < self.warmup_fraction < 1.0, "in (0, 1)"),
+                ("min_lr_fraction", 0.0 <= self.min_lr_fraction <= 1.0, "in [0, 1]"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("eval_interval", self.eval_interval >= 1, ">= 1"),
+                ("base_steps", self.base_steps is None or self.base_steps >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {span}, got {getattr(self, name)}")
         self.topology.validate()
 
     @property
@@ -196,15 +196,18 @@ def count_flops(model: TrailsModel) -> FlopsLedger:
 # optimizer
 # ---------------------------------------------------------------------------
 
+def active_indices(mask: np.ndarray) -> np.ndarray:
+    """Sorted flat indices where mask is 1 (~3x faster on bool than on uint8)."""
+    return (mask != 0).ravel().nonzero()[0]
+
+
 class Optimizer:
     """Masked SGD-with-momentum or Adam over a model's named parameters.
 
-    Masked weight positions and their state entries are exactly +0.0.
-    `step` keeps them so by masking each weight gradient before the update,
-    and whoever changes a mask (`fit`, after a topology update or the
-    one-shot prune) zeroes the state at the changed positions through
-    `reset_positions`. Weight decay is folded into the gradient for SGD and
-    omitted for Adam.
+    A masked weight keeps state at its sorted active flat indices (`active`)
+    only; a step gathers gradient and weight there and scatters the weight
+    back, so masked positions stay +0.0. Whoever changes a mask calls
+    `reset_positions`. Weight decay is SGD-only, folded into the gradient.
     """
 
     SLOTS = {"sgd_momentum": ("momentum",), "adam": ("m", "v")}
@@ -214,10 +217,29 @@ class Optimizer:
         self.params = {p.name: p for p in params}
         self.kind = config.optimizer
         self.adam_t = 0
-        self.state: dict[str, dict[str, np.ndarray]] = {
-            p.name: {slot: np.zeros_like(p.array) for slot in self.SLOTS[self.kind]}
-            for p in params
-        }
+        self.flat = {p.name: p.array.reshape(-1) for p in params}  # views
+        self.active = {p.name: None if p.mask is None else active_indices(p.mask)
+                       for p in params}  # None: unmasked, every entry
+        self.slots = {name: {slot: np.zeros(len(self.flat[name] if idx is None else idx),
+                                            self.flat[name].dtype)
+                             for slot in self.SLOTS[self.kind]}
+                      for name, idx in self.active.items()}
+
+    @property
+    def state(self) -> dict[str, dict[str, np.ndarray]]:
+        """Dense copies of the slots, +0.0 at masked positions; checks that
+        every mask still matches its indices."""
+        for name, idx in self.active.items():
+            if idx is not None and not np.array_equal(idx, active_indices(self.params[name].mask)):
+                raise RuntimeError(f"optimizer indices of {name} disagree with its mask")
+        return {name: {slot: self._dense(name, arr).reshape(self.params[name].array.shape)
+                       for slot, arr in slots.items()} for name, slots in self.slots.items()}
+
+    def _dense(self, name: str, compact: np.ndarray) -> np.ndarray:
+        idx = self.active[name]
+        dense = np.zeros(self.flat[name].size, compact.dtype)
+        dense[slice(None) if idx is None else idx] = compact
+        return dense
 
     def step(self, grads: dict[str, np.ndarray], lr: float, step: int = 0) -> None:
         # check every gradient first, so a diverged step changes nothing
@@ -225,34 +247,40 @@ class Optimizer:
             if not np.isfinite(grad).all():
                 kind = "NaN" if np.isnan(grad).any() else "inf"
                 raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
+        c = self.config
         if self.kind == "adam":
             self.adam_t += 1
+            bias1, bias2 = 1.0 - c.beta1 ** self.adam_t, 1.0 - c.beta2 ** self.adam_t
         for name, grad in grads.items():
-            ref = self.params[name]
-            state = self.state[name]
-            if ref.mask is not None:
-                grad = grad * ref.mask
+            flat, idx, state = self.flat[name], self.active[name], self.slots[name]
+            # a weight gradient is zero off the mask, so the gather drops nothing
+            g, w = (grad, flat) if idx is None else (grad.take(idx), flat.take(idx))
             if self.kind == "sgd_momentum":
-                if self.config.weight_decay:
-                    grad = grad + self.config.weight_decay * ref.array
+                if c.weight_decay:
+                    g = g + c.weight_decay * w
                 v = state["momentum"]
-                v *= self.config.momentum
-                v += grad
-                ref.array -= lr * v
+                v *= c.momentum
+                v += g
+                w -= lr * v
             else:
                 m, v = state["m"], state["v"]
-                m *= self.config.beta1
-                m += (1.0 - self.config.beta1) * grad
-                v *= self.config.beta2
-                v += (1.0 - self.config.beta2) * grad * grad
-                m_hat = m / (1.0 - self.config.beta1 ** self.adam_t)
-                v_hat = v / (1.0 - self.config.beta2 ** self.adam_t)
-                ref.array -= lr * m_hat / (np.sqrt(v_hat) + self.config.adam_eps)
+                m *= c.beta1
+                m += (1.0 - c.beta1) * g
+                v *= c.beta2
+                v += (1.0 - c.beta2) * g * g
+                w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
+            if idx is not None:
+                flat.put(idx, w)
 
     def reset_positions(self, name: str, flat_indices: list[int]) -> None:
-        """Zero the optimizer state at pruned/regrown weight positions."""
-        for slot in self.state[name].values():
-            slot.reshape(-1)[flat_indices] = 0.0
+        """Re-derive `name`'s active indices from its live mask. Kept positions
+        keep their state unless listed; listed and new ones start at +0.0."""
+        active = active_indices(self.params[name].mask)
+        for slot, arr in self.slots[name].items():
+            dense = self._dense(name, arr)
+            dense[flat_indices] = 0.0
+            self.slots[name][slot] = dense.take(active)
+        self.active[name] = active
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +335,6 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
         flops_forward_dense=ledger.forward_dense if ledger else 0,
     )
     return report, heads, ens_preds
-
-
-def _grad_arrays(component: str, gs: nn.GradientSet) -> dict[str, np.ndarray]:
-    out = {}
-    for li, lg in enumerate(gs.layers):
-        if lg.weight is not None:
-            out[f"{component}/{li}/weight"] = lg.weight
-        if lg.bias is not None:
-            out[f"{component}/{li}/bias"] = lg.bias
-    return out
 
 
 def validate_flops_budget(model: TrailsModel, config: TrainConfig,
@@ -452,9 +470,10 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
             loss, per_head = composite_loss(outputs, y)
             all_grads = model_backward(model, outputs, y, [p for _, p in per_head],
                                        dense=want_dense)
-        grads = {}
-        for comp_name, gs in all_grads.items():
-            grads.update(_grad_arrays(comp_name, gs))
+        grads = {f"{comp_name}/{li}/{kind}": arr
+                 for comp_name, gs in all_grads.items() for li, lg in enumerate(gs.layers)
+                 for kind, arr in (("weight", lg.weight), ("bias", lg.bias))
+                 if arr is not None}
         optimizer.step(grads, lr, step=t)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
@@ -477,10 +496,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                 pending_updates.append(record)
 
         if prune_step is not None and t == prune_step:
-            named = []
-            for comp_idx, comp_name in enumerate(model.component_names()):
-                for li, mt in model.masked_layers(comp_idx):
-                    named.append((f"{comp_name}/{li}/weight", mt))
+            named = [(f"{comp_name}/{li}/weight", mt)
+                     for comp_idx, comp_name in enumerate(model.component_names())
+                     for li, mt in model.masked_layers(comp_idx)]
             pruned = one_shot_global_prune(named, sparsity_target)
             for name, dropped in pruned.items():
                 optimizer.reset_positions(name, dropped)

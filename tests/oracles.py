@@ -7,6 +7,9 @@
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
   `random`, `open_unit` or `randbelow` call per value, exactly as the
   bulk helpers must reproduce them.
+- A dense masked optimizer: every slot has its parameter's shape and each
+  step updates every entry, the arithmetic the compact `Optimizer` must
+  reproduce bit for bit at the active entries.
 """
 
 import copy
@@ -18,6 +21,7 @@ from sparsetrails.model import TrailsModel, composite_loss, forward_heads
 from sparsetrails.nn import (GradientSet, Layer, LayerGrads, MaskedTensor,
                              loss_forward, stack_forward)
 from sparsetrails.rng import Stream
+from sparsetrails.train import Optimizer, TrainingDiverged
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -211,3 +215,57 @@ def choice_without_replacement(stream: Stream, n: int, k: int) -> np.ndarray:
         j = i + stream.randbelow(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k].copy()
+
+
+# ---------------------------------------------------------------------------
+# dense optimizer
+# ---------------------------------------------------------------------------
+
+
+class DenseOptimizer:
+    """SGD-with-momentum or Adam with dense slots, a drop-in for `Optimizer`
+    in `fit`. The gradient is masked before the update, so masked weight
+    positions and their slot entries stay +0.0; `reset_positions` zeroes
+    the slots at the listed positions."""
+
+    SLOTS = Optimizer.SLOTS
+
+    def __init__(self, config, params):
+        self.config = config
+        self.params = {p.name: p for p in params}
+        self.kind = config.optimizer
+        self.adam_t = 0
+        self.state = {p.name: {slot: np.zeros_like(p.array) for slot in self.SLOTS[self.kind]}
+                      for p in params}
+
+    def step(self, grads, lr, step=0):
+        for name, grad in grads.items():
+            if not np.isfinite(grad).all():
+                raise TrainingDiverged(f"non-finite gradient in {name}", step=step)
+        if self.kind == "adam":
+            self.adam_t += 1
+        c = self.config
+        for name, grad in grads.items():
+            ref, state = self.params[name], self.state[name]
+            if ref.mask is not None:
+                grad = grad * ref.mask
+            if self.kind == "sgd_momentum":
+                if c.weight_decay:
+                    grad = grad + c.weight_decay * ref.array
+                v = state["momentum"]
+                v *= c.momentum
+                v += grad
+                ref.array -= lr * v
+            else:
+                m, v = state["m"], state["v"]
+                m *= c.beta1
+                m += (1.0 - c.beta1) * grad
+                v *= c.beta2
+                v += (1.0 - c.beta2) * grad * grad
+                m_hat = m / (1.0 - c.beta1 ** self.adam_t)
+                v_hat = v / (1.0 - c.beta2 ** self.adam_t)
+                ref.array -= lr * m_hat / (np.sqrt(v_hat) + c.adam_eps)
+
+    def reset_positions(self, name, flat_indices):
+        for slot in self.state[name].values():
+            slot.reshape(-1)[flat_indices] = 0.0

@@ -37,6 +37,14 @@ BAD_FIELDS = [
     ("train.beta1", 1.0, r"train: beta1 must be in \[0, 1\)"),
     ("train.beta2", -0.1, r"train: beta2 must be in \[0, 1\)"),
     ("train.adam_eps", 0, "train: adam_eps must be positive"),
+    ("train.momentum", -3, r"train: momentum must be in \[0, 1\)"),
+    ("train.momentum", 1.0, r"train: momentum must be in \[0, 1\)"),
+    ("train.weight_decay", -1, "train: weight_decay must be >= 0"),
+    ("train.decay_factor", -1, r"train: decay_factor must be in \(0, 1\]"),
+    ("train.decay_factor", 0, r"train: decay_factor must be in \(0, 1\]"),
+    ("train.decay_factor", 1.5, r"train: decay_factor must be in \(0, 1\]"),
+    ("train.min_lr_fraction", 5, r"train: min_lr_fraction must be in \[0, 1\]"),
+    ("train.min_lr_fraction", -0.5, r"train: min_lr_fraction must be in \[0, 1\]"),
 ]
 
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sparsetrails.nn import MaskedTensor
 from sparsetrails.rng import Stream
-from sparsetrails.topology import (TopologySchedule, drop_fraction,
+from sparsetrails.topology import (TopologySchedule, _top_k, drop_fraction,
                                    one_shot_global_prune, select_grow,
                                    select_prune, topology_update)
 
@@ -133,6 +134,19 @@ class TestSelectGrow:
         got = select_prune(weights, k)
         want = sorted(sorted(active, key=lambda i: (abs(weights.values[i]), i))[:k])
         assert got.tolist() == want
+
+
+class TestTopK:
+    # a handful of values, signed zeros and infinities: most scores tie
+    TIES = st.sampled_from([-np.inf, -1.5, -0.0, 0.0, 0.25, 0.25, 1.0, np.inf])
+
+    @given(st.data(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_same_set_as_the_stable_argsort(self, data, dtype):
+        scores = data.draw(arrays(dtype, st.integers(1, 80), elements=self.TIES))
+        k = data.draw(st.integers(1, scores.size))
+        want = np.sort(np.argsort(-scores, kind="stable")[:k])
+        assert _top_k(scores, k).tolist() == want.tolist()
 
 
 def make_schedule(**kw):

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sparsetrails.data import gen_synthetic
-from sparsetrails.model import build_trails, mlp_spec
+from sparsetrails.model import ParamRef, build_independent_ensemble, build_trails, mlp_spec
 from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
                                 count_flops, evaluate, extension_cap, fit, lr_at)
+
+from oracles import DenseOptimizer
 
 
 def small_config(**kw):
@@ -90,6 +93,79 @@ class TestOptimizerStep:
         opt = Optimizer(config, model.named_parameters())
         opt.step({ref.name: np.zeros_like(ref.array)}, lr=0.5)
         np.testing.assert_allclose(ref.array, 0.95, rtol=1e-6)
+
+
+class TestCompactState:
+    @pytest.mark.parametrize("kind, strategy, prune_method, independent", [
+        ("sgd_momentum", "rigl", "magnitude", False),
+        ("adam", "set", "soft_magnitude", False),
+        ("sgd_momentum", "prune_oneshot", "magnitude", False),
+        ("adam", "rigl", "magnitude", True),
+    ])
+    def test_fit_matches_the_dense_optimizer_bit_for_bit(self, kind, strategy,
+                                                         prune_method, independent):
+        data = gen_synthetic("rings", 64, noise=0.2, seed=5)
+        oneshot = strategy == "prune_oneshot"
+        sched = TopologySchedule(strategy=strategy, prune_method=prune_method, delta_t=5,
+                                 initial_drop_fraction=0.4, prune_at_fraction=0.5)
+        config = small_config(total_steps=30, base_steps=30, eval_interval=30,
+                              optimizer=kind, lr=0.05 if kind == "sgd_momentum" else 0.01,
+                              weight_decay=5e-4, topology=sched)
+
+        def run(make_optimizer):
+            if independent:
+                model = build_independent_ensemble(mlp_spec(2, 6, 2, 2), 2, sparsity=0.5,
+                                                   seed=4)
+            else:
+                model = toy_model(sparsity=0.0 if oneshot else 0.6, heads=2, seed=4)
+            optimizer = make_optimizer(config, model.named_parameters())
+            history = fit(model, data, data, config,
+                          sparsity_target=0.5 if oneshot else None, optimizer=optimizer)
+            assert history.updates or history.events
+            return model, optimizer
+
+        model, compact = run(Optimizer)
+        oracle_model, dense = run(DenseOptimizer)
+        assert compact.adam_t == dense.adam_t
+        state = compact.state
+        for ref, oracle in zip(model.named_parameters(), oracle_model.named_parameters()):
+            assert ref.array.tobytes() == oracle.array.tobytes(), ref.name
+            if ref.mask is not None:
+                assert ref.mask.tobytes() == oracle.mask.tobytes(), ref.name
+                assert compact.slots[ref.name][Optimizer.SLOTS[kind][0]].size \
+                    == int(ref.mask.sum())
+            for slot, arr in dense.state[ref.name].items():
+                assert state[ref.name][slot].tobytes() == arr.tobytes(), (ref.name, slot)
+
+    def test_state_view_rejects_indices_that_disagree_with_the_mask(self):
+        model = toy_model(sparsity=0.6)
+        opt = Optimizer(small_config(), model.named_parameters())
+        ref = next(p for p in model.named_parameters() if p.mask is not None)
+        position = int(np.flatnonzero(ref.mask == 0)[0])
+        ref.mask.reshape(-1)[position] = 1
+        with pytest.raises(RuntimeError, match="disagree with its mask"):
+            opt.state
+        opt.reset_positions(ref.name, [position])
+        assert opt.state[ref.name]["momentum"].reshape(-1)[position] == 0.0
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_step_allocates_less_than_one_dense_weight(self, kind):
+        # a float32 pass over the whole weight, gradient or slots allocates a
+        # weight-sized array; the compact step's arrays have nnz entries
+        rng = np.random.default_rng(0)
+        mask = (rng.random((512, 512)) < 0.1).astype(np.uint8)
+        weight = (rng.standard_normal((512, 512)) * mask).astype(np.float32)
+        grad = (rng.standard_normal((512, 512)) * mask).astype(np.float32)
+        opt = Optimizer(small_config(optimizer=kind, weight_decay=5e-4),
+                        [ParamRef(name="w", array=weight, mask=mask)])
+        opt.step({"w": grad}, lr=0.1)
+        tracemalloc.start()
+        try:
+            opt.step({"w": grad}, lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < weight.nbytes
 
 
 class TestLrSchedules:
