@@ -90,8 +90,8 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
     return ckpt
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write data to a temp file beside path, then rename it over path.
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write the chunks to a temp file beside path, then rename it over path.
 
     A write that fails part-way leaves the previous file at path as it was
     and removes the temp file; readers never see a truncated file.
@@ -99,7 +99,8 @@ def write_atomic(path, data: bytes) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(data)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,7 +139,9 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
         out.append(_named(name, "4Q", *state))
     out.append(b"END!")
     data = b"".join(out)
-    write_atomic(path, data + struct.pack("<I", zlib.crc32(data)))
+    # the CRC goes out as its own chunk: appending it to `data` would copy the
+    # whole file once more, and on a large model grow and trim the heap per save
+    write_atomic(path, data, struct.pack("<I", zlib.crc32(data)))
     return path
 
 

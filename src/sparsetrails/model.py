@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .nn import GradientSet, Layer, LayerSpec, MaskedTensor
+from .nn import Layer, LayerGrads, LayerSpec, MaskedTensor
 from .rng import Stream
 from .sparsity import SparsityPlan, allocate, init_masks
 
@@ -268,33 +268,25 @@ def composite_loss(outputs: HeadOutputs,
 
 
 def model_backward(model: TrailsModel, outputs: HeadOutputs, targets: np.ndarray,
-                   probs: list[np.ndarray], dense: bool = False) -> dict[str, GradientSet]:
+                   probs: list[np.ndarray]) -> dict[str, list[LayerGrads]]:
     """Gradients of the composite loss for every component.
 
     `probs` are the per-head softmax probabilities `composite_loss`
     returned for these outputs. The backbone gradient aggregates all
-    heads' contributions scaled by 1/M. Requires forward_heads(record=True);
-    dense=True additionally materializes gradients at masked-out weight
-    positions.
+    heads' contributions scaled by 1/M. Requires forward_heads(record=True).
     """
-    if outputs.backbone_tape is None and model.backbone:
+    if outputs.backbone_tape is None:
         raise ValueError("backward requires forward_heads(record=True)")
     m = model.num_heads
-    grads: dict[str, GradientSet] = {}
+    grads: dict[str, list[LayerGrads]] = {}
     d_hs = None
     for i, head in enumerate(model.heads):
         if outputs.head_tapes[i] is None:
             raise ValueError("backward requires forward_heads(record=True)")
         d_logits = nn.loss_backward(probs[i], targets, scale=1.0 / m)
-        gs, dx = nn.stack_backward(head, outputs.head_tapes[i], d_logits, dense=dense)
-        grads[f"head{i}"] = gs
+        grads[f"head{i}"], dx = nn.stack_backward(head, outputs.head_tapes[i], d_logits)
         d_hs = dx if d_hs is None else d_hs + dx
-    if model.backbone:
-        gs, _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_hs,
-                                  dense=dense)
-        grads["backbone"] = gs
-    else:
-        grads["backbone"] = GradientSet(layers=[])
+    grads["backbone"], _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_hs)
     return grads
 
 

@@ -12,7 +12,7 @@ float64 while training runs in float32.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,14 +111,8 @@ class Layer:
 
 @dataclass
 class LayerGrads:
-    weight: np.ndarray | None = None        # active view: zero at masked positions
+    weight: np.ndarray | None = None  # every position, masked ones included
     bias: np.ndarray | None = None
-    weight_dense: np.ndarray | None = None  # raw grads, finite at masked positions
-
-
-@dataclass
-class GradientSet:
-    layers: list[LayerGrads] = field(default_factory=list)
 
 
 def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None) -> Layer:
@@ -279,8 +273,8 @@ def loss_backward(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) ->
 # backward
 # ---------------------------------------------------------------------------
 
-def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
-                    dense: bool) -> tuple[LayerGrads, np.ndarray]:
+def _layer_backward(layer: Layer, x: np.ndarray,
+                    d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
     spec = layer.spec
     if spec.kind == "relu":
         return LayerGrads(), d_out * (x > 0)
@@ -288,12 +282,10 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
     if spec.kind == "linear":
         orig_shape = x.shape
         x2 = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
-        dw_dense = d_out.T @ x2
+        dw = d_out.T @ x2
         db = d_out.sum(axis=0) if layer.bias is not None else None
         dx = d_out @ layer.weight.values
-        grads = LayerGrads(weight=dw_dense * layer.weight.mask, bias=db,
-                           weight_dense=dw_dense if dense else None)
-        return grads, dx.reshape(orig_shape)
+        return LayerGrads(weight=dw, bias=db), dx.reshape(orig_shape)
 
     if spec.kind == "conv2d":
         b, c, h, w = x.shape
@@ -305,7 +297,7 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
         d_grid[:, :, :oh, :ow] = d_out.transpose(1, 0, 2, 3)
         d2 = d_grid.reshape(o, -1)[:, :n]
         # (cols @ d2.T).T runs ~1.8x faster than d2 @ cols.T with few output channels
-        dw_dense = (cols @ d2.T).T.reshape(layer.weight.values.shape)
+        dw = (cols @ d2.T).T.reshape(layer.weight.values.shape)
         del cols
         db = d_out.reshape(b, o, -1).sum(axis=(0, 2)) if layer.bias is not None else None
         dcols = (layer.weight.values.reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
@@ -314,20 +306,20 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
             for j in range(kw):
                 d_flat[:, i * wp + j:i * wp + j + n] += dcols[:, i * kw + j]
         dx = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + w]
-        grads = LayerGrads(weight=dw_dense * layer.weight.mask, bias=db,
-                           weight_dense=dw_dense if dense else None)
-        return grads, np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+        return LayerGrads(weight=dw, bias=db), np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
-                   d_out: np.ndarray, dense: bool = False) -> tuple[GradientSet, np.ndarray]:
+                   d_out: np.ndarray,
+                   dense: bool = False) -> tuple[list[LayerGrads], np.ndarray]:
     """Backprop through a recorded stack_forward pass.
 
     Returns per-layer gradients plus the gradient with respect to the stack
-    input. With dense=True, raw weight gradients (finite at masked-out
-    positions) are materialized alongside the masked active view.
+    input. Each weight gradient covers every position, masked ones included:
+    the optimizer reads the active entries and RigL growth the rest. `dense`
+    is accepted for older callers and ignored.
     """
     if tape is None:
         raise ValueError("backward requires a recorded forward pass (record=True)")
@@ -335,5 +327,5 @@ def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
         raise ValueError(f"tape length {len(tape)} != layer count {len(layers)}")
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], d_out = _layer_backward(layers[i], tape[i], d_out, dense)
-    return GradientSet(layers=grads), d_out
+        grads[i], d_out = _layer_backward(layers[i], tape[i], d_out)
+    return grads, d_out

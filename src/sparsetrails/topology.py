@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import GradientSet, MaskedTensor
+from .nn import LayerGrads, MaskedTensor
 from .rng import Stream
 from .sparsity import round_half_up
 
@@ -171,16 +171,16 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
                     schedule: TopologySchedule, t: int, total_steps: int, *,
                     component: str = "",
                     streams: dict[int, Stream] | None = None,
-                    grads: GradientSet | None = None) -> UpdateRecord:
+                    grads: list[LayerGrads] | None = None) -> UpdateRecord:
     """One prune/regrow pass over a component's maskable layers.
 
     Per layer, k = round(p(t) * active) positions are pruned and the same
     number regrown (weights initialized to 0); p(t) decays to zero at
-    t = total_steps. RigL regrows where the dense weight gradient in
-    `grads` (the component's gradients from a `dense=True` backward) is
-    largest. Mutates masks and values in place and returns the record of
-    what changed; the caller resets optimizer state at each layer's pruned
-    and grown positions.
+    t = total_steps. RigL regrows where the weight gradient in `grads`
+    (the component's backward, masked positions included) is largest.
+    Mutates masks and values in place and returns the record of what
+    changed; the caller resets optimizer state at each layer's pruned and
+    grown positions.
     """
     if schedule.strategy not in ("set", "rigl"):
         raise ValueError(f"topology updates not defined for strategy {schedule.strategy!r}")
@@ -202,7 +202,7 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
         flat_vals = mt.values.reshape(-1)
         flat_mask[pruned] = 0
         flat_vals[pruned] = 0.0
-        grad = grads.layers[layer_idx].weight_dense if grads is not None else None
+        grad = grads[layer_idx].weight if grads is not None else None
         grown = select_grow(mt.mask, k, grow_method, dense_grad=grad, stream=stream)
         flat_mask[grown] = 1
         flat_vals[grown] = 0.0
@@ -225,23 +225,16 @@ def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
     sizes = [mt.values.size for _, mt in masked_layers]
-    total = sum(sizes)
-    budget = round_half_up((1.0 - sparsity) * total)
+    budget = round_half_up((1.0 - sparsity) * sum(sizes))
 
-    abs_all = np.concatenate([np.abs(mt.values.reshape(-1)).astype(np.float64)
-                              for _, mt in masked_layers])
-    layer_ord = np.concatenate([np.full(n, i, dtype=np.int64)
-                                for i, n in enumerate(sizes)])
-    flat_idx = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
-    order = np.lexsort((flat_idx, layer_ord, -abs_all))
-    keep = order[:budget]
-
-    keep_per_layer = [np.sort(flat_idx[keep[layer_ord[keep] == i]])
-                      for i in range(len(sizes))]
+    # concatenated in (layer, flat index) order, so _top_k's lowest-position
+    # ties are the earliest (layer, index) ones
+    magnitudes = np.abs(np.concatenate([mt.values.reshape(-1) for _, mt in masked_layers]))
+    keep = np.zeros(magnitudes.size, dtype=np.uint8)
+    if budget:  # _top_k needs k >= 1
+        keep[_top_k(magnitudes, budget)] = 1
     pruned = {}
-    for i, (key, mt) in enumerate(masked_layers):
-        new_mask = np.zeros(mt.values.size, dtype=np.uint8)
-        new_mask[keep_per_layer[i]] = 1
+    for (key, mt), new_mask in zip(masked_layers, np.split(keep, np.cumsum(sizes)[:-1])):
         old_active = np.flatnonzero(mt.mask.reshape(-1) != 0)
         dropped = old_active[new_mask[old_active] == 0]
         mt.mask[...] = new_mask.reshape(mt.mask.shape)

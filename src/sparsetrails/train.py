@@ -242,7 +242,8 @@ class Optimizer:
         return dense
 
     def step(self, grads: dict[str, np.ndarray], lr: float, step: int = 0) -> None:
-        # check every gradient first, so a diverged step changes nothing
+        # check every whole gradient first, so a diverged step changes nothing and
+        # no non-finite entry at a masked position reaches RigL growth's selection
         for name, grad in grads.items():
             if not np.isfinite(grad).all():
                 kind = "NaN" if np.isnan(grad).any() else "inf"
@@ -253,7 +254,7 @@ class Optimizer:
             bias1, bias2 = 1.0 - c.beta1 ** self.adam_t, 1.0 - c.beta2 ** self.adam_t
         for name, grad in grads.items():
             flat, idx, state = self.flat[name], self.active[name], self.slots[name]
-            # a weight gradient is zero off the mask, so the gather drops nothing
+            # the gather drops the gradient at masked positions (RigL growth reads it)
             g, w = (grad, flat) if idx is None else (grad.take(idx), flat.take(idx))
             if self.kind == "sgd_momentum":
                 if c.weight_decay:
@@ -400,12 +401,16 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     point (to `sparsity_target`), and fine-tunes with frozen masks. After
     either mask change the optimizer state is zeroed at every position
     the change reports (pruned and grown alike).
-    on_eval(report, updates, events) fires per evaluation;
+    on_eval(report, updates, events) fires per evaluation with the update
+    records and events since the previous one;
     on_checkpoint(step, model, optimizer, ledger) fires after every step
     and its return value is ignored. A non-finite gradient or loss raises
     TrainingDiverged.
     """
     config.validate()
+    if not 0 <= start_step <= config.total_steps:
+        raise ValueError(
+            f"start step {start_step} outside [0, total_steps={config.total_steps}]")
     if len(train_set) == 0:
         raise ValueError("training dataset is empty")
     schedule = config.topology
@@ -432,8 +437,7 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     epoch_cache: dict = {}
     prune_step = round_half_up(schedule.prune_at_fraction * config.total_steps) \
         if schedule.strategy == "prune_oneshot" else None
-    pending_updates: list[UpdateRecord] = []
-    pending_events: list[dict] = []
+    evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
 
     def batch_for(member, t):
         epoch, idx = divmod(t - 1, steps_per_epoch)
@@ -447,13 +451,12 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         lr = lr_at(t, config)
         p_t = drop_fraction(t, config.total_steps, schedule.initial_drop_fraction)
         update = schedule.is_update_step(t, config.total_steps)
-        want_dense = update and schedule.strategy == "rigl"
         batch_sizes = 0
 
         if model.independent:
             # each member sees its own batch order and its own unscaled loss
             losses = []
-            all_grads: dict[str, nn.GradientSet] = {}
+            all_grads: dict[str, list[nn.LayerGrads]] = {}
             for m in members:
                 x, y = batch_for(m, t)
                 batch_sizes = len(x)
@@ -461,17 +464,16 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                 loss_m, probs = nn.loss_forward(logits, y)
                 losses.append(loss_m)
                 all_grads[f"head{m}"], _ = nn.stack_backward(
-                    model.heads[m], tape, nn.loss_backward(probs, y), dense=want_dense)
+                    model.heads[m], tape, nn.loss_backward(probs, y))
             loss = float(np.mean(losses))
         else:
             x, y = batch_for(None, t)
             batch_sizes = len(x)
             outputs = forward_heads(model, x, record=True)
             loss, per_head = composite_loss(outputs, y)
-            all_grads = model_backward(model, outputs, y, [p for _, p in per_head],
-                                       dense=want_dense)
+            all_grads = model_backward(model, outputs, y, [p for _, p in per_head])
         grads = {f"{comp_name}/{li}/{kind}": arr
-                 for comp_name, gs in all_grads.items() for li, lg in enumerate(gs.layers)
+                 for comp_name, gs in all_grads.items() for li, lg in enumerate(gs)
                  for kind, arr in (("weight", lg.weight), ("bias", lg.bias))
                  if arr is not None}
         optimizer.step(grads, lr, step=t)
@@ -493,7 +495,6 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                     optimizer.reset_positions(f"{comp_name}/{u.layer}/weight",
                                               u.pruned + u.grown)
                 history.updates.append(record)
-                pending_updates.append(record)
 
         if prune_step is not None and t == prune_step:
             named = [(f"{comp_name}/{li}/weight", mt)
@@ -515,7 +516,6 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                      "sparsity": sparsity_target,
                      "pruned_counts": {k: len(v) for k, v in pruned.items()}}
             history.events.append(event)
-            pending_events.append(event)
 
         if t % config.eval_interval == 0 or t == config.total_steps:
             report, history.head_preds, history.ensemble_preds = evaluate(
@@ -525,8 +525,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
             report.drop_fraction = p_t
             history.evals.append(report)
             if on_eval is not None:
-                on_eval(report, pending_updates, pending_events)
-            pending_updates, pending_events = [], []
+                on_eval(report, history.updates[evaluated_updates:],
+                        history.events[evaluated_events:])
+            evaluated_updates, evaluated_events = len(history.updates), len(history.events)
 
         if on_checkpoint is not None:
             on_checkpoint(t, model, optimizer, ledger)

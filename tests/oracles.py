@@ -1,7 +1,8 @@
 """Reference implementations the tests compare the package against.
 
 - Finite-difference gradients of a layer stack and of a whole model, run
-  on a float64 copy through the package's own dtype-following forward pass.
+  on a float64 copy through the package's own dtype-following forward pass,
+  at every weight position, masked ones included.
 - Direct-loop conv2d forward and backward, one output position at a time
   over an explicitly zero-padded float64 input.
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
@@ -10,6 +11,7 @@
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries.
+- A one-shot global magnitude prune by one lexsort over every weight.
 """
 
 import copy
@@ -18,9 +20,9 @@ import math
 import numpy as np
 
 from sparsetrails.model import TrailsModel, composite_loss, forward_heads
-from sparsetrails.nn import (GradientSet, Layer, LayerGrads, MaskedTensor,
-                             loss_forward, stack_forward)
+from sparsetrails.nn import Layer, LayerGrads, MaskedTensor, loss_forward, stack_forward
 from sparsetrails.rng import Stream
+from sparsetrails.sparsity import round_half_up
 from sparsetrails.train import Optimizer, TrainingDiverged
 
 # ---------------------------------------------------------------------------
@@ -49,22 +51,22 @@ def model_astype(model: TrailsModel, dtype) -> TrailsModel:
     return clone
 
 
-def finite_difference_gradient(loss_fn, params: list[tuple[np.ndarray, np.ndarray | None]],
+def finite_difference_gradient(loss_fn, params: list[np.ndarray],
                                eps: float = 1e-3) -> list[np.ndarray]:
-    """Central differences of loss_fn over each (array, mask) parameter.
+    """Central differences of loss_fn over every entry of each array.
 
     Perturbs the live arrays in place (restoring them afterwards), so
-    loss_fn must read those same arrays. Only active positions (mask 1,
-    or everything for mask=None) are probed; the rest stay zero.
+    loss_fn must read those same arrays. Layers compute with a weight's
+    `values`, so a masked entry moved off zero changes the loss: its
+    estimate is the gradient RigL grows from.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     out = []
-    for arr, mask in params:
+    for arr in params:
         grad = np.zeros(arr.shape, dtype=np.float64)
         flat = arr.reshape(-1)
-        active = range(flat.size) if mask is None else np.flatnonzero(mask.reshape(-1))
-        for i in active:
+        for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
             up = loss_fn()
@@ -76,30 +78,20 @@ def finite_difference_gradient(loss_fn, params: list[tuple[np.ndarray, np.ndarra
     return out
 
 
-def _layer_params(layer: Layer) -> tuple[list, list[str]]:
-    params, slots = [], []
-    if layer.weight is not None:
-        params.append((layer.weight.values, layer.weight.mask))
-        slots.append("weight")
-    if layer.bias is not None:
-        params.append((layer.bias, None))
-        slots.append("bias")
-    return params, slots
-
-
-def _stack_gradients(layers: list[Layer], loss_fn, eps: float) -> GradientSet:
-    gs = GradientSet(layers=[])
+def _stack_gradients(layers: list[Layer], loss_fn, eps: float) -> list[LayerGrads]:
+    out = []
     for layer in layers:
-        params, slots = _layer_params(layer)
         grads = LayerGrads()
-        for slot, grad in zip(slots, finite_difference_gradient(loss_fn, params, eps)):
-            setattr(grads, slot, grad)
-        gs.layers.append(grads)
-    return gs
+        if layer.weight is not None:
+            grads.weight, = finite_difference_gradient(loss_fn, [layer.weight.values], eps)
+        if layer.bias is not None:
+            grads.bias, = finite_difference_gradient(loss_fn, [layer.bias], eps)
+        out.append(grads)
+    return out
 
 
 def stack_finite_difference(layers: list[Layer], x: np.ndarray, targets: np.ndarray,
-                            eps: float = 1e-3) -> GradientSet:
+                            eps: float = 1e-3) -> list[LayerGrads]:
     """Finite-difference gradient of the stack's mean-CE loss (float64 copy)."""
     shadow = stack_astype(layers, np.float64)
     x64 = np.asarray(x, dtype=np.float64)
@@ -113,7 +105,7 @@ def stack_finite_difference(layers: list[Layer], x: np.ndarray, targets: np.ndar
 
 
 def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.ndarray,
-                            eps: float = 1e-3) -> dict[str, GradientSet]:
+                            eps: float = 1e-3) -> dict[str, list[LayerGrads]]:
     """Finite-difference oracle for the composite loss (float64 shadow model)."""
     shadow = model_astype(model, np.float64)
     x64 = np.asarray(batch, dtype=np.float64)
@@ -269,3 +261,32 @@ class DenseOptimizer:
     def reset_positions(self, name, flat_indices):
         for slot in self.state[name].values():
             slot.reshape(-1)[flat_indices] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# one-shot global prune
+# ---------------------------------------------------------------------------
+
+
+def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
+                          sparsity: float) -> dict[str, list[int]]:
+    """Keep the round((1 - S) * total) largest |theta| over all layers, ties
+    to ascending (layer, flat index) by one lexsort; mutates masks and
+    values and returns each layer's dropped flat indices."""
+    sizes = [mt.values.size for _, mt in masked_layers]
+    budget = round_half_up((1.0 - sparsity) * sum(sizes))
+    abs_all = np.concatenate([np.abs(mt.values.reshape(-1)).astype(np.float64)
+                              for _, mt in masked_layers])
+    layer_ord = np.concatenate([np.full(n, i, dtype=np.int64) for i, n in enumerate(sizes)])
+    flat_idx = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
+    keep = np.lexsort((flat_idx, layer_ord, -abs_all))[:budget]
+    pruned = {}
+    for i, (key, mt) in enumerate(masked_layers):
+        new_mask = np.zeros(mt.values.size, dtype=np.uint8)
+        new_mask[flat_idx[keep[layer_ord[keep] == i]]] = 1
+        old_active = np.flatnonzero(mt.mask.reshape(-1) != 0)
+        dropped = old_active[new_mask[old_active] == 0]
+        mt.mask[...] = new_mask.reshape(mt.mask.shape)
+        mt.values.reshape(-1)[dropped] = 0.0
+        pruned[key] = dropped.tolist()
+    return pruned

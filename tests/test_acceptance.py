@@ -164,7 +164,7 @@ def test_criterion_3_gradient_correctness():
             _, probs = loss_forward(out, targets)
             analytic, _ = stack_backward(layers, tape, nn.loss_backward(probs, targets))
             fd = stack_finite_difference(layers, x, targets, eps=1e-5)
-            for got, want in zip(analytic.layers, fd.layers):
+            for got, want in zip(analytic, fd):
                 if got.weight is not None:
                     assert max_relative_error(got.weight, want.weight) < 1e-3
                 if got.bias is not None:

@@ -180,6 +180,17 @@ class TestTrainCommand:
         for record in resumed:
             assert record["metrics"] == full[record["step"]]["metrics"]
 
+    def test_resume_past_the_end_exits_one_without_artifacts(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, out_dir=str(tmp_path / "long"))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        short = write_config(tmp_path, train={"total_steps": 20},
+                             out_dir=str(tmp_path / "short"))
+        assert main(["train", "--config", str(short), "--quiet", "--force",
+                     "--resume", str(tmp_path / "long" / "checkpoint.bin")]) == 1
+        assert "start step 30 outside [0, total_steps=20]" in capsys.readouterr().err
+        assert not list((tmp_path / "short").glob("checkpoint*"))
+        assert not (tmp_path / "short" / "summary.csv").exists()
+
     def test_resume_hash_mismatch_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0

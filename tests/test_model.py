@@ -207,7 +207,7 @@ class TestModelBackward:
         analytic = model_backward(model, out, y, [p for _, p in per_head])
         fd = model_finite_difference(model, x, y, eps=1e-5)
         for comp in model.component_names():
-            for got, want in zip(analytic[comp].layers, fd[comp].layers):
+            for got, want in zip(analytic[comp], fd[comp]):
                 if got.weight is not None:
                     assert max_relative_error(got.weight, want.weight) < 1e-3
                 if got.bias is not None:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,13 +92,12 @@ class TestConvOracle:
         x = rng.standard_normal((batch, in_channels, 5, 7)).astype(dtype)
         out, tape = stack_forward([layer], x, record=True)
         d_out = rng.standard_normal(out.shape).astype(dtype)
-        grads, dx = stack_backward([layer], tape, d_out, dense=True)
-        grads = grads.layers[0]
+        grads, dx = stack_backward([layer], tape, d_out)
+        grads = grads[0]
 
         want_dw, want_db, want_dx = conv2d_backward(x, layer.weight.values, d_out, padding)
         for got, want in [(out, conv2d_forward(x, layer.weight.values, layer.bias, padding)),
-                          (grads.weight_dense, want_dw), (grads.weight, want_dw * mask),
-                          (grads.bias, want_db), (dx, want_dx)]:
+                          (grads.weight, want_dw), (grads.bias, want_db), (dx, want_dx)]:
             assert got.dtype == dtype and got.shape == want.shape
             # entries that cancel to near zero are held to rtol of the array's scale
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
@@ -160,23 +160,20 @@ class TestBackward:
         d_logits = nn.loss_backward(probs, np.array([0]))
         grads, _ = stack_backward([layer], tape, d_logits)
         p0 = 1.0 / (1.0 + math.exp(-6.0))
-        assert grads.layers[0].weight[0, 0] == pytest.approx(3.0 * (p0 - 1.0), rel=1e-4)
+        assert grads[0].weight[0, 0] == pytest.approx(3.0 * (p0 - 1.0), rel=1e-4)
 
-    def test_masked_position_zero_in_active_view_finite_in_dense(self):
-        layer = make_linear([[1.0, 5.0]], mask=[[1, 0]])
+    def test_masked_position_gets_the_raw_gradient(self):
+        # 2 classes, weight (0, 1) masked: its gradient is x_1 * (p0 - 1), as if active
+        layer = make_linear([[1.0, 5.0], [0.0, 0.0]], mask=[[1, 0], [1, 1]])
         x = np.array([[1.0, 2.0]], dtype=np.float32)
-        logits_full = np.concatenate([layer_forward(layer, x),
-                                      np.zeros((1, 1), dtype=np.float32)], axis=1)
-        # build a 2-class head manually: second logit fixed at 0
-        layer2 = make_linear([[1.0, 5.0], [0.0, 0.0]], mask=[[1, 0], [1, 1]])
-        out, tape = stack_forward([layer2], x, record=True)
+        out, tape = stack_forward([layer], x, record=True)
         _, probs = loss_forward(out, np.array([0]))
-        grads, _ = stack_backward([layer2], tape, nn.loss_backward(probs, np.array([0])),
-                                  dense=True)
-        lg = grads.layers[0]
-        assert lg.weight[0, 1] == 0.0
-        assert lg.weight_dense[0, 1] != 0.0
-        assert np.isfinite(lg.weight_dense).all()
+        grads, _ = stack_backward([layer], tape, nn.loss_backward(probs, np.array([0])))
+        lg = grads[0]
+        p0 = 1.0 / (1.0 + math.exp(-1.0))
+        assert lg.weight[0, 1] == pytest.approx(2.0 * (p0 - 1.0), rel=1e-5)
+        assert lg.weight[0, 1] != 0.0
+        assert np.isfinite(lg.weight).all()
 
     def test_zero_input_kills_weight_grads_not_bias(self):
         layer = make_linear([[1.0, 1.0], [2.0, -1.0]], bias=[0.5, -0.5])
@@ -184,8 +181,27 @@ class TestBackward:
         out, tape = stack_forward([layer], x, record=True)
         _, probs = loss_forward(out, np.array([0, 1, 0]))
         grads, _ = stack_backward([layer], tape, nn.loss_backward(probs, np.array([0, 1, 0])))
-        np.testing.assert_array_equal(grads.layers[0].weight, 0.0)
-        assert np.any(grads.layers[0].bias != 0.0)
+        np.testing.assert_array_equal(grads[0].weight, 0.0)
+        assert np.any(grads[0].bias != 0.0)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_one_weight_gradient_allocated(self, dense):
+        # dW of a 512x512 float32 weight is 1 MiB; a second, masked copy would be 2
+        rng = np.random.default_rng(5)
+        shape = (512, 512)
+        layer = Layer(spec=LayerSpec.linear(512, 512),
+                      weight=MaskedTensor(values=rng.standard_normal(shape, np.float32),
+                                          mask=(rng.random(shape) < 0.1).astype(np.uint8)),
+                      bias=np.zeros(512, np.float32))
+        x = rng.standard_normal((32, 512), np.float32)
+        d_out = rng.standard_normal((32, 512), np.float32)
+        tracemalloc.start()
+        try:
+            stack_backward([layer], [x], d_out, dense=dense)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_backward_without_tape_rejected(self):
         layer = make_linear([[1.0]])
@@ -200,15 +216,15 @@ class TestFiniteDifferences:
         x = np.array([[1.0, 2.0]], dtype=np.float32)
         fd = stack_finite_difference([first, Layer(spec=LayerSpec.relu()), gate],
                                      x, np.array([0]))
-        np.testing.assert_array_equal(fd.layers[0].weight, 0.0)
-        np.testing.assert_array_equal(fd.layers[0].bias, 0.0)
+        np.testing.assert_array_equal(fd[0].weight, 0.0)
+        np.testing.assert_array_equal(fd[0].bias, 0.0)
 
     def test_matches_analytic_on_hand_case(self):
         layer = make_linear([[2.0], [0.0]])
         x = np.array([[3.0]], dtype=np.float32)
         fd = stack_finite_difference([layer], x, np.array([0]), eps=1e-3)
         p0 = 1.0 / (1.0 + math.exp(-6.0))
-        assert fd.layers[0].weight[0, 0] == pytest.approx(3.0 * (p0 - 1.0), rel=1e-4)
+        assert fd[0].weight[0, 0] == pytest.approx(3.0 * (p0 - 1.0), rel=1e-4)
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError, match="eps"):
@@ -224,7 +240,7 @@ class TestFiniteDifferences:
             _, probs = loss_forward(out, targets)
             analytic, _ = stack_backward(layers, tape, nn.loss_backward(probs, targets))
             fd = stack_finite_difference(layers, x, targets, eps=1e-5)
-            for got, want in zip(analytic.layers, fd.layers):
+            for got, want in zip(analytic, fd):
                 if got.weight is not None:
                     assert max_relative_error(got.weight, want.weight) < 1e-3
                 if got.bias is not None:

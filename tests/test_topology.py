@@ -10,6 +10,8 @@ from sparsetrails.topology import (TopologySchedule, _top_k, drop_fraction,
                                    one_shot_global_prune, select_grow,
                                    select_prune, topology_update)
 
+import oracles
+
 
 def mt(values, mask=None):
     values = np.asarray(values, dtype=np.float32)
@@ -249,3 +251,23 @@ class TestOneShotGlobalPrune:
         one_shot_global_prune([("a", a), ("b", b)], 0.5)
         assert a.mask.tolist() == [1, 1]
         assert b.mask.tolist() == [0, 0]
+
+    # few magnitudes, so most weights tie; masked entries add more +0.0 ties
+    VALUES = st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 0.5, 2.0, np.inf])
+
+    @given(st.data(), st.one_of(st.sampled_from([0.0, 0.999]), st.floats(0.0, 0.999)))
+    @settings(max_examples=200, deadline=None)
+    def test_same_masks_and_dropped_lists_as_the_lexsort(self, data, sparsity):
+        layers = []
+        for i in range(data.draw(st.integers(1, 4))):
+            shape = data.draw(st.sampled_from([(3,), (2, 5), (1, 2, 2, 3), (17,)]))
+            values = data.draw(arrays(np.float32, shape, elements=self.VALUES))
+            mask = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+            layers.append((f"l{i}", MaskedTensor(values=values, mask=mask)))
+        want_layers = [(key, MaskedTensor(values=w.values.copy(), mask=w.mask.copy()))
+                       for key, w in layers]
+        got = one_shot_global_prune(layers, sparsity)
+        assert got == oracles.one_shot_global_prune(want_layers, sparsity)
+        for (_, w), (_, want) in zip(layers, want_layers):
+            np.testing.assert_array_equal(w.mask, want.mask)
+            assert w.values.tobytes() == want.values.tobytes()

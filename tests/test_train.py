@@ -85,6 +85,18 @@ class TestOptimizerStep:
             np.testing.assert_array_equal(ref.array, old)
         assert opt.adam_t == 0
 
+    def test_inf_at_a_masked_position_aborts(self):
+        # RigL growth reads the masked entries, so the check covers them too
+        model = toy_model(sparsity=0.5)
+        ref = next(r for r in model.named_parameters() if r.mask is not None)
+        before = ref.array.copy()
+        opt = Optimizer(small_config(), model.named_parameters())
+        grad = np.zeros_like(ref.array)
+        grad[ref.mask == 0] = np.inf
+        with pytest.raises(TrainingDiverged, match="inf gradient"):
+            opt.step({ref.name: grad}, lr=0.1)
+        np.testing.assert_array_equal(ref.array, before)
+
     def test_weight_decay_pulls_toward_zero(self):
         model = toy_model()
         ref = model.named_parameters()[0]
