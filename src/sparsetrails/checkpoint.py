@@ -66,13 +66,6 @@ def _slot_key(name: str, slot: str) -> str:
     return f"{name}@{slot}"
 
 
-def _topo_streams(model: TrailsModel) -> dict:
-    """The model's topology streams, keyed "component/layer"."""
-    names = model.component_names()
-    return {f"{names[comp]}/{layer}": stream
-            for (comp, layer), stream in model.topo_streams.items()}
-
-
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
@@ -86,7 +79,7 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
         for slot, arr in optimizer.slots[ref.name].items():
             ckpt.opt_state[_slot_key(ref.name, slot)] = arr
     ckpt.rng_states = {key: stream.get_state()
-                       for key, stream in _topo_streams(model).items()}
+                       for key, stream in model.topo_streams.items()}
     return ckpt
 
 
@@ -281,7 +274,7 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
                                   "optimizer slot"), dtype=ref.array.dtype)
             for slot in Optimizer.SLOTS[optimizer.kind]}
     optimizer.adam_t = ckpt.adam_t
-    for key, stream in _topo_streams(model).items():
+    for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:
             raise CheckpointError(f"checkpoint missing rng stream {key}")
         stream.set_state(ckpt.rng_states[key])

@@ -4,13 +4,16 @@
                        [--resume ckpt.bin] [--force] [--dump-disagreements]
     sparsetrails eval  --config cfg.json --resume ckpt.bin [--out DIR]
                        [--dump-disagreements]
-    sparsetrails sweep --config cfg.json --axis {blocks_in_head,sparsity,heads}
-                       --values 1,3,5 [--seeds 0,1,2] [--out DIR]
+    sparsetrails sweep --config cfg.json --axis AXIS --values 1,3,5
+                       [--seeds 0,1,2] [--out DIR]
+
+AXIS is blocks_in_head or a config key, dotted if nested (train.lr).
 
 Artifacts per run: config.resolved.json, history.jsonl (one record per
 evaluation), summary.csv, checkpoint.bin; sweeps add sweep.csv with
-mean/std aggregates per grid value. Exit codes: 0 success, 1 validation
-error, 2 training divergence, 3 I/O or checkpoint error.
+mean/std aggregates per grid value. A run rejected by its checks writes
+nothing. Exit codes: 0 success, 1 validation error, 2 training
+divergence, 3 I/O or checkpoint error.
 """
 
 import argparse
@@ -24,10 +27,11 @@ import numpy as np
 
 from .checkpoint import (CheckpointError, capture, load_checkpoint, restore,
                          save_checkpoint, write_atomic)
-from .config import (ConfigError, config_hash, load_config, make_dataset,
+from .config import (DEFAULTS, ConfigError, config_hash, load_config, make_dataset,
                      make_model, make_train_config, network_spec, resolve)
 from .metrics import disagreement_breakdown
-from .train import Optimizer, TrainingDiverged, count_flops, evaluate, fit
+from .train import (Optimizer, TrainingDiverged, count_flops, evaluate, fit,
+                    validate_run)
 
 SUMMARY_COLUMNS = ["step", "train_loss", "lr", "drop_fraction", "accuracy", "nll",
                    "ece", "pd", "perplexity", "flops_cumulative"]
@@ -36,6 +40,8 @@ SUMMARY_COLUMNS = ["step", "train_loss", "lr", "drop_fraction", "accuracy", "nll
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, (str, bool)):
+        return str(value)
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{value:.6g}"
@@ -78,32 +84,41 @@ def write_disagreements(path: Path, heads: np.ndarray, ens: np.ndarray,
     return len(records)
 
 
-def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
-                   dump_disagreements: bool = False, quiet: bool = False):
-    """Train per config and write all artifacts; returns (out_dir, history)."""
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    resolved_hash = config_hash(cfg)
-    _write_json(out / "config.resolved.json", cfg, sort_keys=True)
-
+def _restored(cfg: dict, resume: str | None, force: bool):
+    """Data, model, train config, optimizer and FLOPs ledger for cfg, restored
+    from the checkpoint at `resume` if one is given, and the step they are at."""
     train_set, test_set = make_dataset(cfg)
     model = make_model(cfg)
     tconf = make_train_config(cfg)
     optimizer = Optimizer(tconf, model.named_parameters())
     ledger = count_flops(model)
-
-    start_step = 0
+    step = 0
     if resume is not None:
         ckpt = load_checkpoint(resume)
+        resolved_hash = config_hash(cfg)
         if ckpt.config_hash != resolved_hash and not force:
             raise CheckpointError(
                 "checkpoint was produced by a different config "
                 f"(hash {ckpt.config_hash[:12]} != {resolved_hash[:12]}); "
                 "pass --force to override")
-        start_step = restore(ckpt, model, optimizer, ledger)
+        step = restore(ckpt, model, optimizer, ledger)
+    return train_set, test_set, model, tconf, optimizer, ledger, step
 
+
+def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
+                   dump_disagreements: bool = False, quiet: bool = False):
+    """Train per config and write all artifacts; returns (out_dir, history).
+    A run that fails a check raises before it writes anything."""
+    train_set, test_set, model, tconf, optimizer, ledger, start_step = \
+        _restored(cfg, resume, force)
     oneshot_target = cfg["sparsity"] \
         if cfg["topology"]["strategy"] == "prune_oneshot" else None
+    validate_run(model, train_set, tconf, ledger, oneshot_target, start_step)
+
+    out = Path(cfg["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    resolved_hash = config_hash(cfg)
+    _write_json(out / "config.resolved.json", cfg, sort_keys=True)
     # resuming into the run's own directory keeps the evaluations before the
     # checkpoint; the ones after it are about to be recomputed
     kept = _earlier_history(out / "history.jsonl", start_step) \
@@ -158,17 +173,9 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
 
 def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
              dump_disagreements: bool = False, quiet: bool = False) -> dict:
+    _, test_set, model, tconf, _, ledger, step = _restored(cfg, checkpoint_path, force)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    _, test_set = make_dataset(cfg)
-    model = make_model(cfg)
-    tconf = make_train_config(cfg)
-    optimizer = Optimizer(tconf, model.named_parameters())
-    ledger = count_flops(model)
-    ckpt = load_checkpoint(checkpoint_path)
-    if ckpt.config_hash != config_hash(cfg) and not force:
-        raise CheckpointError("checkpoint/config hash mismatch; pass --force")
-    step = restore(ckpt, model, optimizer, ledger)
     # fit evaluates at the training batch size; so does eval, to reproduce its numbers
     report, heads, ens = evaluate(model, test_set, step=step, ledger=ledger,
                                   batch_size=tconf.batch_size)
@@ -185,24 +192,38 @@ def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
 # sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_AXES = ("blocks_in_head", "sparsity", "heads")
 _AGG_METRICS = ["accuracy", "nll", "ece", "pd", "perplexity"]
 
 
+def _config_key(cfg: dict, axis: str) -> tuple[dict, str]:
+    """The section of cfg that holds the dotted key `axis`, and its last part."""
+    if axis in ("seed", "out_dir"):
+        raise ConfigError("sweep.axis", f"{axis} is set per run by the sweep (see --seeds)")
+    *sections, leaf = axis.split(".")
+    for key in sections:
+        cfg = cfg.get(key) if isinstance(cfg, dict) else None
+    if not isinstance(cfg, dict) or leaf not in cfg:
+        raise ConfigError("sweep.axis", f"unknown config key {axis!r}")
+    return cfg, leaf
+
+
 def sweep_config(base: dict, axis: str, value, seed: int, out_root: Path) -> dict:
+    """base with the axis at value: `blocks_in_head` sets split_index, any
+    other axis is a dotted config key. Resolved, so values are type-checked."""
     cfg = json.loads(json.dumps(base))  # deep copy
     if axis == "blocks_in_head":
         num_blocks = network_spec(base).num_blocks
-        if not 0 <= value <= num_blocks:
+        if type(value) is not int or not 0 <= value <= num_blocks:
             raise ConfigError("sweep.values",
                               f"blocks_in_head {value} outside [0, {num_blocks}]")
         cfg["split_index"] = num_blocks - value
-    elif axis == "sparsity":
-        cfg["sparsity"] = value
-    elif axis == "heads":
-        cfg["heads"] = value
     else:
-        raise ConfigError("sweep.axis", f"unknown axis {axis!r}")
+        node, leaf = _config_key(cfg, axis)
+        defaults, _ = _config_key(DEFAULTS, axis)
+        # an integer for a float field is a float: --values 0 gives sparsity=0.0
+        if isinstance(defaults[leaf], float) and type(value) is int:
+            value = float(value)
+        node[leaf] = value
     cfg["seed"] = seed
     cfg["out_dir"] = str(out_root / f"{axis}={value}" / f"seed={seed}")
     return resolve(cfg)
@@ -232,17 +253,14 @@ def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
         results[value].append(read_summary_final_row(run_dir / "summary.csv"))
 
     sweep_path = out_root / "sweep.csv"
-    rows = [["axis", "value", "seeds"]]
-    for metric in _AGG_METRICS:
-        rows[0] += [f"{metric}_mean", f"{metric}_std"]
+    rows = [["axis", "value", "seeds"]
+            + [f"{metric}_{agg}" for metric in _AGG_METRICS for agg in ("mean", "std")]]
     for value in values:
         row = [axis, _fmt(value), str(len(seeds))]
         for metric in _AGG_METRICS:
             samples = [r[metric] for r in results[value] if r[metric] is not None]
-            if samples:
-                row += [_fmt(float(np.mean(samples))), _fmt(float(np.std(samples)))]
-            else:
-                row += ["", ""]
+            row += [_fmt(float(np.mean(samples))), _fmt(float(np.std(samples)))] \
+                if samples else ["", ""]
         rows.append(row)
     _write_csv(sweep_path, rows)
     if not quiet:
@@ -281,20 +299,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="grid of runs along one analysis axis")
     common(p_sweep)
-    p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p_sweep.add_argument("--axis", required=True,
+                         help="blocks_in_head or a dotted config key, e.g. train.lr")
     p_sweep.add_argument("--values", required=True,
-                         help="comma-separated grid values")
+                         help="comma-separated grid values, read as JSON or else text")
     p_sweep.add_argument("--seeds", default=None,
                          help="comma-separated repeat seeds (default: config seed)")
     return parser
 
 
-def _parse_values(axis: str, raw: str):
-    parse = float if axis == "sparsity" else int
-    try:
-        return [parse(v) for v in raw.split(",") if v.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError("sweep.values", f"bad value list {raw!r}: {exc}") from exc
+def _parse_values(raw: str) -> list:
+    """Comma-separated values, each read as JSON, or as text if it is not JSON."""
+    values = []
+    for text in filter(None, (v.strip() for v in raw.split(","))):
+        try:
+            values.append(json.loads(text))
+        except json.JSONDecodeError:
+            values.append(text)
+    return values
 
 
 def main(argv=None) -> int:
@@ -311,7 +333,7 @@ def main(argv=None) -> int:
             run_eval(cfg, args.resume, force=args.force,
                      dump_disagreements=args.dump_disagreements, quiet=args.quiet)
         else:
-            values = _parse_values(args.axis, args.values)
+            values = _parse_values(args.values)
             seeds = ([int(s) for s in args.seeds.split(",")]
                      if args.seeds else [cfg["seed"]])
             run_sweep(cfg, args.axis, values, seeds, cfg["out_dir"],

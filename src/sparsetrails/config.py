@@ -301,13 +301,10 @@ def make_model(cfg: dict) -> TrailsModel:
     # one-shot pruning starts from a dense model and reaches the target later
     build_sparsity = 0.0 if cfg["topology"]["strategy"] == "prune_oneshot" \
         else cfg["sparsity"]
+    kw = dict(allocation=cfg["allocation"], seed=cfg["seed"], vote=cfg["vote"])
     if cfg["independent_members"]:
-        return build_independent_ensemble(spec, cfg["heads"], build_sparsity,
-                                          allocation=cfg["allocation"],
-                                          seed=cfg["seed"], vote=cfg["vote"])
-    return build_trails(spec, cfg["split_index"], cfg["heads"], build_sparsity,
-                        allocation=cfg["allocation"], seed=cfg["seed"],
-                        vote=cfg["vote"])
+        return build_independent_ensemble(spec, cfg["heads"], build_sparsity, **kw)
+    return build_trails(spec, cfg["split_index"], cfg["heads"], build_sparsity, **kw)
 
 
 def make_dataset(cfg: dict) -> tuple[Dataset, Dataset]:

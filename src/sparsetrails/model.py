@@ -9,8 +9,8 @@ heads (mean of per-head softmax probabilities by default, mean of logits
 optionally).
 
 `build_independent_ensemble` covers the classic full-ensemble baseline:
-no shared layers at all, each member owning its own stem, trained with
-independent losses.
+an empty backbone and M whole-network heads, each reading its own batch
+and keeping its own unscaled loss.
 """
 
 from dataclasses import dataclass, field
@@ -122,7 +122,7 @@ class TrailsModel:
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
                  sparsity: float, seed: int, backbone: list[Layer],
                  heads: list[list[Layer]], plans: list[SparsityPlan | None],
-                 vote: str = "probs", independent: bool = False):
+                 vote: str = "probs"):
         self.spec = spec
         self.split_index = split_index
         self.num_heads = num_heads
@@ -131,16 +131,17 @@ class TrailsModel:
         self.heads = heads
         self.plans = plans
         self.vote = vote
-        self.independent = independent
+        # an independent ensemble's members each read their own batch and
+        # keep an unscaled loss (set by build_independent_ensemble)
+        self.independent = False
         # live streams for stochastic pruning / random regrowth, one per
-        # (component, layer); checkpointable
-        self.topo_streams: dict[tuple[int, int], Stream] = {}
+        # masked layer, keyed "component/layer" as checkpoints store them
+        self.topo_streams: dict[str, Stream] = {}
         master = Stream(seed)
-        for comp_idx, layers in enumerate(self.components()):
-            for layer_idx, layer in enumerate(layers):
-                if layer.weight is not None:
-                    self.topo_streams[(comp_idx, layer_idx)] = master.child(
-                        "topo", comp_idx, layer_idx)
+        for comp_idx, name in enumerate(self.component_names()):
+            for layer_idx, _ in self.masked_layers(comp_idx):
+                self.topo_streams[f"{name}/{layer_idx}"] = master.child(
+                    "topo", comp_idx, layer_idx)
 
     # -- structure ----------------------------------------------------------
 
@@ -178,11 +179,8 @@ def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
         plan = allocate(specs, sparsity, allocation)
         streams = [master.child("mask", comp_idx, i) for i in plan.layer_indices]
         masks = init_masks(plan, specs, streams)
-    layers = []
-    for i, spec in enumerate(specs):
-        layers.append(nn.init_layer(spec, master.child("init", comp_idx, i),
-                                    mask=masks.get(i)))
-    return layers, plan
+    return [nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i))
+            for i, spec in enumerate(specs)], plan
 
 
 def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
@@ -204,13 +202,8 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     if vote not in ("probs", "logits"):
         raise ValueError(f"vote must be 'probs' or 'logits', got {vote!r}")
 
-    backbone_specs = list(spec.stem)
-    for block in spec.blocks[:split_index]:
-        backbone_specs.extend(block)
-    head_specs = []
-    for block in spec.blocks[split_index:]:
-        head_specs.extend(block)
-    head_specs.extend(spec.classifier)
+    backbone_specs = spec.stem + [s for block in spec.blocks[:split_index] for s in block]
+    head_specs = [s for block in spec.blocks[split_index:] for s in block] + spec.classifier
 
     master = Stream(seed)
     backbone, bb_plan = _build_component(backbone_specs, sparsity, allocation, master, 0)
@@ -227,65 +220,72 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
 def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: float,
                                allocation: str = "er", seed: int = 0,
                                vote: str = "probs") -> TrailsModel:
-    """Full-ensemble baseline: M complete networks, nothing shared."""
-    spec.validate()
-    if num_members < 1:
-        raise ValueError(f"need at least one member, got {num_members}")
-    member_specs = spec.flat_layers()
-    master = Stream(seed)
-    heads, plans = [], [None]
-    for i in range(num_members):
-        member, plan = _build_component(member_specs, sparsity, allocation, master, i + 1)
-        heads.append(member)
-        plans.append(plan)
-    return TrailsModel(spec=spec, split_index=0, num_heads=num_members,
-                       sparsity=sparsity, seed=seed, backbone=[], heads=heads,
-                       plans=plans, vote=vote, independent=True)
+    """Full-ensemble baseline: M complete networks, nothing shared. The stem
+    is folded into the first block, so the backbone is empty and member i
+    draws from component i+1's streams at the network's flat layer indices."""
+    blocks = [spec.stem + spec.blocks[0]] + spec.blocks[1:] if spec.blocks else []
+    model = build_trails(NetworkSpec(input_shape=spec.input_shape, stem=[], blocks=blocks,
+                                     classifier=spec.classifier),
+                         0, num_members, sparsity, allocation, seed, vote)
+    model.independent = True
+    return model
 
 
 # ---------------------------------------------------------------------------
 # forward / loss / backward
 # ---------------------------------------------------------------------------
 
-def forward_heads(model: TrailsModel, batch: np.ndarray,
+def forward_heads(model: TrailsModel, batch: np.ndarray | list[np.ndarray],
                   record: bool = False) -> HeadOutputs:
-    """Backbone once, then every head on the cached backbone output."""
+    """Backbone once, then every head on the cached backbone output. An
+    independent ensemble also takes a list of one batch per member."""
+    per_member = isinstance(batch, list)
+    if per_member and not model.independent:
+        raise ValueError("one batch per head needs an independent ensemble")
     h_s, bb_tape = nn.stack_forward(model.backbone, batch, record=record)
     out = HeadOutputs(logits=[], backbone_tape=bb_tape)
-    for head in model.heads:
-        y, tape = nn.stack_forward(head, h_s, record=record)
+    for head, x in zip(model.heads, h_s if per_member else [h_s] * model.num_heads):
+        y, tape = nn.stack_forward(head, x, record=record)
         out.logits.append(y)
         out.head_tapes.append(tape)
     return out
 
 
-def composite_loss(outputs: HeadOutputs,
-                   targets: np.ndarray) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """Mean of per-head cross-entropy losses; also returns (loss_i, probs_i)."""
-    per_head = [nn.loss_forward(y, targets) for y in outputs.logits]
+def composite_loss(outputs: HeadOutputs, targets: np.ndarray | list[np.ndarray]
+                   ) -> tuple[float, list[tuple[float, np.ndarray]]]:
+    """Mean of per-head cross-entropy losses; also returns (loss_i, probs_i).
+    `targets` is one array, or a list of one per head for per-member batches."""
+    if not isinstance(targets, list):
+        targets = [targets] * len(outputs.logits)
+    per_head = [nn.loss_forward(y, t) for y, t in zip(outputs.logits, targets)]
     loss = float(np.mean([l for l, _ in per_head]))
     return loss, per_head
 
 
-def model_backward(model: TrailsModel, outputs: HeadOutputs, targets: np.ndarray,
+def model_backward(model: TrailsModel, outputs: HeadOutputs,
+                   targets: np.ndarray | list[np.ndarray],
                    probs: list[np.ndarray]) -> dict[str, list[LayerGrads]]:
     """Gradients of the composite loss for every component.
 
     `probs` are the per-head softmax probabilities `composite_loss`
-    returned for these outputs. The backbone gradient aggregates all
-    heads' contributions scaled by 1/M. Requires forward_heads(record=True).
+    returned for these outputs and targets. Head losses are scaled by 1/M,
+    which the backbone gradient aggregates; independent members keep their
+    own unscaled losses. Requires forward_heads(record=True).
     """
     if outputs.backbone_tape is None:
         raise ValueError("backward requires forward_heads(record=True)")
-    m = model.num_heads
+    if not isinstance(targets, list):
+        targets = [targets] * model.num_heads
+    scale = 1.0 if model.independent else 1.0 / model.num_heads
     grads: dict[str, list[LayerGrads]] = {}
     d_hs = None
-    for i, head in enumerate(model.heads):
+    for i, (head, t) in enumerate(zip(model.heads, targets)):
         if outputs.head_tapes[i] is None:
             raise ValueError("backward requires forward_heads(record=True)")
-        d_logits = nn.loss_backward(probs[i], targets, scale=1.0 / m)
+        d_logits = nn.loss_backward(probs[i], t, scale=scale)
         grads[f"head{i}"], dx = nn.stack_backward(head, outputs.head_tapes[i], d_logits)
-        d_hs = dx if d_hs is None else d_hs + dx
+        if model.backbone:  # an empty backbone needs no input gradient
+            d_hs = dx if d_hs is None else d_hs + dx
     grads["backbone"], _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_hs)
     return grads
 

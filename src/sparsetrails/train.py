@@ -338,20 +338,39 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
     return report, heads, ens_preds
 
 
-def validate_flops_budget(model: TrailsModel, config: TrainConfig,
-                          ledger: FlopsLedger,
-                          oneshot_target: float | None = None) -> None:
-    """Reject runs whose exact projected cost exceeds the dense training budget.
+def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
+    """Upper bound on forward FLOPs after a global prune to `sparsity`.
 
-    Density conservation makes f_sparse constant for static/set/rigl, so
-    the check is closed-form. prune_oneshot is validated with an upper
-    bound here (the exact post-prune cost is re-checked at the prune step).
+    Bias and elementwise costs stay dense; the surviving weights are
+    charged at the worst per-weight position multiplier, which is exact
+    for pure-linear networks.
     """
+    costs = layer_costs(model)
+    keep = round_half_up((1.0 - sparsity) * sum(c.size for c in costs))
+    return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)
+
+
+def validate_run(model: TrailsModel, train_set: Dataset, config: TrainConfig,
+                 ledger: FlopsLedger, sparsity_target: float | None = None,
+                 start_step: int = 0) -> int:
+    """Raise ValueError unless `fit` can run these arguments, changing
+    nothing; returns the steps per epoch. The projected cost must fit the
+    dense budget: exactly for static/set/rigl (density is conserved), by an
+    upper bound for prune_oneshot (re-checked exactly at the prune step)."""
+    config.validate()
+    if not 0 <= start_step <= config.total_steps:
+        raise ValueError(
+            f"start step {start_step} outside [0, total_steps={config.total_steps}]")
+    n = len(train_set)
+    if n == 0:
+        raise ValueError("training dataset is empty")
     base = config.dense_base_steps
     cap_sparsity = model.sparsity
     prune_step = None
     if config.topology.strategy == "prune_oneshot":
-        cap_sparsity = oneshot_target if oneshot_target is not None else model.sparsity
+        if sparsity_target is None:
+            raise ValueError("prune_oneshot requires a sparsity target")
+        cap_sparsity = sparsity_target
         prune_step = round_half_up(config.topology.prune_at_fraction * config.total_steps)
     cap = extension_cap(cap_sparsity, base)
     if config.total_steps > cap:
@@ -370,18 +389,12 @@ def validate_flops_budget(model: TrailsModel, config: TrainConfig,
         raise ValueError(
             f"projected training FLOPs {projected} exceed the dense budget {budget} "
             f"({base} base steps)")
-
-
-def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
-    """Upper bound on forward FLOPs after a global prune to `sparsity`.
-
-    Bias and elementwise costs stay dense; the surviving weights are
-    charged at the worst per-weight position multiplier, which is exact
-    for pure-linear networks.
-    """
-    costs = layer_costs(model)
-    keep = round_half_up((1.0 - sparsity) * sum(c.size for c in costs))
-    return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)
+    steps_per_epoch = n // config.batch_size if config.drop_last \
+        else -(-n // config.batch_size)
+    if steps_per_epoch == 0:
+        raise ValueError(
+            f"batch size {config.batch_size} exceeds dataset size {n} with drop_last")
+    return steps_per_epoch
 
 
 # the loop's isfinite checks report divergence; numpy's overflow warnings would
@@ -394,8 +407,10 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         on_checkpoint=None) -> TrainHistory:
     """Run the training loop from start_step+1 through total_steps.
 
-    Forward -> composite loss -> backward -> masked optimizer step; every
-    delta_t steps each component (backbone, then every head) gets a
+    Forward -> composite loss -> backward -> masked optimizer step, the
+    same sequence for every model: an independent ensemble draws one batch
+    per member, each from its own data stream, and passes them together.
+    Every delta_t steps each component (backbone, then every head) gets a
     topology update at the cosine-decayed drop fraction. prune_oneshot
     trains dense, applies one global magnitude prune at the configured
     point (to `sparsity_target`), and fine-tunes with frozen masks. After
@@ -404,36 +419,24 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     on_eval(report, updates, events) fires per evaluation with the update
     records and events since the previous one;
     on_checkpoint(step, model, optimizer, ledger) fires after every step
-    and its return value is ignored. A non-finite gradient or loss raises
-    TrainingDiverged.
+    and its return value is ignored. `validate_run`'s checks run first; a
+    non-finite gradient or loss raises TrainingDiverged.
     """
-    config.validate()
-    if not 0 <= start_step <= config.total_steps:
-        raise ValueError(
-            f"start step {start_step} outside [0, total_steps={config.total_steps}]")
-    if len(train_set) == 0:
-        raise ValueError("training dataset is empty")
-    schedule = config.topology
     if ledger is None:
         ledger = count_flops(model)
-    if schedule.strategy == "prune_oneshot" and sparsity_target is None:
-        raise ValueError("prune_oneshot requires a sparsity target")
-    validate_flops_budget(model, config, ledger, oneshot_target=sparsity_target)
+    steps_per_epoch = validate_run(model, train_set, config, ledger, sparsity_target,
+                                   start_step)
+    schedule = config.topology
     if optimizer is None:
         optimizer = Optimizer(config, model.named_parameters())
 
     history = TrainHistory(ledger=ledger)
-    members = list(range(model.num_heads)) if model.independent else [None]
-    plans = {m: BatchPlan(batch_size=config.batch_size,
-                          shuffle_seed=Stream(config.seed).child("data", m or 0).seed,
-                          drop_last=config.drop_last)
-             for m in members}
-    n = len(train_set)
-    steps_per_epoch = n // config.batch_size if config.drop_last \
-        else -(-n // config.batch_size)
-    if steps_per_epoch == 0:
-        raise ValueError(
-            f"batch size {config.batch_size} exceeds dataset size {n} with drop_last")
+    # one batch plan per independent member, else one for the whole model
+    members = range(model.num_heads if model.independent else 1)
+    plans = [BatchPlan(batch_size=config.batch_size,
+                       shuffle_seed=Stream(config.seed).child("data", m).seed,
+                       drop_last=config.drop_last)
+             for m in members]
     epoch_cache: dict = {}
     prune_step = round_half_up(schedule.prune_at_fraction * config.total_steps) \
         if schedule.strategy == "prune_oneshot" else None
@@ -451,27 +454,13 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         lr = lr_at(t, config)
         p_t = drop_fraction(t, config.total_steps, schedule.initial_drop_fraction)
         update = schedule.is_update_step(t, config.total_steps)
-        batch_sizes = 0
 
-        if model.independent:
-            # each member sees its own batch order and its own unscaled loss
-            losses = []
-            all_grads: dict[str, list[nn.LayerGrads]] = {}
-            for m in members:
-                x, y = batch_for(m, t)
-                batch_sizes = len(x)
-                logits, tape = nn.stack_forward(model.heads[m], x, record=True)
-                loss_m, probs = nn.loss_forward(logits, y)
-                losses.append(loss_m)
-                all_grads[f"head{m}"], _ = nn.stack_backward(
-                    model.heads[m], tape, nn.loss_backward(probs, y))
-            loss = float(np.mean(losses))
-        else:
-            x, y = batch_for(None, t)
-            batch_sizes = len(x)
-            outputs = forward_heads(model, x, record=True)
-            loss, per_head = composite_loss(outputs, y)
-            all_grads = model_backward(model, outputs, y, [p for _, p in per_head])
+        drawn = [batch_for(m, t) for m in members]
+        # an independent ensemble passes its members' inputs and labels as lists
+        x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
+        outputs = forward_heads(model, x, record=True)
+        loss, per_head = composite_loss(outputs, y)
+        all_grads = model_backward(model, outputs, y, [p for _, p in per_head])
         grads = {f"{comp_name}/{li}/{kind}": arr
                  for comp_name, gs in all_grads.items() for li, lg in enumerate(gs)
                  for kind, arr in (("weight", lg.weight), ("bias", lg.bias))
@@ -479,7 +468,7 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         optimizer.step(grads, lr, step=t)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
-        ledger.charge_step(batch_sizes)
+        ledger.charge_step(len(drawn[0][1]))
         history.steps.append(StepRecord(step=t, loss=loss, lr=lr, drop_fraction=p_t))
 
         if update:
@@ -487,7 +476,7 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                 masked = model.masked_layers(comp_idx)
                 if not masked:
                     continue
-                streams = {li: model.topo_streams[(comp_idx, li)] for li, _ in masked}
+                streams = {li: model.topo_streams[f"{comp_name}/{li}"] for li, _ in masked}
                 record = topology_update(masked, schedule, t, config.total_steps,
                                          component=comp_name, streams=streams,
                                          grads=all_grads.get(comp_name))
@@ -512,17 +501,14 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                 raise ValueError(
                     f"post-prune training cost {ledger.cumulative_train + remaining} "
                     f"exceeds the dense budget {budget}")
-            event = {"event": "one_shot_prune", "step": t,
-                     "sparsity": sparsity_target,
-                     "pruned_counts": {k: len(v) for k, v in pruned.items()}}
-            history.events.append(event)
+            history.events.append({"event": "one_shot_prune", "step": t,
+                                   "sparsity": sparsity_target,
+                                   "pruned_counts": {k: len(v) for k, v in pruned.items()}})
 
         if t % config.eval_interval == 0 or t == config.total_steps:
             report, history.head_preds, history.ensemble_preds = evaluate(
                 model, test_set, t, ledger, batch_size=config.batch_size)
-            report.train_loss = loss
-            report.lr = lr
-            report.drop_fraction = p_t
+            report.train_loss, report.lr, report.drop_fraction = loss, lr, p_t
             history.evals.append(report)
             if on_eval is not None:
                 on_eval(report, history.updates[evaluated_updates:],

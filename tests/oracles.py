@@ -12,6 +12,8 @@
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries.
 - A one-shot global magnitude prune by one lexsort over every weight.
+- One member of an independent ensemble trained alone, by its own loop:
+  its own batch order and its own unscaled loss.
 """
 
 import copy
@@ -19,11 +21,13 @@ import math
 
 import numpy as np
 
-from sparsetrails.model import TrailsModel, composite_loss, forward_heads
-from sparsetrails.nn import Layer, LayerGrads, MaskedTensor, loss_forward, stack_forward
+from sparsetrails.data import BatchPlan, Dataset, batches
+from sparsetrails.model import ParamRef, TrailsModel, composite_loss, forward_heads
+from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, loss_backward, loss_forward,
+                             stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import round_half_up
-from sparsetrails.train import Optimizer, TrainingDiverged
+from sparsetrails.train import Optimizer, TrainConfig, TrainingDiverged, lr_at
 
 # ---------------------------------------------------------------------------
 # finite differences
@@ -290,3 +294,38 @@ def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
         mt.values.reshape(-1)[dropped] = 0.0
         pruned[key] = dropped.tolist()
     return pruned
+
+
+# ---------------------------------------------------------------------------
+# one independent member trained alone
+# ---------------------------------------------------------------------------
+
+
+def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
+                       config: TrainConfig) -> None:
+    """Train one member's layers in place for config.total_steps steps, as
+    if it were the only network: batches in the order of data stream
+    `member`, the plain mean cross-entropy (no 1/M scale), a masked
+    optimizer step, no topology updates."""
+    plan = BatchPlan(batch_size=config.batch_size,
+                     shuffle_seed=Stream(config.seed).child("data", member).seed,
+                     drop_last=config.drop_last)
+    params = []
+    for li, layer in enumerate(layers):
+        if layer.weight is not None:
+            params.append(ParamRef(f"{li}/weight", layer.weight.values, layer.weight.mask))
+        if layer.bias is not None:
+            params.append(ParamRef(f"{li}/bias", layer.bias, None))
+    optimizer = Optimizer(config, params)
+    step, epoch = 0, 0
+    while step < config.total_steps:
+        for sel in batches(train_set, plan, epoch)[:config.total_steps - step]:
+            step += 1
+            x, y = train_set.inputs[sel], train_set.labels[sel]
+            logits, tape = stack_forward(layers, x, record=True)
+            _, probs = loss_forward(logits, y)
+            grads, _ = stack_backward(layers, tape, loss_backward(probs, y))
+            optimizer.step({f"{li}/{kind}": arr for li, g in enumerate(grads)
+                            for kind, arr in (("weight", g.weight), ("bias", g.bias))
+                            if arr is not None}, lr_at(step, config))
+        epoch += 1

@@ -56,8 +56,8 @@ class TestRoundTrip:
                 assert a.mask.tobytes() == b.mask.tobytes()
         assert fresh_ledger.cumulative_train == ledger.cumulative_train
         assert fresh_ledger.forward_sparse == ledger.forward_sparse
-        for (comp, layer), stream in model.topo_streams.items():
-            assert fresh.topo_streams[(comp, layer)].get_state() == stream.get_state()
+        for key, stream in model.topo_streams.items():
+            assert fresh.topo_streams[key].get_state() == stream.get_state()
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         # checkpoint captured mid-run, then resumed under the same horizon

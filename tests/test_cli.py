@@ -191,6 +191,45 @@ class TestTrainCommand:
         assert not list((tmp_path / "short").glob("checkpoint*"))
         assert not (tmp_path / "short" / "summary.csv").exists()
 
+    def test_independent_adam_ensemble_resumes_bit_exact(self, tmp_path):
+        cfg = write_config(tmp_path, independent_members=True, heads=3,
+                           checkpoint_every=10, eval_interval=5,
+                           topology={"strategy": "set", "prune_method": "soft_magnitude",
+                                     "delta_t": 5},
+                           train={"optimizer": "adam", "lr": 0.01, "weight_decay": 0.0},
+                           out_dir=str(tmp_path / "full"))
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        full = tmp_path / "full"
+        assert main(["train", "--config", str(cfg), "--quiet",
+                     "--out", str(tmp_path / "resumed"),
+                     "--resume", str(full / "checkpoint_000010.bin")]) == 0
+        resumed = tmp_path / "resumed"
+        for name in ("checkpoint_000020.bin", "checkpoint_000030.bin", "checkpoint.bin"):
+            assert (resumed / name).read_bytes() == (full / name).read_bytes(), name
+        full_lines = (full / "history.jsonl").read_text().splitlines()
+        assert (resumed / "history.jsonl").read_text().splitlines() == full_lines[2:]
+
+    def test_rejected_run_leaves_its_directory_untouched(self, tmp_path, capsys):
+        def config(**overrides):
+            return str(write_config(tmp_path, checkpoint_every=20, eval_interval=10,
+                                    **overrides))
+
+        out = tmp_path / "run"
+        assert main(["train", "--config", config(train={"total_steps": 40}),
+                     "--quiet"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        # 40 steps at sparsity 0.5 exceed twice a 10-step dense budget
+        assert main(["train", "--config", config(train={"total_steps": 40, "base_steps": 10}),
+                     "--quiet"]) == 1
+        assert "extension cap 20" in capsys.readouterr().err
+        assert main(["train", "--config", config(train={"total_steps": 20}), "--quiet",
+                     "--force", "--resume", str(out / "checkpoint.bin")]) == 1
+        assert "start step 40 outside" in capsys.readouterr().err
+        assert main(["train", "--config", config(train={"total_steps": 40}, seed=2),
+                     "--quiet", "--resume", str(out / "checkpoint.bin")]) == 3
+        assert "different config" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_resume_hash_mismatch_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
@@ -300,6 +339,45 @@ class TestSweepCommand:
                 (out / f"blocks_in_head={value}" / "seed=1" /
                  "config.resolved.json").read_text())
             assert resolved["split_index"] == 2 - value
+
+
+    def test_dotted_key_axis_sweeps_topology_strategy(self, tmp_path):
+        cfg = write_config(tmp_path, train={"total_steps": 10}, eval_interval=10)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet",
+                     "--axis", "topology.strategy", "--values", "static,set,rigl",
+                     "--out", str(out)]) == 0
+        for value in ("static", "set", "rigl"):
+            resolved = json.loads((out / f"topology.strategy={value}" / "seed=1" /
+                                   "config.resolved.json").read_text())
+            assert resolved["topology"]["strategy"] == value
+        rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+        assert [(r["axis"], r["value"]) for r in rows] == [
+            ("topology.strategy", v) for v in ("static", "set", "rigl")]
+
+    def test_integer_for_a_float_key_is_a_float(self, tmp_path):
+        cfg = write_config(tmp_path, train={"total_steps": 10}, eval_interval=10)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet",
+                     "--axis", "sparsity", "--values", "0", "--out", str(out)]) == 0
+        resolved = json.loads(
+            (out / "sparsity=0.0" / "seed=1" / "config.resolved.json").read_text())
+        assert type(resolved["sparsity"]) is float
+
+    @pytest.mark.parametrize("axis, values, named", [
+        ("topology.strategyy", "set", "topology.strategyy"),
+        ("network.kind.depth", "1", "network.kind.depth"),
+        ("train.lr", "fast", "train.lr"),
+        ("seed", "3", "--seeds"),
+    ])
+    def test_bad_axis_or_value_rejected_before_any_run(self, tmp_path, capsys,
+                                                       axis, values, named):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet", "--axis", axis,
+                     "--values", values, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not list(out.rglob("*.json"))  # no run started
 
 
 class TestArtifactWrites:

@@ -240,3 +240,32 @@ class TestIndependentEnsemble:
         model = build_independent_ensemble(toy_spec(), 3, 0.0, seed=2)
         out = forward_heads(model, toy_batch(Stream(5), 7, 2))
         assert head_predictions(out).shape == (3, 7)
+
+    def test_streams_keep_the_member_component_ids(self):
+        spec = toy_spec(blocks=2)
+        model = build_independent_ensemble(spec, 2, sparsity=0.5, seed=3)
+        weighted = [i for i, s in enumerate(spec.flat_layers()) if s.weight_size]
+        assert list(model.topo_streams) == [f"head{m}/{i}" for m in range(2)
+                                            for i in weighted]
+        for m in range(2):
+            for i in weighted:
+                assert model.topo_streams[f"head{m}/{i}"].get_state() == \
+                    Stream(3).child("topo", m + 1, i).get_state()
+                values = model.heads[m][i].weight.values.reshape(-1)
+                want = nn.init_layer(spec.flat_layers()[i], Stream(3).child("init", m + 1, i))
+                active = model.heads[m][i].weight.mask.reshape(-1) != 0
+                assert values[active].tobytes() == \
+                    want.weight.values.reshape(-1)[active].tobytes()
+
+    def test_each_member_reads_its_own_batch(self):
+        model = build_independent_ensemble(toy_spec(), 2, 0.5, seed=4)
+        xs = [toy_batch(Stream(6), 5, 2), toy_batch(Stream(7), 5, 2)]
+        out = forward_heads(model, xs)
+        for head, x, logits in zip(model.heads, xs, out.logits):
+            assert logits.tobytes() == stack_forward(head, x)[0].tobytes()
+
+    def test_per_member_batches_need_an_independent_ensemble(self):
+        model = build_trails(toy_spec(), 1, 2, 0.0, seed=0)
+        xs = [toy_batch(Stream(6), 5, 2), toy_batch(Stream(7), 5, 2)]
+        with pytest.raises(ValueError, match="independent"):
+            forward_heads(model, xs)

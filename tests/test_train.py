@@ -10,7 +10,7 @@ from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
                                 count_flops, evaluate, extension_cap, fit, lr_at)
 
-from oracles import DenseOptimizer
+from oracles import DenseOptimizer, train_member_alone
 
 
 def small_config(**kw):
@@ -384,6 +384,27 @@ class TestFit:
         optimizer = Optimizer(config, model.named_parameters())
         fit(model, data, data, config, optimizer=optimizer)
         assert optimizer.adam_t == config.total_steps
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_each_member_trains_as_if_alone_on_its_own_data(self, kind):
+        # 40 samples in batches of 16: a short last batch, and 30 steps span
+        # ten epochs, so every member reshuffles from its own stream
+        data = gen_synthetic("rings", 40, noise=0.2, seed=12)
+        config = small_config(total_steps=30, eval_interval=30, optimizer=kind,
+                              lr=0.05 if kind == "sgd_momentum" else 0.01,
+                              weight_decay=5e-4)
+
+        def ensemble():
+            return build_independent_ensemble(mlp_spec(2, 6, 2, 2), 3, sparsity=0.5,
+                                              seed=13)
+
+        model = ensemble()
+        fit(model, data, data, config)
+        alone = ensemble()
+        for member, layers in enumerate(alone.heads):
+            train_member_alone(layers, member, data, config)
+        for got, want in zip(model.named_parameters(), alone.named_parameters()):
+            assert got.array.tobytes() == want.array.tobytes(), got.name
 
     def test_fit_leaves_the_callers_schedule_alone(self):
         data = gen_synthetic("two_clusters", 32, noise=0.3, seed=8)
