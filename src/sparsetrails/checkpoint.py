@@ -9,7 +9,9 @@ Layout (all integers little-endian):
     optkind   u8       0 = sgd_momentum, 1 = adam
     adam_t    u64
     flops     u64      cumulative training FLOPs
-    PRM section: u32 count, then one record per parameter
+    PRM section: u32 count, then one record per parameter of each
+        component (`TrailsModel.component_parameters`: a head's records
+        are its slices of the stacked head parameters)
         u16 name length, name utf-8, u8 ndim, u32 per dim,
         u8 masked flag, then (masked only) mask bits packed 8-per-byte,
         float32 values at the active positions (every position if unmasked),
@@ -71,13 +73,17 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
                       optimizer_kind=optimizer.kind, adam_t=optimizer.adam_t,
                       cumulative_flops=ledger.cumulative_train)
-    for ref in model.named_parameters():
-        ckpt.params[ref.name] = ref.array
-        if ref.mask is not None:
-            ckpt.masks[ref.name] = ref.mask
-            ckpt.active[ref.name] = optimizer.active[ref.name]
-        for slot, arr in optimizer.slots[ref.name].items():
-            ckpt.opt_state[_slot_key(ref.name, slot)] = arr
+    parts = {}
+    for key, values, mask, name, m in model.component_parameters():
+        if name not in parts:
+            parts[name] = optimizer.split(name, values.size)
+        active, entries = parts[name][m]
+        ckpt.params[key] = values
+        if mask is not None:
+            ckpt.masks[key] = mask
+            ckpt.active[key] = active
+        for slot, arr in optimizer.slots[name].items():
+            ckpt.opt_state[_slot_key(key, slot)] = arr[entries]
     ckpt.rng_states = {key: stream.get_state()
                        for key, stream in model.topo_streams.items()}
     return ckpt
@@ -122,10 +128,10 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
         if mask is not None:
             out.append(np.packbits(mask).tobytes())
             values = values.take(ckpt.active[name])
-        arrays = [values] + [ckpt.opt_state[_slot_key(name, slot)] for slot in slots]
-        if any(arr.size != values.size for arr in arrays):
-            raise CheckpointError(f"optimizer slots of {name} do not match its entries")
-        out += [np.ascontiguousarray(arr, "<f4").tobytes() for arr in arrays]
+        for arr in [values] + [ckpt.opt_state[_slot_key(name, slot)] for slot in slots]:
+            if arr.size != values.size:
+                raise CheckpointError(f"optimizer slots of {name} do not match its entries")
+            out.append(arr.astype("<f4", copy=False).tobytes())
 
     out += [b"RNG", struct.pack("<I", len(ckpt.rng_states))]
     for name, state in ckpt.rng_states.items():
@@ -247,32 +253,40 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...],
 
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
-    """Load a checkpoint into live objects; returns the step to resume from."""
-    refs = {ref.name: ref for ref in model.named_parameters()}
-    if set(refs) != set(ckpt.params):
-        missing = set(refs) ^ set(ckpt.params)
+    """Load a checkpoint into live objects; returns the step to resume from.
+    Each component's records fill its slice of the model's parameters and of
+    their optimizer state."""
+    records = list(model.component_parameters())
+    keys = {key for key, *_ in records}
+    if keys != set(ckpt.params):
+        missing = keys ^ set(ckpt.params)
         raise CheckpointError(
             f"checkpoint parameters do not match the model (mismatch: {sorted(missing)[:4]})")
     if ckpt.optimizer_kind != optimizer.kind:
         raise CheckpointError(
             f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
             f"{optimizer.kind!r}")
-    for name, ref in refs.items():
-        values = _entry(ckpt.params, name, ref.array.shape, "parameter")
-        if ref.mask is not None:
-            mask = _entry(ckpt.masks, name, ref.mask.shape, "mask")
-            if np.logical_and(values, np.logical_not(mask)).any():
-                raise CheckpointError(
-                    f"checkpoint weight {name} is nonzero where its mask is 0")
-            ref.mask[...] = mask
-            optimizer.active[name] = _entry(ckpt.active, name, (np.count_nonzero(mask),),
-                                            "active indices")
-        ref.array[...] = values
-        shape = (len(optimizer.flat[name] if ref.mask is None else optimizer.active[name]),)
-        optimizer.slots[name] = {
-            slot: np.array(_entry(ckpt.opt_state, _slot_key(name, slot), shape,
-                                  "optimizer slot"), dtype=ref.array.dtype)
-            for slot in Optimizer.SLOTS[optimizer.kind]}
+    active, slots = {}, {}
+    for key, array, mask, name, m in records:
+        values = _entry(ckpt.params, key, array.shape, "parameter")
+        entries = array.size
+        if mask is not None:
+            saved = _entry(ckpt.masks, key, mask.shape, "mask")
+            if np.logical_and(values, np.logical_not(saved)).any():
+                raise CheckpointError(f"checkpoint weight {key} is nonzero where its mask is 0")
+            mask[...] = saved
+            idx = _entry(ckpt.active, key, (np.count_nonzero(saved),), "active indices")
+            active.setdefault(name, []).append(idx + m * array.size)
+            entries = len(idx)
+        array[...] = values
+        for slot in Optimizer.SLOTS[optimizer.kind]:
+            slots.setdefault(name, {}).setdefault(slot, []).append(
+                _entry(ckpt.opt_state, _slot_key(key, slot), (entries,), "optimizer slot"))
+    for name, parts in active.items():
+        optimizer.active[name] = np.concatenate(parts)
+    for name, by_slot in slots.items():
+        optimizer.slots[name] = {slot: np.concatenate(parts, dtype=optimizer.flat[name].dtype)
+                                 for slot, parts in by_slot.items()}
     optimizer.adam_t = ckpt.adam_t
     for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:

@@ -18,8 +18,10 @@ divergence, 3 I/O or checkpoint error.
 
 import argparse
 import csv
+import ctypes
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -212,6 +214,9 @@ def sweep_config(base: dict, axis: str, value, seed: int, out_root: Path) -> dic
     other axis is a dotted config key. Resolved, so values are type-checked."""
     cfg = json.loads(json.dumps(base))  # deep copy
     if axis == "blocks_in_head":
+        if base.get("independent_members"):
+            raise ConfigError("sweep.axis", "an independent ensemble has no split point: "
+                                            "every blocks_in_head value trains the same model")
         num_blocks = network_spec(base).num_blocks
         if type(value) is not int or not 0 <= value <= num_blocks:
             raise ConfigError("sweep.values",
@@ -319,8 +324,23 @@ def _parse_values(raw: str) -> list:
     return values
 
 
+def one_blas_thread() -> None:
+    """Run numpy's bundled OpenBLAS on one thread, the project's one-core
+    setting, unless OPENBLAS_NUM_THREADS says otherwise."""
+    if "OPENBLAS_NUM_THREADS" in os.environ or not os.path.exists("/proc/self/maps"):
+        return
+    with open("/proc/self/maps") as f:
+        libs = sorted({line.split()[-1] for line in f if "openblas" in line})
+    for path in libs:
+        set_threads = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    one_blas_thread()
     try:
         cfg = load_config(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "train":

@@ -4,21 +4,21 @@ A block-sequential base network (stem, blocks, classifier) is split at a
 block index: stem plus the first `split_index` blocks form the shared
 backbone, the remaining blocks plus the classifier are replicated into M
 heads with independently initialized weights and masks. The backbone runs
-once per batch; heads run on its cached output. Inference soft-votes the
-heads (mean of per-head softmax probabilities by default, mean of logits
-optionally).
+once per batch; the heads, stored stacked, run as one pass on its output.
+Inference soft-votes the heads (mean of per-head softmax probabilities by
+default, mean of logits optionally).
 
 `build_independent_ensemble` covers the classic full-ensemble baseline:
 an empty backbone and M whole-network heads, each reading its own batch
 and keeping its own unscaled loss.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .nn import Layer, LayerGrads, LayerSpec, MaskedTensor
+from .nn import Layer, LayerSpec, MaskedTensor
 from .rng import Stream
 from .sparsity import SparsityPlan, allocate, init_masks
 
@@ -113,22 +113,26 @@ class ParamRef:
 
 @dataclass
 class HeadOutputs:
-    logits: list[np.ndarray]
+    logits: np.ndarray  # (M, B, classes)
     backbone_tape: list[np.ndarray] | None = None
-    head_tapes: list[list[np.ndarray] | None] = field(default_factory=list)
+    head_tape: list[np.ndarray] | None = None
 
 
 class TrailsModel:
+    """A backbone and M heads. The heads' layers are stored stacked
+    (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)), and
+    `heads[m]` views head m's slices as plain layers that write through."""
+
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
                  sparsity: float, seed: int, backbone: list[Layer],
-                 heads: list[list[Layer]], plans: list[SparsityPlan | None],
+                 head_stack: list[Layer], plans: list[SparsityPlan | None],
                  vote: str = "probs"):
         self.spec = spec
         self.split_index = split_index
         self.num_heads = num_heads
         self.sparsity = sparsity
         self.backbone = backbone
-        self.heads = heads
+        self.head_stack = head_stack
         self.plans = plans
         self.vote = vote
         # an independent ensemble's members each read their own batch and
@@ -145,6 +149,15 @@ class TrailsModel:
 
     # -- structure ----------------------------------------------------------
 
+    def component(self, comp_idx: int) -> list[Layer]:
+        """The backbone (0) or head comp_idx - 1, as plain layers."""
+        return self.backbone if comp_idx == 0 else \
+            [layer.head(comp_idx - 1) for layer in self.head_stack]
+
+    @property
+    def heads(self) -> list[list[Layer]]:
+        return [self.component(m + 1) for m in range(self.num_heads)]
+
     def components(self) -> list[list[Layer]]:
         return [self.backbone] + self.heads
 
@@ -152,26 +165,57 @@ class TrailsModel:
         return ["backbone"] + [f"head{i}" for i in range(self.num_heads)]
 
     def named_parameters(self) -> list[ParamRef]:
+        """The backbone's parameters, then the heads' stacked ones (M, ...)."""
         refs = []
-        for comp_name, layers in zip(self.component_names(), self.components()):
+        for part, layers in (("backbone", self.backbone), ("heads", self.head_stack)):
             for li, layer in enumerate(layers):
                 if layer.weight is not None:
-                    refs.append(ParamRef(name=f"{comp_name}/{li}/weight",
-                                         array=layer.weight.values,
-                                         mask=layer.weight.mask))
+                    refs.append(ParamRef(f"{part}/{li}/weight", layer.weight.values,
+                                         layer.weight.mask))
                 if layer.bias is not None:
-                    refs.append(ParamRef(name=f"{comp_name}/{li}/bias",
-                                         array=layer.bias, mask=None))
+                    refs.append(ParamRef(f"{part}/{li}/bias", layer.bias, None))
         return refs
 
+    def component_parameters(self):
+        """Yield every component's own parameters, backbone then head 0, 1, ...:
+        (name `component/layer/kind`, array, mask or None, the name of the
+        parameter it is part of, its index there: the head, 0 in the backbone)."""
+        refs = self.named_parameters()
+        for ref in refs:
+            if ref.name.startswith("backbone/"):
+                yield ref.name, ref.array, ref.mask, ref.name, 0
+        stacked = [(ref.name.replace("heads/", "", 1), ref) for ref in refs
+                   if ref.name.startswith("heads/")]
+        for m in range(self.num_heads):
+            for rest, ref in stacked:
+                yield (f"head{m}/{rest}", ref.array[m],
+                       ref.mask if ref.mask is None else ref.mask[m], ref.name, m)
+
+    def weight_positions(self, comp_idx: int, layer_idx: int,
+                         flat: list[int]) -> tuple[str, np.ndarray]:
+        """A component layer's flat weight positions as (parameter name, flat
+        positions in it): head m's slice of a stacked weight starts at m * size."""
+        if comp_idx == 0:
+            return f"backbone/{layer_idx}/weight", np.asarray(flat, np.int64)
+        size = self.head_stack[layer_idx].spec.weight_size
+        return f"heads/{layer_idx}/weight", np.asarray(flat, np.int64) + (comp_idx - 1) * size
+
+    def weight_grad(self, grads: dict[str, np.ndarray], comp_idx: int,
+                    layer_idx: int) -> np.ndarray:
+        """A component layer's own slice of the `model_backward` gradients."""
+        if comp_idx == 0:
+            return grads[f"backbone/{layer_idx}/weight"]
+        return grads[f"heads/{layer_idx}/weight"][comp_idx - 1]
+
     def masked_layers(self, comp_idx: int) -> list[tuple[int, MaskedTensor]]:
-        layers = self.components()[comp_idx]
-        return [(li, layer.weight) for li, layer in enumerate(layers)
+        return [(li, layer.weight) for li, layer in enumerate(self.component(comp_idx))
                 if layer.weight is not None]
 
 
 def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
-                     master: Stream, comp_idx: int) -> tuple[list[Layer], SparsityPlan | None]:
+                     master: Stream, comp_idx: int,
+                     into: list[Layer] | None = None) -> tuple[list[Layer], SparsityPlan | None]:
+    """Initialise a component's layers, into the zeroed layers `into` if given."""
     maskable = [i for i, s in enumerate(specs) if s.weight_size > 0]
     plan = None
     masks: dict[int, np.ndarray] = {}
@@ -179,7 +223,8 @@ def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
         plan = allocate(specs, sparsity, allocation)
         streams = [master.child("mask", comp_idx, i) for i in plan.layer_indices]
         masks = init_masks(plan, specs, streams)
-    return [nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i))
+    return [nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i),
+                          out=None if into is None else into[i])
             for i, spec in enumerate(specs)], plan
 
 
@@ -191,7 +236,8 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     The stem always belongs to the backbone and the classifier to the
     heads, so split_index=0 still shares the stem and split_index=L yields
     M distinct classifiers. Backbone and every head are each allocated to
-    the global sparsity independently.
+    the global sparsity independently. Each head is built into its slice of
+    the stacked head layers.
     """
     spec.validate()
     if not 0 <= split_index <= spec.num_blocks:
@@ -207,14 +253,14 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
 
     master = Stream(seed)
     backbone, bb_plan = _build_component(backbone_specs, sparsity, allocation, master, 0)
-    heads, plans = [], [bb_plan]
-    for i in range(num_heads):
-        head, plan = _build_component(head_specs, sparsity, allocation, master, i + 1)
-        heads.append(head)
+    head_stack, plans = nn.stack_layers(head_specs, num_heads), [bb_plan]
+    for m in range(num_heads):
+        _, plan = _build_component(head_specs, sparsity, allocation, master, m + 1,
+                                   into=[layer.head(m) for layer in head_stack])
         plans.append(plan)
     return TrailsModel(spec=spec, split_index=split_index, num_heads=num_heads,
-                       sparsity=sparsity, seed=seed, backbone=backbone, heads=heads,
-                       plans=plans, vote=vote)
+                       sparsity=sparsity, seed=seed, backbone=backbone,
+                       head_stack=head_stack, plans=plans, vote=vote)
 
 
 def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: float,
@@ -237,65 +283,62 @@ def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: fl
 
 def forward_heads(model: TrailsModel, batch: np.ndarray | list[np.ndarray],
                   record: bool = False) -> HeadOutputs:
-    """Backbone once, then every head on the cached backbone output. An
-    independent ensemble also takes a list of one batch per member."""
+    """Backbone once, then all heads in one pass over the stacked head layers,
+    reading the backbone output as one shared input. An independent
+    ensemble also takes a list of one batch per member, stacked (M, B, ...)."""
     per_member = isinstance(batch, list)
     if per_member and not model.independent:
         raise ValueError("one batch per head needs an independent ensemble")
-    h_s, bb_tape = nn.stack_forward(model.backbone, batch, record=record)
-    out = HeadOutputs(logits=[], backbone_tape=bb_tape)
-    for head, x in zip(model.heads, h_s if per_member else [h_s] * model.num_heads):
-        y, tape = nn.stack_forward(head, x, record=record)
-        out.logits.append(y)
-        out.head_tapes.append(tape)
-    return out
+    h, bb_tape = nn.stack_forward(model.backbone, np.stack(batch) if per_member else batch,
+                                  record=record)
+    logits, head_tape = nn.stack_forward(model.head_stack, h if per_member else h[None],
+                                         record=record)
+    return HeadOutputs(logits=logits, backbone_tape=bb_tape, head_tape=head_tape)
 
 
 def composite_loss(outputs: HeadOutputs, targets: np.ndarray | list[np.ndarray]
-                   ) -> tuple[float, list[tuple[float, np.ndarray]]]:
-    """Mean of per-head cross-entropy losses; also returns (loss_i, probs_i).
-    `targets` is one array, or a list of one per head for per-member batches."""
-    if not isinstance(targets, list):
-        targets = [targets] * len(outputs.logits)
-    per_head = [nn.loss_forward(y, t) for y, t in zip(outputs.logits, targets)]
-    loss = float(np.mean([l for l, _ in per_head]))
-    return loss, per_head
+                   ) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean of the per-head cross-entropy losses; also returns the per-head
+    losses (M,) and softmax probabilities (M, B, classes). `targets` is one
+    array, or a list of one per head for per-member batches."""
+    losses, probs = nn.loss_forward(outputs.logits, _targets(targets))
+    return float(losses.mean()), losses, probs
+
+
+def _targets(targets: np.ndarray | list[np.ndarray]) -> np.ndarray:
+    return np.stack(targets) if isinstance(targets, list) else targets
 
 
 def model_backward(model: TrailsModel, outputs: HeadOutputs,
                    targets: np.ndarray | list[np.ndarray],
-                   probs: list[np.ndarray]) -> dict[str, list[LayerGrads]]:
-    """Gradients of the composite loss for every component.
+                   probs: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients of the composite loss, keyed as `named_parameters`.
 
     `probs` are the per-head softmax probabilities `composite_loss`
     returned for these outputs and targets. Head losses are scaled by 1/M,
-    which the backbone gradient aggregates; independent members keep their
-    own unscaled losses. Requires forward_heads(record=True).
+    and the backbone gradient adds up the heads' input gradients in head
+    order; independent members keep their own unscaled losses. Requires
+    forward_heads(record=True).
     """
-    if outputs.backbone_tape is None:
+    if outputs.head_tape is None:
         raise ValueError("backward requires forward_heads(record=True)")
-    if not isinstance(targets, list):
-        targets = [targets] * model.num_heads
     scale = 1.0 if model.independent else 1.0 / model.num_heads
-    grads: dict[str, list[LayerGrads]] = {}
-    d_hs = None
-    for i, (head, t) in enumerate(zip(model.heads, targets)):
-        if outputs.head_tapes[i] is None:
-            raise ValueError("backward requires forward_heads(record=True)")
-        d_logits = nn.loss_backward(probs[i], t, scale=scale)
-        grads[f"head{i}"], dx = nn.stack_backward(head, outputs.head_tapes[i], d_logits)
-        if model.backbone:  # an empty backbone needs no input gradient
-            d_hs = dx if d_hs is None else d_hs + dx
-    grads["backbone"], _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_hs)
-    return grads
+    d_logits = nn.loss_backward(probs, _targets(targets), scale=scale)
+    head_grads, d_h = nn.stack_backward(model.head_stack, outputs.head_tape, d_logits)
+    # an empty backbone passes its input gradient through untouched
+    bb_grads, _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_h[0])
+    return {f"{part}/{li}/{kind}": arr
+            for part, grads in (("heads", head_grads), ("backbone", bb_grads))
+            for li, g in enumerate(grads)
+            for kind, arr in (("weight", g.weight), ("bias", g.bias)) if arr is not None}
 
 
 def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np.ndarray]:
     """Ensemble probabilities and predicted classes (argmax, lowest index wins)."""
     if vote == "probs":
-        ens = np.mean([nn.softmax(y) for y in outputs.logits], axis=0)
+        ens = nn.softmax(outputs.logits).mean(axis=0)
     elif vote == "logits":
-        ens = nn.softmax(np.mean(outputs.logits, axis=0))
+        ens = nn.softmax(outputs.logits.mean(axis=0))
     else:
         raise ValueError(f"vote must be 'probs' or 'logits', got {vote!r}")
     return ens, np.argmax(ens, axis=1)
@@ -303,4 +346,4 @@ def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np
 
 def head_predictions(outputs: HeadOutputs) -> np.ndarray:
     """Per-head argmax classes, shape (M, batch)."""
-    return np.stack([np.argmax(y, axis=1) for y in outputs.logits])
+    return np.argmax(outputs.logits, axis=-1)

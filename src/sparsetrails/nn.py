@@ -6,6 +6,12 @@ shape (`MaskedTensor`); positions with mask 0 hold the exact value 0.0 and
 stay that way through every forward, backward and optimizer step. Biases
 are dense and never masked.
 
+A stacked layer (`stack_layers`) holds M heads' weights, masks and biases
+in arrays with a leading head axis. It runs on inputs with a leading axis
+of M per-head inputs, or of 1 for one input that every head reads, and
+returns (M, B, ...); heads that read one input add their input gradients
+in head order. `Layer.head(m)` is head m's slice as a plain layer.
+
 The math is dtype-following: arrays produced by a layer keep the dtype of
 its inputs, which lets the finite-difference oracle run the same code in
 float64 while training runs in float32.
@@ -98,6 +104,13 @@ class MaskedTensor:
         self.mask = self.mask.astype(np.uint8)
         self.values = np.where(self.mask, self.values, 0)
 
+    @classmethod
+    def view(cls, values: np.ndarray, mask: np.ndarray) -> "MaskedTensor":
+        """Wrap valid arrays unchecked and uncopied: writes go through to them."""
+        tensor = cls.__new__(cls)
+        tensor.values, tensor.mask = values, mask
+        return tensor
+
     def active_count(self) -> int:
         return int(self.mask.sum())
 
@@ -108,6 +121,27 @@ class Layer:
     weight: MaskedTensor | None = None
     bias: np.ndarray | None = None
 
+    def head(self, m: int) -> "Layer":
+        """Head m's slice of a stacked layer, as a plain layer that writes through."""
+        weight = None if self.weight is None else \
+            MaskedTensor.view(self.weight.values[m], self.weight.mask[m])
+        return Layer(self.spec, weight, None if self.bias is None else self.bias[m])
+
+
+def stack_layers(specs: list[LayerSpec], num_heads: int) -> list[Layer]:
+    """Zeroed layers whose weights, masks and biases carry a leading head axis."""
+    layers = []
+    for spec in specs:
+        layer = Layer(spec=spec)
+        if spec.weight_shape is not None:
+            shape = (num_heads,) + spec.weight_shape
+            layer.weight = MaskedTensor.view(np.zeros(shape, np.float32),
+                                             np.zeros(shape, np.uint8))
+        if spec.has_bias:  # one bias entry per output feature or channel
+            layer.bias = np.zeros((num_heads, spec.weight_shape[0]), np.float32)
+        layers.append(layer)
+    return layers
+
 
 @dataclass
 class LayerGrads:
@@ -115,23 +149,30 @@ class LayerGrads:
     bias: np.ndarray | None = None
 
 
-def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None) -> Layer:
-    """Kaiming-uniform fan-in init (drawn dense), then the mask zeroes inactive slots."""
+def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None,
+               out: Layer | None = None) -> Layer:
+    """Kaiming-uniform fan-in init (drawn dense), then the mask zeroes inactive
+    slots. With `out`, a layer of zeroed arrays such as a head's slice of a
+    stacked layer, the weights are written into it and it is returned."""
     if spec.kind == "relu":
         return Layer(spec=spec)
     shape = spec.weight_shape
     bound = math.sqrt(6.0 / spec.fan_in)
     flat = stream.uniforms(int(np.prod(shape)))
     values = ((flat * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
-    if mask is None:
-        mask = np.ones(shape, dtype=np.uint8)
-    weight = MaskedTensor(values=values, mask=mask.reshape(shape))
+    mask = np.ones(shape, dtype=np.uint8) if mask is None else mask.reshape(shape)
     bias = None
     if spec.has_bias:
-        out = spec.out_dim if spec.kind == "linear" else spec.out_channels
+        out_dim = spec.out_dim if spec.kind == "linear" else spec.out_channels
         b_bound = 1.0 / math.sqrt(spec.fan_in)
-        bias = ((stream.uniforms(out) * 2.0 - 1.0) * b_bound).astype(np.float32)
-    return Layer(spec=spec, weight=weight, bias=bias)
+        bias = ((stream.uniforms(out_dim) * 2.0 - 1.0) * b_bound).astype(np.float32)
+    if out is None:
+        return Layer(spec=spec, weight=MaskedTensor(values=values, mask=mask), bias=bias)
+    np.copyto(out.weight.values, values, where=mask != 0)
+    out.weight.mask[...] = mask
+    if bias is not None:
+        out.bias[...] = bias
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,39 +222,68 @@ def _conv_columns(spec: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, tuple[int
     return cols.reshape(c * kh * kw, n), (hp, wp, oh, ow, n)
 
 
+def _flat_features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A linear layer's input with its features flattened behind the batch
+    axes: (B,) before a plain weight (out, in), (M|1, B) before a stacked one."""
+    lead = w.ndim - 1
+    return x.reshape(*x.shape[:lead], -1) if x.ndim > lead + 1 else x
+
+
+def _one_head(layer: Layer) -> Layer:
+    """A plain layer as a stacked layer of one head."""
+    return Layer(layer.spec, MaskedTensor.view(layer.weight.values[None],
+                                               layer.weight.mask[None]),
+                 None if layer.bias is None else layer.bias[None])
+
+
+def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """Stacked conv2d on x (M or 1, B, C, H, W). Columns are built once per
+    input and shared by the heads that read it; each head's GEMM runs on its
+    own, as one GEMM over the concatenated heads can round differently."""
+    spec, w, bias = layer.spec, layer.weight.values, layer.bias
+    heads, o = w.shape[:2]
+    b = x.shape[1]
+    oh, ow = conv_output_hw(spec, *x.shape[-2:])
+    out = np.empty((heads, b, o, oh, ow), dtype=x.dtype)
+    for m in range(heads):
+        if m < len(x):
+            cols = None  # frees the previous input's columns before the next build
+            cols, (hp, wp, _, _, n) = _conv_columns(spec, x[m])
+            y = np.empty((o, b * hp * wp), dtype=x.dtype)
+        np.matmul(w[m].reshape(o, -1), cols, out=y[:, :n])
+        grid = y.reshape(o, b, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
+        if bias is None:
+            out[m] = grid
+        else:
+            np.add(grid, bias[m, :, None, None], out=out[m])
+    return out
+
+
 def layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     spec = layer.spec
     if spec.kind == "relu":
         return np.maximum(x, 0)
+    w = layer.weight.values
 
     if spec.kind == "linear":
-        x2 = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
-        if x2.ndim != 2 or x2.shape[1] != spec.in_dim:
+        x2 = _flat_features(x, w)
+        if x2.ndim != w.ndim or x2.shape[-1] != spec.in_dim:
             raise ValueError(
                 f"linear layer expects {spec.in_dim} input features, "
                 f"got input shape {x.shape}")
-        y = x2 @ layer.weight.values.T
+        y = x2 @ w.swapaxes(-1, -2)
         if layer.bias is not None:
-            y = y + layer.bias
+            y += layer.bias[..., None, :]
         return y
 
     if spec.kind == "conv2d":
-        if x.ndim != 4 or x.shape[1] != spec.in_channels:
+        if x.ndim != w.ndim or x.shape[-3] != spec.in_channels:
             raise ValueError(
-                f"conv2d layer expects (B, {spec.in_channels}, H, W), "
-                f"got input shape {x.shape}")
-        cols, (hp, wp, oh, ow, n) = _conv_columns(spec, x)
-        b, o = x.shape[0], spec.out_channels
-        y = np.empty((o, b * hp * wp), dtype=x.dtype)
-        np.matmul(layer.weight.values.reshape(o, -1), cols, out=y[:, :n])
-        del cols  # freed before the next large buffer: fewer heap page faults per step
-        y = y.reshape(o, b, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
-        out = np.empty((b, o, oh, ow), dtype=x.dtype)
-        if layer.bias is None:
-            out[...] = y
-        else:
-            np.add(y, layer.bias[:, None, None], out=out)
-        return out
+                f"conv2d layer expects ({'B' if w.ndim == 4 else 'M|1, B'}, "
+                f"{spec.in_channels}, H, W), got input shape {x.shape}")
+        if w.ndim == 5:
+            return _conv_forward(layer, x)
+        return _conv_forward(_one_head(layer), x[None])[0]
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
@@ -234,79 +304,107 @@ def stack_forward(layers: list[Layer], x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch; returns (loss, per-row softmax probs)."""
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be 2-D (batch, classes), got shape {logits.shape}")
-    targets = np.asarray(targets)
-    if targets.shape != (logits.shape[0],):
+def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-entropy over the batch of logits (..., B, C), per leading
+    index; returns (losses, softmax probs). `targets` broadcasts to (..., B)."""
+    if logits.ndim < 2:
+        raise ValueError(f"logits must be (..., batch, classes), got shape {logits.shape}")
+    targets = np.broadcast_to(targets, logits.shape[:-1])
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
         raise ValueError(
-            f"targets shape {targets.shape} does not match batch size {logits.shape[0]}")
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[1]):
-        raise ValueError(
-            f"target out of range [0, {logits.shape[1]}): min={targets.min()}, "
+            f"target out of range [0, {logits.shape[-1]}): min={targets.min()}, "
             f"max={targets.max()}")
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = e / e.sum(axis=-1, keepdims=True)
     # loss reduction in float64 so the scalar is accurate even when a float32
     # probability rounds to 1 (a second exp: summing `e` would change bits)
     shifted = shifted.astype(np.float64)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    log_p = shifted[np.arange(len(targets)), targets] - log_z
-    return float(-log_p.mean()), probs
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
+    return -log_p.mean(axis=-1), probs
 
 
 def loss_backward(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Gradient of scale * mean-CE with respect to the logits."""
-    d = probs.astype(probs.dtype, copy=True)
-    d[np.arange(len(targets)), targets] -= 1
-    return d * np.asarray(scale / len(targets), dtype=probs.dtype)
+    """Gradient of scale * mean-CE with respect to the logits (..., B, C)."""
+    d = probs - (np.asarray(targets)[..., None] == np.arange(probs.shape[-1]))
+    return d * np.asarray(scale / probs.shape[-2], dtype=probs.dtype)
 
 
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
 
-def _layer_backward(layer: Layer, x: np.ndarray,
-                    d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
-    spec = layer.spec
-    if spec.kind == "relu":
-        return LayerGrads(), d_out * (x > 0)
+def _fold(dx: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """dx in x's shape; heads that read one shared x add their gradients in head order."""
+    if len(dx) != len(x):
+        total = dx[0]
+        for part in dx[1:]:
+            total = total + part
+        dx = total[None]
+    return dx.reshape(x.shape)
 
-    if spec.kind == "linear":
-        orig_shape = x.shape
-        x2 = x.reshape(x.shape[0], -1) if x.ndim > 2 else x
-        dw = d_out.T @ x2
-        db = d_out.sum(axis=0) if layer.bias is not None else None
-        dx = d_out @ layer.weight.values
-        return LayerGrads(weight=dw, bias=db), dx.reshape(orig_shape)
 
-    if spec.kind == "conv2d":
-        b, c, h, w = x.shape
-        o, kh, kw = spec.out_channels, spec.kernel_h, spec.kernel_w
-        top, _, left, _ = _conv_padding(spec)
-        cols, (hp, wp, oh, ow, n) = _conv_columns(spec, x)
+def _conv_backward(layer: Layer, x: np.ndarray,
+                   d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+    """Stacked conv2d gradients for x (M or 1, B, C, H, W), d_out (M, B, O, oh, ow),
+    with the same column sharing as `_conv_forward`. Every head's dW is taken
+    before any dx, so the columns are freed before the input gradients' buffers."""
+    spec, w = layer.spec, layer.weight.values
+    heads, o, c, kh, kw = w.shape
+    b, _, h, wd = x.shape[1:]
+    top, _, left, _ = _conv_padding(spec)
+    dw = np.empty(w.shape, dtype=d_out.dtype)
+    db = None if layer.bias is None else np.empty((heads, o), dtype=d_out.dtype)
+    d2s = []
+    for m in range(heads):
+        if m < len(x):
+            cols = None
+            cols, (hp, wp, oh, ow, n) = _conv_columns(spec, x[m])
         # zeros at the junk grid positions keep them out of dW and dx
         d_grid = np.zeros((o, b, hp, wp), dtype=d_out.dtype)
-        d_grid[:, :, :oh, :ow] = d_out.transpose(1, 0, 2, 3)
-        d2 = d_grid.reshape(o, -1)[:, :n]
+        d_grid[:, :, :oh, :ow] = d_out[m].transpose(1, 0, 2, 3)
+        d2s.append(d_grid.reshape(o, -1)[:, :n])
         # (cols @ d2.T).T runs ~1.8x faster than d2 @ cols.T with few output channels
-        dw = (cols @ d2.T).T.reshape(layer.weight.values.shape)
-        del cols
-        db = d_out.reshape(b, o, -1).sum(axis=(0, 2)) if layer.bias is not None else None
-        dcols = (layer.weight.values.reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
+        dw[m] = (cols @ d2s[m].T).T.reshape(w.shape[1:])
+        if db is not None:
+            db[m] = d_out[m].reshape(b, o, -1).sum(axis=(0, 2))
+    del cols
+    dx = np.empty((heads, b, c, h, wd), dtype=d_out.dtype)
+    for m, d2 in enumerate(d2s):
+        dcols = (w[m].reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
         d_flat = np.zeros((c, b * hp * wp), dtype=d_out.dtype)
         for i in range(kh):
             for j in range(kw):
                 d_flat[:, i * wp + j:i * wp + j + n] += dcols[:, i * kw + j]
-        dx = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + w]
-        return LayerGrads(weight=dw, bias=db), np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+        dx[m] = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + wd] \
+            .transpose(1, 0, 2, 3)
+        del dcols, d_flat  # freed before the next head's are built
+    return LayerGrads(weight=dw, bias=db), _fold(dx, x)
+
+
+def _layer_backward(layer: Layer, x: np.ndarray,
+                    d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+    spec = layer.spec
+    if spec.kind == "relu":
+        return LayerGrads(), _fold(d_out * (x > 0), x)
+    w = layer.weight.values
+
+    if spec.kind == "linear":
+        dw = d_out.swapaxes(-1, -2) @ _flat_features(x, w)
+        db = d_out.sum(axis=-2) if layer.bias is not None else None
+        return LayerGrads(weight=dw, bias=db), _fold(d_out @ w, x)
+
+    if spec.kind == "conv2d":
+        if w.ndim == 5:
+            return _conv_backward(layer, x, d_out)
+        grads, dx = _conv_backward(_one_head(layer), x[None], d_out[None])
+        return LayerGrads(*(g if g is None else g[0] for g in (grads.weight, grads.bias))), dx[0]
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import LayerGrads, MaskedTensor
+from .nn import MaskedTensor
 from .rng import Stream
 from .sparsity import round_half_up
 
@@ -171,13 +171,13 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
                     schedule: TopologySchedule, t: int, total_steps: int, *,
                     component: str = "",
                     streams: dict[int, Stream] | None = None,
-                    grads: list[LayerGrads] | None = None) -> UpdateRecord:
+                    grads: dict[int, np.ndarray] | None = None) -> UpdateRecord:
     """One prune/regrow pass over a component's maskable layers.
 
     Per layer, k = round(p(t) * active) positions are pruned and the same
     number regrown (weights initialized to 0); p(t) decays to zero at
-    t = total_steps. RigL regrows where the weight gradient in `grads`
-    (the component's backward, masked positions included) is largest.
+    t = total_steps. RigL regrows where the weight gradient in `grads` (per
+    layer index, masked positions included) is largest.
     Mutates masks and values in place and returns the record of what
     changed; the caller resets optimizer state at each layer's pruned and
     grown positions.
@@ -202,7 +202,7 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
         flat_vals = mt.values.reshape(-1)
         flat_mask[pruned] = 0
         flat_vals[pruned] = 0.0
-        grad = grads[layer_idx].weight if grads is not None else None
+        grad = grads[layer_idx] if grads is not None else None
         grown = select_grow(mt.mask, k, grow_method, dense_grad=grad, stream=stream)
         flat_mask[grown] = 1
         flat_vals[grown] = 0.0

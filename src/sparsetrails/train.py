@@ -241,6 +241,20 @@ class Optimizer:
         dense[slice(None) if idx is None else idx] = compact
         return dense
 
+    def split(self, name: str, size: int) -> list[tuple[np.ndarray | None, slice]]:
+        """`name`'s compact entries cut into its size-long slices, the heads of
+        a stacked parameter: per slice, its active flat positions within the
+        slice (None if unmasked) and where its entries sit in the slots, which
+        sorted positions keep contiguous."""
+        idx, n = self.active[name], self.flat[name].size
+        if size == n:
+            return [(idx, slice(None))]
+        if idx is None:
+            return [(None, slice(a, a + size)) for a in range(0, n, size)]
+        ends = idx.searchsorted(np.arange(0, n + 1, size)).tolist()
+        return [(idx[a:b] - m * size if m else idx[a:b], slice(a, b))
+                for m, (a, b) in enumerate(zip(ends, ends[1:]))]
+
     def step(self, grads: dict[str, np.ndarray], lr: float, step: int = 0) -> None:
         # check every whole gradient first, so a diverged step changes nothing and
         # no non-finite entry at a masked position reaches RigL growth's selection
@@ -255,7 +269,7 @@ class Optimizer:
         for name, grad in grads.items():
             flat, idx, state = self.flat[name], self.active[name], self.slots[name]
             # the gather drops the gradient at masked positions (RigL growth reads it)
-            g, w = (grad, flat) if idx is None else (grad.take(idx), flat.take(idx))
+            g, w = (grad.reshape(-1), flat) if idx is None else (grad.take(idx), flat.take(idx))
             if self.kind == "sgd_momentum":
                 if c.weight_decay:
                     g = g + c.weight_decay * w
@@ -442,6 +456,16 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         if schedule.strategy == "prune_oneshot" else None
     evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
 
+    def reset_state(changes):
+        """Zero optimizer state where masks changed, one call per parameter;
+        `changes` holds (component, layer, flat positions in that layer)."""
+        by_name = {}
+        for comp_idx, li, flat in changes:
+            name, positions = model.weight_positions(comp_idx, li, flat)
+            by_name.setdefault(name, []).append(positions)
+        for name, parts in by_name.items():
+            optimizer.reset_positions(name, np.concatenate(parts))
+
     def batch_for(member, t):
         epoch, idx = divmod(t - 1, steps_per_epoch)
         cached = epoch_cache.get(member)
@@ -459,12 +483,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         # an independent ensemble passes its members' inputs and labels as lists
         x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
         outputs = forward_heads(model, x, record=True)
-        loss, per_head = composite_loss(outputs, y)
-        all_grads = model_backward(model, outputs, y, [p for _, p in per_head])
-        grads = {f"{comp_name}/{li}/{kind}": arr
-                 for comp_name, gs in all_grads.items() for li, lg in enumerate(gs)
-                 for kind, arr in (("weight", lg.weight), ("bias", lg.bias))
-                 if arr is not None}
+        loss, _, probs = composite_loss(outputs, y)
+        grads = model_backward(model, outputs, y, probs)
+        del outputs  # the tapes, freed before the optimizer's temporaries
         optimizer.step(grads, lr, step=t)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
@@ -472,26 +493,30 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         history.steps.append(StepRecord(step=t, loss=loss, lr=lr, drop_fraction=p_t))
 
         if update:
+            changes = []
             for comp_idx, comp_name in enumerate(model.component_names()):
                 masked = model.masked_layers(comp_idx)
                 if not masked:
                     continue
                 streams = {li: model.topo_streams[f"{comp_name}/{li}"] for li, _ in masked}
-                record = topology_update(masked, schedule, t, config.total_steps,
-                                         component=comp_name, streams=streams,
-                                         grads=all_grads.get(comp_name))
-                for u in record.layers:
-                    optimizer.reset_positions(f"{comp_name}/{u.layer}/weight",
-                                              u.pruned + u.grown)
+                record = topology_update(
+                    masked, schedule, t, config.total_steps, component=comp_name,
+                    streams=streams,
+                    grads={li: model.weight_grad(grads, comp_idx, li) for li, _ in masked})
+                changes += [(comp_idx, u.layer, u.pruned + u.grown) for u in record.layers]
                 history.updates.append(record)
+            reset_state(changes)
+        # freed now, not when the next backward replaces them: two steps'
+        # gradients would otherwise be live at once
+        del grads
 
         if prune_step is not None and t == prune_step:
-            named = [(f"{comp_name}/{li}/weight", mt)
+            where = [(comp_idx, li, f"{comp_name}/{li}/weight", mt)
                      for comp_idx, comp_name in enumerate(model.component_names())
                      for li, mt in model.masked_layers(comp_idx)]
-            pruned = one_shot_global_prune(named, sparsity_target)
-            for name, dropped in pruned.items():
-                optimizer.reset_positions(name, dropped)
+            pruned = one_shot_global_prune([(key, mt) for *_, key, mt in where],
+                                           sparsity_target)
+            reset_state([(c, li, pruned[key]) for c, li, key, _ in where])
             model.sparsity = sparsity_target
             ledger.forward_sparse = count_flops(model).forward_sparse
             remaining = (config.total_steps - t) * ledger.train_step_flops(

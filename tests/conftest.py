@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,31 @@ def gradcheck_stack(seed_stream, kind, sparsity, min_margin=1e-3):
 @pytest.fixture
 def stream():
     return Stream(2024)
+
+
+def openblas_threads():
+    """Getter and setter of the thread count of numpy's bundled OpenBLAS, or
+    (None, None) when that library is not loaded."""
+    with open("/proc/self/maps") as f:
+        libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            get, put = lib.scipy_openblas_get_num_threads64_, \
+                lib.scipy_openblas_set_num_threads64_
+            get.restype, put.argtypes, put.restype = ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None, None
+
+
+BLAS_THREADS = openblas_threads()
+
+
+@pytest.fixture(autouse=True)
+def blas_threads_restored():
+    """`cli.main` pins BLAS to one thread; later tests run with the count they had."""
+    get, put = BLAS_THREADS
+    before = get() if get else None
+    yield
+    if put:
+        put(before)

@@ -14,6 +14,9 @@
 - A one-shot global magnitude prune by one lexsort over every weight.
 - One member of an independent ensemble trained alone, by its own loop:
   its own batch order and its own unscaled loss.
+- The per-head training pass: forward, loss and backward of one head at a
+  time on its own views, the backbone gradient summing the heads' input
+  gradients in head order, which the stacked pass must reproduce bit for bit.
 """
 
 import copy
@@ -22,7 +25,8 @@ import math
 import numpy as np
 
 from sparsetrails.data import BatchPlan, Dataset, batches
-from sparsetrails.model import ParamRef, TrailsModel, composite_loss, forward_heads
+from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, composite_loss,
+                               forward_heads)
 from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, loss_backward, loss_forward,
                              stack_backward, stack_forward)
 from sparsetrails.rng import Stream
@@ -50,7 +54,7 @@ def stack_astype(layers: list[Layer], dtype) -> list[Layer]:
 def model_astype(model: TrailsModel, dtype) -> TrailsModel:
     clone = copy.copy(model)
     clone.backbone = stack_astype(model.backbone, dtype)
-    clone.heads = [stack_astype(h, dtype) for h in model.heads]
+    clone.head_stack = stack_astype(model.head_stack, dtype)
     clone.topo_streams = {}
     return clone
 
@@ -115,7 +119,7 @@ def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.n
     x64 = np.asarray(batch, dtype=np.float64)
 
     def loss_fn() -> float:
-        loss, _ = composite_loss(forward_heads(shadow, x64), targets)
+        loss, _, _ = composite_loss(forward_heads(shadow, x64), targets)
         return loss
 
     return {name: _stack_gradients(layers, loss_fn, eps)
@@ -329,3 +333,40 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
                             for kind, arr in (("weight", g.weight), ("bias", g.bias))
                             if arr is not None}, lr_at(step, config))
         epoch += 1
+
+
+# ---------------------------------------------------------------------------
+# per-head training pass
+# ---------------------------------------------------------------------------
+
+
+def per_head_pass(model: TrailsModel, batch, targets):
+    """One head at a time: forward, loss and backward on `model.heads[m]`;
+    per-member batches and targets come as lists. Returns the outputs with
+    (M, B, C) logits, the per-head losses and probabilities, the composite
+    loss, the gradients keyed `component/layer/kind` and the summed input
+    gradient of the heads, which the backbone's backward reads."""
+    per_member = isinstance(batch, list)
+    h, bb_tape = stack_forward(model.backbone, batch, record=True)
+    inputs = h if per_member else [h] * model.num_heads
+    targets = targets if isinstance(targets, list) else [targets] * model.num_heads
+    scale = 1.0 if model.independent else 1.0 / model.num_heads
+    logits, losses, probs, grads, d_h = [], [], [], {}, None
+    for m, (head, x, t) in enumerate(zip(model.heads, inputs, targets)):
+        y, tape = stack_forward(head, x, record=True)
+        loss, p = loss_forward(y, t)
+        head_grads, dx = stack_backward(head, tape, loss_backward(p, t, scale=scale))
+        if model.backbone:
+            d_h = dx if d_h is None else d_h + dx
+        logits.append(y)
+        losses.append(float(loss))
+        probs.append(p)
+        grads.update(_named_grads(f"head{m}", head_grads))
+    grads.update(_named_grads("backbone", stack_backward(model.backbone, bb_tape, d_h)[0]))
+    return (HeadOutputs(logits=np.stack(logits)), np.array(losses), np.stack(probs),
+            float(np.mean(losses)), grads, d_h)
+
+
+def _named_grads(component: str, grads: list[LayerGrads]) -> dict[str, np.ndarray]:
+    return {f"{component}/{li}/{kind}": arr for li, g in enumerate(grads)
+            for kind, arr in (("weight", g.weight), ("bias", g.bias)) if arr is not None}

@@ -15,6 +15,8 @@ from sparsetrails.config import make_model, make_train_config, resolve
 from sparsetrails.data import Dataset, write_idx
 from sparsetrails.train import Optimizer, count_flops
 
+from conftest import BLAS_THREADS
+
 RINGS_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "rings.json"
 
 
@@ -85,6 +87,12 @@ class TestTrainCommand:
         for name in ("history.jsonl", "summary.csv", "checkpoint.bin",
                      "config.resolved.json"):
             assert (out / name).exists(), name
+
+    @pytest.mark.skipif(BLAS_THREADS[0] is None, reason="numpy's bundled OpenBLAS not loaded")
+    def test_train_runs_blas_on_one_thread(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert main(["train", "--config", str(write_config(tmp_path)), "--quiet"]) == 0
+        assert BLAS_THREADS[0]() == 1
 
     def test_same_config_and_seed_identical_summary(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -327,6 +335,18 @@ class TestSweepCommand:
                      "--out", str(out)]) == 1
         assert "blocks_in_head" in capsys.readouterr().err
         assert not list(out.rglob("summary.csv"))  # nothing ran
+
+    def test_blocks_in_head_rejected_for_an_independent_ensemble(self, tmp_path, capsys):
+        # an independent ensemble ignores split_index: every grid point would
+        # train the same model
+        cfg = write_config(tmp_path, independent_members=True)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet",
+                     "--axis", "blocks_in_head", "--values", "0,1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.axis" in err and "independent" in err
+        assert not list(out.rglob("*.json"))  # no run started
 
     def test_blocks_in_head_axis_covers_split_range(self, tmp_path):
         cfg = write_config(tmp_path, train={"total_steps": 10}, eval_interval=10)

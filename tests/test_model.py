@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from sparsetrails.nn import stack_forward
 from sparsetrails.rng import Stream
 
 from conftest import max_relative_error
-from oracles import model_finite_difference
+from oracles import model_astype, model_finite_difference, per_head_pass
 
 
 def toy_spec(blocks=3, hidden=8, input_dim=2, classes=2):
@@ -135,22 +137,22 @@ class TestCompositeLoss:
         x = toy_batch(Stream(4), 6, 2)
         y = np.array([0, 1, 0, 1, 0, 1])
         out = forward_heads(model, x)
-        total, per_head = composite_loss(out, y)
-        assert total == pytest.approx(per_head[0][0])
+        total, losses, _ = composite_loss(out, y)
+        assert total == pytest.approx(losses[0])
 
     def test_mean_of_two_head_losses(self):
         logits_a = np.array([[10.0, 0.0]], dtype=np.float32)
         logits_b = np.array([[0.0, 10.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits_a, logits_b])
-        total, per_head = composite_loss(out, np.array([0]))
-        assert total == pytest.approx((per_head[0][0] + per_head[1][0]) / 2.0)
+        out = HeadOutputs(logits=np.stack([logits_a, logits_b]))
+        total, losses, _ = composite_loss(out, np.array([0]))
+        assert total == pytest.approx((losses[0] + losses[1]) / 2.0)
 
     def test_arithmetic_mean_hand_case(self):
-        out = HeadOutputs(logits=[np.log(np.array([[0.6703, 0.3297]], dtype=np.float32)),
-                                  np.log(np.array([[0.4493, 0.5507]], dtype=np.float32))])
-        total, per_head = composite_loss(out, np.array([0]))
-        assert per_head[0][0] == pytest.approx(0.4, abs=1e-3)
-        assert per_head[1][0] == pytest.approx(0.8, abs=1e-3)
+        out = HeadOutputs(logits=np.log(np.array([[[0.6703, 0.3297]], [[0.4493, 0.5507]]],
+                                                 dtype=np.float32)))
+        total, losses, _ = composite_loss(out, np.array([0]))
+        assert losses[0] == pytest.approx(0.4, abs=1e-3)
+        assert losses[1] == pytest.approx(0.8, abs=1e-3)
         assert total == pytest.approx(0.6, abs=1e-3)
 
 
@@ -159,40 +161,40 @@ class TestSoftVote:
         probs = [np.array([[0.6, 0.4]]), np.array([[0.2, 0.8]]),
                  np.array([[0.55, 0.45]])]
         logits = [np.log(p).astype(np.float32) for p in probs]
-        out = HeadOutputs(logits=logits)
+        out = HeadOutputs(logits=np.stack(logits))
         ens, preds = soft_vote(out)
         np.testing.assert_allclose(ens, [[0.45, 0.55]], atol=1e-6)
         assert preds.tolist() == [1]
 
     def test_shared_argmax_is_preserved(self):
-        out = HeadOutputs(logits=[np.array([[3.0, 1.0, 0.0]], dtype=np.float32),
-                                  np.array([[5.0, 4.0, 0.0]], dtype=np.float32)])
+        out = HeadOutputs(logits=np.array([[[3.0, 1.0, 0.0]], [[5.0, 4.0, 0.0]]],
+                                          dtype=np.float32))
         _, preds = soft_vote(out)
         assert preds.tolist() == [0]
 
     def test_single_head_is_its_own_prediction(self):
         logits = np.array([[0.2, 1.5, -1.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits])
+        out = HeadOutputs(logits=logits[None])
         ens, preds = soft_vote(out)
         np.testing.assert_allclose(ens, nn.softmax(logits), atol=1e-7)
         assert preds.tolist() == [1]
 
     def test_identical_heads_equal_single_head_softmax_exactly(self):
         logits = np.array([[0.3, -0.7], [1.0, 2.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[logits, logits.copy(), logits.copy()])
+        out = HeadOutputs(logits=np.stack([logits, logits, logits]))
         ens, _ = soft_vote(out)
         np.testing.assert_array_equal(ens, nn.softmax(logits))
 
     def test_logit_voting_mode(self):
         a = np.array([[2.0, 0.0]], dtype=np.float32)
         b = np.array([[0.0, 1.0]], dtype=np.float32)
-        out = HeadOutputs(logits=[a, b])
+        out = HeadOutputs(logits=np.stack([a, b]))
         ens, preds = soft_vote(out, vote="logits")
         np.testing.assert_allclose(ens, nn.softmax(np.array([[1.0, 0.5]])), atol=1e-6)
         assert preds.tolist() == [0]
 
     def test_argmax_tie_takes_lowest_class(self):
-        out = HeadOutputs(logits=[np.zeros((1, 3), dtype=np.float32)])
+        out = HeadOutputs(logits=np.zeros((1, 1, 3), dtype=np.float32))
         _, preds = soft_vote(out)
         assert preds.tolist() == [0]
 
@@ -203,23 +205,22 @@ class TestModelBackward:
         x = toy_batch(Stream(6), 3, 2)
         y = np.array([0, 1, 1])
         out = forward_heads(model, x, record=True)
-        _, per_head = composite_loss(out, y)
-        analytic = model_backward(model, out, y, [p for _, p in per_head])
+        _, _, probs = composite_loss(out, y)
+        analytic = model_backward(model, out, y, probs)
         fd = model_finite_difference(model, x, y, eps=1e-5)
-        for comp in model.component_names():
-            for got, want in zip(analytic[comp], fd[comp]):
-                if got.weight is not None:
-                    assert max_relative_error(got.weight, want.weight) < 1e-3
-                if got.bias is not None:
-                    assert max_relative_error(got.bias, want.bias) < 1e-3
+        for key, _, _, name, m in model.component_parameters():
+            comp, li, kind = key.split("/")
+            want = getattr(fd[comp][int(li)], kind)
+            got = analytic[name] if comp == "backbone" else analytic[name][m]
+            assert max_relative_error(got, want) < 1e-3, key
 
     def test_backward_requires_recording(self):
         model = build_trails(toy_spec(), 1, 2, 0.0, seed=0)
         out = forward_heads(model, toy_batch(Stream(0), 2, 2), record=False)
         y = np.array([0, 1])
-        _, per_head = composite_loss(out, y)
+        _, _, probs = composite_loss(out, y)
         with pytest.raises(ValueError, match="record=True"):
-            model_backward(model, out, y, [p for _, p in per_head])
+            model_backward(model, out, y, probs)
 
 
 class TestIndependentEnsemble:
@@ -269,3 +270,78 @@ class TestIndependentEnsemble:
         xs = [toy_batch(Stream(6), 5, 2), toy_batch(Stream(7), 5, 2)]
         with pytest.raises(ValueError, match="independent"):
             forward_heads(model, xs)
+
+
+class TestStackedHeads:
+    @staticmethod
+    def case(kind):
+        """A model and a batch: a shared MLP, a shared CNN (its first head conv
+        reads the backbone output, the second one per-head inputs), or an
+        independent CNN ensemble with one batch per member."""
+        stream = Stream(21)
+        if kind == "mlp":
+            model = build_trails(toy_spec(blocks=3, hidden=7, classes=3), 1, 3, 0.5, seed=5)
+            return model, toy_batch(stream, 6, 2), np.array([0, 1, 2, 2, 1, 0])
+        spec = small_cnn_spec((2, 6, 6), channels=3, num_blocks=3, num_classes=4)
+        images = stream.normals(3 * 5 * 72).astype(np.float32).reshape(3, 5, 2, 6, 6)
+        if kind == "cnn":
+            return (build_trails(spec, 1, 3, 0.5, allocation="erk", seed=5), images[0],
+                    np.array([0, 1, 2, 3, 1]))
+        return (build_independent_ensemble(spec, 3, 0.5, allocation="erk", seed=5),
+                list(images), [np.array([0, 1, 2, 3, 1]), np.array([3, 3, 0, 1, 2]),
+                               np.array([2, 0, 1, 1, 3])])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["mlp", "cnn", "independent"])
+    def test_matches_the_per_head_loop_bit_for_bit(self, kind, dtype):
+        model, x, y = self.case(kind)
+        model = model_astype(model, dtype)
+        x = [b.astype(dtype) for b in x] if isinstance(x, list) else x.astype(dtype)
+        want_out, want_losses, want_probs, want_loss, want_grads, want_d_h = \
+            per_head_pass(model, x, y)
+
+        out = forward_heads(model, x, record=True)
+        loss, losses, probs = composite_loss(out, y)
+        grads = model_backward(model, out, y, probs)
+        assert out.logits.tobytes() == want_out.logits.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+        assert losses.tobytes() == want_losses.tobytes() and loss == want_loss
+        assert np.array_equal(head_predictions(out), head_predictions(want_out))
+        assert soft_vote(out)[0].tobytes() == soft_vote(want_out)[0].tobytes()
+        for key, _, _, name, m in model.component_parameters():
+            got = grads[name] if key.startswith("backbone/") else grads[name][m]
+            assert got.dtype == dtype and got.tobytes() == want_grads[key].tobytes(), key
+        if not model.independent:
+            d_logits = nn.loss_backward(probs, y, scale=1.0 / model.num_heads)
+            _, d_h = nn.stack_backward(model.head_stack, out.head_tape, d_logits)
+            assert d_h.shape == (1,) + want_d_h.shape
+            assert d_h.tobytes() == want_d_h.tobytes()
+
+    def test_head_views_write_through_to_the_store(self):
+        model = build_trails(toy_spec(), 1, 3, 0.5, seed=3)
+        layer = model.heads[2][0]
+        layer.weight.values[0, 0] = 5.0
+        layer.bias[1] = 6.0
+        assert model.head_stack[0].weight.values[2, 0, 0] == 5.0
+        assert model.head_stack[0].bias[2, 1] == 6.0
+        # and a write through `named_parameters` reaches a view made before it
+        ref = next(r for r in model.named_parameters() if r.name == "heads/0/weight")
+        flat = ref.mask.reshape(-1)
+        flat[-1] ^= 1
+        assert layer.weight.mask.reshape(-1)[-1] == flat[-1]
+
+    def test_deepcopy_views_write_to_the_copy(self):
+        model = build_trails(toy_spec(), 1, 3, 0.5, seed=3)
+        before = [ref.array.copy() for ref in model.named_parameters()]
+        clone = copy.deepcopy(model)
+        for layer in clone.heads[1]:
+            if layer.weight is not None:
+                layer.weight.values[...] = 7.0
+                layer.weight.mask[...] = 1
+                layer.bias[...] = 7.0
+        assert all((layer.weight.values[1] == 7.0).all() and (layer.bias[1] == 7.0).all()
+                    for layer in clone.head_stack if layer.weight is not None)
+        for ref, old in zip(model.named_parameters(), before):
+            assert ref.array.tobytes() == old.tobytes(), ref.name
+        assert not all(layer.weight.mask[1].all()
+                       for layer in model.head_stack if layer.weight is not None)

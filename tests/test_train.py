@@ -459,15 +459,27 @@ class TestFit:
         history = fit(model, data, data, config, sparsity_target=target,
                       optimizer=optimizer)
 
+        # one reset per parameter and mask change; head m's positions in a
+        # stacked weight start at m * (the weight's per-head size)
         if strategy == "rigl":
-            want = [(f"{r.component}/{u.layer}/weight", sorted(u.pruned + u.grown))
-                    for r in history.updates for u in r.layers]
+            want = []
+            for step in sorted({r.step for r in history.updates}):
+                changed = {}
+                for r in history.updates:
+                    comp = model.component_names().index(r.component)
+                    for u in r.layers if r.step == step else []:
+                        name, flat = model.weight_positions(comp, u.layer, u.pruned + u.grown)
+                        changed.setdefault(name, []).extend(flat.tolist())
+                want += [(name, sorted(flat)) for name, flat in changed.items()]
         else:
             # masks are frozen after the prune, so the final ones show what it dropped
             want = [(p.name, np.flatnonzero(before[p.name] > p.mask).tolist())
                     for p in model.named_parameters() if p.mask is not None]
             counts = history.events[0]["pruned_counts"]
-            assert counts == {name: len(flat) for name, flat in want}
+            assert sum(counts.values()) == sum(len(flat) for _, flat in want)
+            assert counts == {key: int(np.count_nonzero(
+                before[name].reshape(-1, mask.size)[m] > mask.reshape(-1)))
+                for key, _, mask, name, m in model.component_parameters() if mask is not None}
         assert want and any(flat for _, flat in want)
         assert sorted(resets) == sorted(want)
         for p in model.named_parameters():
