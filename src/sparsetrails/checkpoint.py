@@ -10,8 +10,9 @@ Layout (all integers little-endian):
     adam_t    u64
     flops     u64      cumulative training FLOPs
     PRM section: u32 count, then one record per parameter of each
-        component (`TrailsModel.component_parameters`: a head's records
-        are its slices of the stacked head parameters)
+        component (`TrailsModel.component_parameters`: each a range of
+        the model's parameter store, a head's records its slices of the
+        stacked head parameters)
         u16 name length, name utf-8, u8 ndim, u32 per dim,
         u8 masked flag, then (masked only) mask bits packed 8-per-byte,
         float32 values at the active positions (every position if unmasked),
@@ -68,22 +69,27 @@ def _slot_key(name: str, slot: str) -> str:
     return f"{name}@{slot}"
 
 
+def _cuts(model: TrailsModel, optimizer: Optimizer) -> list[int]:
+    """Where each component record's store range starts and ends among the
+    optimizer's active positions: its entries in every slot."""
+    bounds = [end for ref in model.component_parameters()
+              for end in (ref.offset, ref.offset + ref.array.size)]
+    return optimizer.active.searchsorted(bounds).tolist()
+
+
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
                       optimizer_kind=optimizer.kind, adam_t=optimizer.adam_t,
                       cumulative_flops=ledger.cumulative_train)
-    parts = {}
-    for key, values, mask, name, m in model.component_parameters():
-        if name not in parts:
-            parts[name] = optimizer.split(name, values.size)
-        active, entries = parts[name][m]
-        ckpt.params[key] = values
-        if mask is not None:
-            ckpt.masks[key] = mask
-            ckpt.active[key] = active
-        for slot, arr in optimizer.slots[name].items():
-            ckpt.opt_state[_slot_key(key, slot)] = arr[entries]
+    cuts, slots = _cuts(model, optimizer), optimizer.slots.items()
+    for ref, lo, hi in zip(model.component_parameters(), cuts[::2], cuts[1::2]):
+        ckpt.params[ref.name] = ref.array
+        if ref.mask is not None:
+            ckpt.masks[ref.name] = ref.mask
+            ckpt.active[ref.name] = optimizer.active[lo:hi] - ref.offset
+        for slot, arr in slots:
+            ckpt.opt_state[_slot_key(ref.name, slot)] = arr[lo:hi]
     ckpt.rng_states = {key: stream.get_state()
                        for key, stream in model.topo_streams.items()}
     return ckpt
@@ -254,10 +260,10 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...],
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
     """Load a checkpoint into live objects; returns the step to resume from.
-    Each component's records fill its slice of the model's parameters and of
-    their optimizer state."""
-    records = list(model.component_parameters())
-    keys = {key for key, *_ in records}
+    Each component's records fill its range of the model's parameter store
+    and of the optimizer's state."""
+    records = model.component_parameters()
+    keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
         missing = keys ^ set(ckpt.params)
         raise CheckpointError(
@@ -266,27 +272,28 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
         raise CheckpointError(
             f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
             f"{optimizer.kind!r}")
-    active, slots = {}, {}
-    for key, array, mask, name, m in records:
-        values = _entry(ckpt.params, key, array.shape, "parameter")
-        entries = array.size
-        if mask is not None:
-            saved = _entry(ckpt.masks, key, mask.shape, "mask")
+    slot_names = Optimizer.SLOTS[optimizer.kind]
+    parts = []
+    for ref in records:
+        key = ref.name
+        values = _entry(ckpt.params, key, ref.array.shape, "parameter")
+        entries = ref.array.size
+        if ref.mask is not None:
+            saved = _entry(ckpt.masks, key, ref.mask.shape, "mask")
             if np.logical_and(values, np.logical_not(saved)).any():
                 raise CheckpointError(f"checkpoint weight {key} is nonzero where its mask is 0")
-            mask[...] = saved
-            idx = _entry(ckpt.active, key, (np.count_nonzero(saved),), "active indices")
-            active.setdefault(name, []).append(idx + m * array.size)
-            entries = len(idx)
-        array[...] = values
-        for slot in Optimizer.SLOTS[optimizer.kind]:
-            slots.setdefault(name, {}).setdefault(slot, []).append(
-                _entry(ckpt.opt_state, _slot_key(key, slot), (entries,), "optimizer slot"))
-    for name, parts in active.items():
-        optimizer.active[name] = np.concatenate(parts)
-    for name, by_slot in slots.items():
-        optimizer.slots[name] = {slot: np.concatenate(parts, dtype=optimizer.flat[name].dtype)
-                                 for slot, parts in by_slot.items()}
+            ref.mask[...] = saved
+            entries = len(_entry(ckpt.active, key, (np.count_nonzero(saved),),
+                                 "active indices"))
+        ref.array[...] = values
+        parts.append([_entry(ckpt.opt_state, _slot_key(key, slot), (entries,),
+                             "optimizer slot") for slot in slot_names])
+    optimizer.active = active_indices(model.store.mask)
+    cuts = _cuts(model, optimizer)
+    for i, slot in enumerate(slot_names):
+        arr = optimizer.slots[slot] = np.empty(optimizer.active.size, model.store.values.dtype)
+        for lo, hi, entries in zip(cuts[::2], cuts[1::2], parts):
+            arr[lo:hi] = entries[i]
     optimizer.adam_t = ckpt.adam_t
     for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:

@@ -13,12 +13,13 @@ an empty backbone and M whole-network heads, each reading its own batch
 and keeping its own unscaled loss.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
-from .nn import Layer, LayerSpec, MaskedTensor
+from .nn import Layer, LayerSpec, MaskedTensor, ParamRef, ParamStore
 from .rng import Stream
 from .sparsity import SparsityPlan, allocate, init_masks
 
@@ -103,15 +104,6 @@ def small_cnn_spec(input_shape: tuple[int, int, int], channels: int,
 
 
 @dataclass
-class ParamRef:
-    """Named handle onto a live parameter array (and its mask, for weights)."""
-
-    name: str
-    array: np.ndarray
-    mask: np.ndarray | None
-
-
-@dataclass
 class HeadOutputs:
     logits: np.ndarray  # (M, B, classes)
     backbone_tape: list[np.ndarray] | None = None
@@ -119,20 +111,20 @@ class HeadOutputs:
 
 
 class TrailsModel:
-    """A backbone and M heads. The heads' layers are stored stacked
-    (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)), and
-    `heads[m]` views head m's slices as plain layers that write through."""
+    """A backbone and M heads, every parameter in one `nn.ParamStore`
+    (`store`): the backbone's layers, then the heads' layers stacked
+    (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)). All of
+    them, and `heads[m]`'s plain layers over head m's slices, write through
+    to the store."""
 
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
-                 sparsity: float, seed: int, backbone: list[Layer],
-                 head_stack: list[Layer], plans: list[SparsityPlan | None],
-                 vote: str = "probs"):
+                 sparsity: float, seed: int, store: ParamStore,
+                 plans: list[SparsityPlan | None], vote: str = "probs"):
         self.spec = spec
         self.split_index = split_index
         self.num_heads = num_heads
         self.sparsity = sparsity
-        self.backbone = backbone
-        self.head_stack = head_stack
+        self.attach(store)
         self.plans = plans
         self.vote = vote
         # an independent ensemble's members each read their own batch and
@@ -146,6 +138,34 @@ class TrailsModel:
             for layer_idx, _ in self.masked_layers(comp_idx):
                 self.topo_streams[f"{name}/{layer_idx}"] = master.child(
                     "topo", comp_idx, layer_idx)
+
+    def attach(self, store: ParamStore) -> None:
+        """Make `store`, laid out as `build_trails` lays it out, the model's
+        parameters."""
+        self.store = store
+        self.backbone, self.head_stack = store.layers["backbone"], store.layers["heads"]
+        records = [ref for ref in store.refs if ref.name.startswith("backbone/")]
+        stacked = [ref for ref in store.refs if ref.name.startswith("heads/")]
+        for m in range(self.num_heads):
+            for ref in stacked:
+                size = ref.array[m].size
+                records.append(ParamRef(
+                    f"head{m}/{ref.name.removeprefix('heads/')}", ref.array[m],
+                    None if ref.mask is None else ref.mask[m], ref.grad[m],
+                    ref.offset + m * size, store))
+        self._records = records
+
+    def __deepcopy__(self, memo) -> "TrailsModel":
+        """A model on a copy of the store: the copy's layers, views and
+        records all write into the copy's buffers."""
+        clone = copy.copy(self)
+        memo[id(self)] = clone
+        views = ("store", "backbone", "head_stack", "_records")
+        for key, value in vars(self).items():
+            if key not in views:
+                setattr(clone, key, copy.deepcopy(value, memo))
+        clone.attach(copy.deepcopy(self.store, memo))
+        return clone
 
     # -- structure ----------------------------------------------------------
 
@@ -165,47 +185,31 @@ class TrailsModel:
         return ["backbone"] + [f"head{i}" for i in range(self.num_heads)]
 
     def named_parameters(self) -> list[ParamRef]:
-        """The backbone's parameters, then the heads' stacked ones (M, ...)."""
-        refs = []
-        for part, layers in (("backbone", self.backbone), ("heads", self.head_stack)):
-            for li, layer in enumerate(layers):
-                if layer.weight is not None:
-                    refs.append(ParamRef(f"{part}/{li}/weight", layer.weight.values,
-                                         layer.weight.mask))
-                if layer.bias is not None:
-                    refs.append(ParamRef(f"{part}/{li}/bias", layer.bias, None))
-        return refs
+        """The store's parameters: the backbone's, then the heads' stacked
+        ones (M, ...)."""
+        return self.store.refs
 
-    def component_parameters(self):
-        """Yield every component's own parameters, backbone then head 0, 1, ...:
-        (name `component/layer/kind`, array, mask or None, the name of the
-        parameter it is part of, its index there: the head, 0 in the backbone)."""
-        refs = self.named_parameters()
-        for ref in refs:
-            if ref.name.startswith("backbone/"):
-                yield ref.name, ref.array, ref.mask, ref.name, 0
-        stacked = [(ref.name.replace("heads/", "", 1), ref) for ref in refs
-                   if ref.name.startswith("heads/")]
-        for m in range(self.num_heads):
-            for rest, ref in stacked:
-                yield (f"head{m}/{rest}", ref.array[m],
-                       ref.mask if ref.mask is None else ref.mask[m], ref.name, m)
+    def component_parameters(self) -> list[ParamRef]:
+        """Every component's own parameters, backbone then head 0, 1, ...,
+        named `component/layer/kind`; a head's are its slices of the stacked
+        ones, each a range of the store."""
+        return self._records
 
-    def weight_positions(self, comp_idx: int, layer_idx: int,
-                         flat: list[int]) -> tuple[str, np.ndarray]:
-        """A component layer's flat weight positions as (parameter name, flat
-        positions in it): head m's slice of a stacked weight starts at m * size."""
+    def weight_positions(self, comp_idx: int, layer_idx: int, flat: list[int]) -> np.ndarray:
+        """A component layer's flat weight positions as positions in the
+        store: head m's slice of a stacked weight starts m sizes in."""
         if comp_idx == 0:
-            return f"backbone/{layer_idx}/weight", np.asarray(flat, np.int64)
-        size = self.head_stack[layer_idx].spec.weight_size
-        return f"heads/{layer_idx}/weight", np.asarray(flat, np.int64) + (comp_idx - 1) * size
+            start = self.store.offsets[f"backbone/{layer_idx}/weight"]
+        else:
+            start = self.store.offsets[f"heads/{layer_idx}/weight"] \
+                + (comp_idx - 1) * self.head_stack[layer_idx].spec.weight_size
+        return np.asarray(flat, np.int64) + start
 
-    def weight_grad(self, grads: dict[str, np.ndarray], comp_idx: int,
-                    layer_idx: int) -> np.ndarray:
-        """A component layer's own slice of the `model_backward` gradients."""
+    def weight_grad(self, comp_idx: int, layer_idx: int) -> np.ndarray:
+        """A component layer's own view of the store's weight gradient."""
         if comp_idx == 0:
-            return grads[f"backbone/{layer_idx}/weight"]
-        return grads[f"heads/{layer_idx}/weight"][comp_idx - 1]
+            return self.store.grads["backbone"][layer_idx].weight
+        return self.store.grads["heads"][layer_idx].weight[comp_idx - 1]
 
     def masked_layers(self, comp_idx: int) -> list[tuple[int, MaskedTensor]]:
         return [(li, layer.weight) for li, layer in enumerate(self.component(comp_idx))
@@ -213,9 +217,8 @@ class TrailsModel:
 
 
 def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
-                     master: Stream, comp_idx: int,
-                     into: list[Layer] | None = None) -> tuple[list[Layer], SparsityPlan | None]:
-    """Initialise a component's layers, into the zeroed layers `into` if given."""
+                     master: Stream, comp_idx: int, into: list[Layer]) -> SparsityPlan | None:
+    """Initialise a component's layers into the zeroed layers `into`."""
     maskable = [i for i, s in enumerate(specs) if s.weight_size > 0]
     plan = None
     masks: dict[int, np.ndarray] = {}
@@ -223,9 +226,9 @@ def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
         plan = allocate(specs, sparsity, allocation)
         streams = [master.child("mask", comp_idx, i) for i in plan.layer_indices]
         masks = init_masks(plan, specs, streams)
-    return [nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i),
-                          out=None if into is None else into[i])
-            for i, spec in enumerate(specs)], plan
+    for i, spec in enumerate(specs):
+        nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i), out=into[i])
+    return plan
 
 
 def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
@@ -236,8 +239,8 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     The stem always belongs to the backbone and the classifier to the
     heads, so split_index=0 still shares the stem and split_index=L yields
     M distinct classifiers. Backbone and every head are each allocated to
-    the global sparsity independently. Each head is built into its slice of
-    the stacked head layers.
+    the global sparsity independently, each into its own views of the
+    parameter store (a head into its slice of the stacked head layers).
     """
     spec.validate()
     if not 0 <= split_index <= spec.num_blocks:
@@ -251,16 +254,15 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     backbone_specs = spec.stem + [s for block in spec.blocks[:split_index] for s in block]
     head_specs = [s for block in spec.blocks[split_index:] for s in block] + spec.classifier
 
+    store = ParamStore({"backbone": (backbone_specs, None), "heads": (head_specs, num_heads)})
     master = Stream(seed)
-    backbone, bb_plan = _build_component(backbone_specs, sparsity, allocation, master, 0)
-    head_stack, plans = nn.stack_layers(head_specs, num_heads), [bb_plan]
+    plans = [_build_component(backbone_specs, sparsity, allocation, master, 0,
+                              store.layers["backbone"])]
     for m in range(num_heads):
-        _, plan = _build_component(head_specs, sparsity, allocation, master, m + 1,
-                                   into=[layer.head(m) for layer in head_stack])
-        plans.append(plan)
+        plans.append(_build_component(head_specs, sparsity, allocation, master, m + 1,
+                                      [layer.head(m) for layer in store.layers["heads"]]))
     return TrailsModel(spec=spec, split_index=split_index, num_heads=num_heads,
-                       sparsity=sparsity, seed=seed, backbone=backbone,
-                       head_stack=head_stack, plans=plans, vote=vote)
+                       sparsity=sparsity, seed=seed, store=store, plans=plans, vote=vote)
 
 
 def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: float,
@@ -310,9 +312,8 @@ def _targets(targets: np.ndarray | list[np.ndarray]) -> np.ndarray:
 
 
 def model_backward(model: TrailsModel, outputs: HeadOutputs,
-                   targets: np.ndarray | list[np.ndarray],
-                   probs: np.ndarray) -> dict[str, np.ndarray]:
-    """Gradients of the composite loss, keyed as `named_parameters`.
+                   targets: np.ndarray | list[np.ndarray], probs: np.ndarray) -> None:
+    """Gradients of the composite loss, written into `model.store.grad`.
 
     `probs` are the per-head softmax probabilities `composite_loss`
     returned for these outputs and targets. Head losses are scaled by 1/M,
@@ -324,13 +325,11 @@ def model_backward(model: TrailsModel, outputs: HeadOutputs,
         raise ValueError("backward requires forward_heads(record=True)")
     scale = 1.0 if model.independent else 1.0 / model.num_heads
     d_logits = nn.loss_backward(probs, _targets(targets), scale=scale)
-    head_grads, d_h = nn.stack_backward(model.head_stack, outputs.head_tape, d_logits)
+    grads = model.store.grads
+    _, d_h = nn.stack_backward(model.head_stack, outputs.head_tape, d_logits,
+                               out=grads["heads"])
     # an empty backbone passes its input gradient through untouched
-    bb_grads, _ = nn.stack_backward(model.backbone, outputs.backbone_tape, d_h[0])
-    return {f"{part}/{li}/{kind}": arr
-            for part, grads in (("heads", head_grads), ("backbone", bb_grads))
-            for li, g in enumerate(grads)
-            for kind, arr in (("weight", g.weight), ("bias", g.bias)) if arr is not None}
+    nn.stack_backward(model.backbone, outputs.backbone_tape, d_h[0], out=grads["backbone"])
 
 
 def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np.ndarray]:

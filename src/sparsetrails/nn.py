@@ -6,11 +6,13 @@ shape (`MaskedTensor`); positions with mask 0 hold the exact value 0.0 and
 stay that way through every forward, backward and optimizer step. Biases
 are dense and never masked.
 
-A stacked layer (`stack_layers`) holds M heads' weights, masks and biases
-in arrays with a leading head axis. It runs on inputs with a leading axis
-of M per-head inputs, or of 1 for one input that every head reads, and
-returns (M, B, ...); heads that read one input add their input gradients
-in head order. `Layer.head(m)` is head m's slice as a plain layer.
+A `ParamStore` holds every parameter of a model in three flat buffers
+(values, masks, gradients); its layers and `ParamRef`s are views into them.
+A stacked layer holds M heads' weights, masks and biases in arrays with a
+leading head axis. It runs on inputs with a leading axis of M per-head
+inputs, or of 1 for one input that every head reads, and returns
+(M, B, ...); heads that read one input add their input gradients in head
+order. `Layer.head(m)` is head m's slice as a plain layer.
 
 The math is dtype-following: arrays produced by a layer keep the dtype of
 its inputs, which lets the finite-difference oracle run the same code in
@@ -18,7 +20,7 @@ float64 while training runs in float32.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,25 +130,85 @@ class Layer:
         return Layer(self.spec, weight, None if self.bias is None else self.bias[m])
 
 
-def stack_layers(specs: list[LayerSpec], num_heads: int) -> list[Layer]:
-    """Zeroed layers whose weights, masks and biases carry a leading head axis."""
-    layers = []
-    for spec in specs:
-        layer = Layer(spec=spec)
-        if spec.weight_shape is not None:
-            shape = (num_heads,) + spec.weight_shape
-            layer.weight = MaskedTensor.view(np.zeros(shape, np.float32),
-                                             np.zeros(shape, np.uint8))
-        if spec.has_bias:  # one bias entry per output feature or channel
-            layer.bias = np.zeros((num_heads, spec.weight_shape[0]), np.float32)
-        layers.append(layer)
-    return layers
-
-
 @dataclass
 class LayerGrads:
     weight: np.ndarray | None = None  # every position, masked ones included
     bias: np.ndarray | None = None
+
+
+@dataclass
+class ParamRef:
+    """A named parameter: views of its values, its mask (weights only) and
+    its gradient, which start at `offset` in `store`'s flat buffers."""
+
+    name: str
+    array: np.ndarray
+    mask: np.ndarray | None
+    grad: np.ndarray | None = None
+    offset: int = 0
+    store: "ParamStore | None" = field(default=None, repr=False, compare=False)
+
+
+class ParamStore:
+    """Every parameter of a model in three flat buffers: `values`, a uint8
+    `mask` (1 at biases) and `grad`. Groups of layers follow each other,
+    each layer's weight then bias; a group stacked over M heads holds each
+    parameter as one (M, ...) range. `layers[group]`, their gradients
+    `grads[group]` and `refs` are views, so a write to any of them is a
+    write to the buffers, and back."""
+
+    def __init__(self, groups: dict[str, tuple[list[LayerSpec], int | None]],
+                 dtype=np.float32):
+        """groups: name -> (layer specs, head count, or None for plain layers)."""
+        self.groups = groups
+        layout = []
+        for group, (specs, heads) in groups.items():
+            lead = () if heads is None else (heads,)
+            for li, spec in enumerate(specs):
+                if spec.weight_shape is not None:
+                    layout.append((group, li, "weight", lead + spec.weight_shape))
+                if spec.has_bias:  # one bias entry per output feature or channel
+                    layout.append((group, li, "bias", lead + spec.weight_shape[:1]))
+        size = sum(math.prod(shape) for *_, shape in layout)
+        self.values = np.zeros(size, dtype)
+        self.mask = np.ones(size, np.uint8)
+        self.grad = np.zeros(size, dtype)
+        self.layers = {group: [Layer(spec) for spec in specs]
+                       for group, (specs, _) in groups.items()}
+        self.grads = {group: [LayerGrads() for _ in specs]
+                      for group, (specs, _) in groups.items()}
+        self.refs: list[ParamRef] = []
+        self.offsets: dict[str, int] = {}
+        offset = 0
+        for group, li, kind, shape in layout:
+            end = offset + math.prod(shape)
+            name = f"{group}/{li}/{kind}"
+            values, grad = (buf[offset:end].reshape(shape) for buf in (self.values, self.grad))
+            layer, mask = self.layers[group][li], None
+            if kind == "weight":
+                mask = self.mask[offset:end].reshape(shape)
+                mask[...] = 0
+                layer.weight = MaskedTensor.view(values, mask)
+            else:
+                layer.bias = values
+            setattr(self.grads[group][li], kind, grad)
+            self.refs.append(ParamRef(name, values, mask, grad, offset, self))
+            self.offsets[name] = offset
+            offset = end
+
+    def astype(self, dtype) -> "ParamStore":
+        """A store of the same layout holding these values, cast, and masks."""
+        clone = ParamStore(self.groups, dtype)
+        clone.values[...] = self.values
+        clone.mask[...] = self.mask
+        return clone
+
+    def __deepcopy__(self, memo) -> "ParamStore":
+        """New buffers and new views of them; the layer specs, which nothing
+        changes, are shared."""
+        clone = self.astype(self.values.dtype)
+        clone.grad[...] = self.grad
+        return clone
 
 
 def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None,
@@ -303,10 +365,22 @@ def stack_forward(layers: list[Layer], x: np.ndarray,
 # loss
 # ---------------------------------------------------------------------------
 
+def _over_classes(ufunc: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce(a, axis=-1, keepdims=True)`, bit for bit. Below 8 classes
+    it runs as one call per class column, in the order numpy's reduction
+    uses there, instead of a tiny inner loop per row; from 8 on numpy sums
+    in unrolled blocks, so the reduction itself is kept."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(a, axis=-1, keepdims=True)
+    out = a[..., :1]
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j:j + 1])
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(logits - _over_classes(np.maximum, logits))
+    return e / _over_classes(np.add, e)
 
 
 def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,13 +393,13 @@ def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
         raise ValueError(
             f"target out of range [0, {logits.shape[-1]}): min={targets.min()}, "
             f"max={targets.max()}")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - _over_classes(np.maximum, logits)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = e / _over_classes(np.add, e)
     # loss reduction in float64 so the scalar is accurate even when a float32
     # probability rounds to 1 (a second exp: summing `e` would change bits)
     shifted = shifted.astype(np.float64)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_z = np.log(_over_classes(np.add, np.exp(shifted)))[..., 0]
     log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
     return -log_p.mean(axis=-1), probs
 
@@ -350,17 +424,17 @@ def _fold(dx: np.ndarray, x: np.ndarray) -> np.ndarray:
     return dx.reshape(x.shape)
 
 
-def _conv_backward(layer: Layer, x: np.ndarray,
-                   d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+def _conv_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
+                   grads: LayerGrads) -> np.ndarray:
     """Stacked conv2d gradients for x (M or 1, B, C, H, W), d_out (M, B, O, oh, ow),
-    with the same column sharing as `_conv_forward`. Every head's dW is taken
-    before any dx, so the columns are freed before the input gradients' buffers."""
+    with the same column sharing as `_conv_forward`: dW and db go into `grads`,
+    dx is returned. Every head's dW is taken before any dx, so the columns
+    are freed before the input gradients' buffers."""
     spec, w = layer.spec, layer.weight.values
     heads, o, c, kh, kw = w.shape
     b, _, h, wd = x.shape[1:]
     top, _, left, _ = _conv_padding(spec)
-    dw = np.empty(w.shape, dtype=d_out.dtype)
-    db = None if layer.bias is None else np.empty((heads, o), dtype=d_out.dtype)
+    dw, db = grads.weight, grads.bias
     d2s = []
     for m in range(heads):
         if m < len(x):
@@ -385,39 +459,46 @@ def _conv_backward(layer: Layer, x: np.ndarray,
         dx[m] = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + wd] \
             .transpose(1, 0, 2, 3)
         del dcols, d_flat  # freed before the next head's are built
-    return LayerGrads(weight=dw, bias=db), _fold(dx, x)
+    return _fold(dx, x)
 
 
-def _layer_backward(layer: Layer, x: np.ndarray,
-                    d_out: np.ndarray) -> tuple[LayerGrads, np.ndarray]:
+def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
+                    out: LayerGrads | None) -> tuple[LayerGrads, np.ndarray]:
+    """A layer's gradients, written into `out` if given, and its input gradient."""
     spec = layer.spec
     if spec.kind == "relu":
         return LayerGrads(), _fold(d_out * (x > 0), x)
     w = layer.weight.values
+    grads = out if out is not None else LayerGrads(
+        np.empty(w.shape, d_out.dtype),
+        None if layer.bias is None else np.empty(layer.bias.shape, d_out.dtype))
 
     if spec.kind == "linear":
-        dw = d_out.swapaxes(-1, -2) @ _flat_features(x, w)
-        db = d_out.sum(axis=-2) if layer.bias is not None else None
-        return LayerGrads(weight=dw, bias=db), _fold(d_out @ w, x)
+        np.matmul(d_out.swapaxes(-1, -2), _flat_features(x, w), out=grads.weight)
+        if grads.bias is not None:
+            d_out.sum(axis=-2, out=grads.bias)
+        return grads, _fold(d_out @ w, x)
 
     if spec.kind == "conv2d":
         if w.ndim == 5:
-            return _conv_backward(layer, x, d_out)
-        grads, dx = _conv_backward(_one_head(layer), x[None], d_out[None])
-        return LayerGrads(*(g if g is None else g[0] for g in (grads.weight, grads.bias))), dx[0]
+            return grads, _conv_backward(layer, x, d_out, grads)
+        one = LayerGrads(*(g if g is None else g[None] for g in (grads.weight, grads.bias)))
+        return grads, _conv_backward(_one_head(layer), x[None], d_out[None], one)[0]
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
-                   d_out: np.ndarray,
-                   dense: bool = False) -> tuple[list[LayerGrads], np.ndarray]:
+                   d_out: np.ndarray, dense: bool = False,
+                   out: list[LayerGrads] | None = None) -> tuple[list[LayerGrads], np.ndarray]:
     """Backprop through a recorded stack_forward pass.
 
     Returns per-layer gradients plus the gradient with respect to the stack
     input. Each weight gradient covers every position, masked ones included:
-    the optimizer reads the active entries and RigL growth the rest. `dense`
-    is accepted for older callers and ignored.
+    the optimizer reads the active entries and RigL growth the rest. With
+    `out` (per layer, such as `ParamStore.grads[group]`) the gradients are
+    written there and returned as those views. `dense` is accepted for older
+    callers and ignored.
     """
     if tape is None:
         raise ValueError("backward requires a recorded forward pass (record=True)")
@@ -425,5 +506,6 @@ def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
         raise ValueError(f"tape length {len(tape)} != layer count {len(layers)}")
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
-        grads[i], d_out = _layer_backward(layers[i], tape[i], d_out)
+        grads[i], d_out = _layer_backward(layers[i], tape[i], d_out,
+                                          None if out is None else out[i])
     return grads, d_out

@@ -175,7 +175,7 @@ class Stream:
 # Generators" (arXiv:1805.01407); Haramoto et al., "Efficient Jump Ahead
 # for F2-Linear Random Number Generators" (INFORMS J. Computing, 2008).
 
-_LANE_CUTOFF = 2048   # below this many draws, lane set-up costs more than it saves
+_LANE_CUTOFF = 512   # below this many draws, lane set-up costs more than it saves
 _powers: list[np.ndarray] = []   # _powers[k] = A^(2^k) as 0/1 uint8, filled lazily
 
 

@@ -197,105 +197,100 @@ def count_flops(model: TrailsModel) -> FlopsLedger:
 # ---------------------------------------------------------------------------
 
 def active_indices(mask: np.ndarray) -> np.ndarray:
-    """Sorted flat indices where mask is 1 (~3x faster on bool than on uint8)."""
-    return (mask != 0).ravel().nonzero()[0]
+    """Sorted flat indices where a 0/1 uint8 mask is 1. Read as bool in
+    place, which is faster than on uint8 or on a `mask != 0` copy."""
+    return mask.view(bool).ravel().nonzero()[0]
 
 
 class Optimizer:
-    """Masked SGD-with-momentum or Adam over a model's named parameters.
+    """Masked SGD-with-momentum or Adam over a model's parameter store.
 
-    A masked weight keeps state at its sorted active flat indices (`active`)
-    only; a step gathers gradient and weight there and scatters the weight
-    back, so masked positions stay +0.0. Whoever changes a mask calls
-    `reset_positions`. Weight decay is SGD-only, folded into the gradient.
+    Takes every parameter of one `nn.ParamStore` (`model.named_parameters()`).
+    State is kept at the store's sorted active positions (`active`: where the
+    mask is 1, biases included) only, one compact array per slot. A step
+    checks the whole gradient buffer, gathers gradient and weight at the
+    active positions, updates them and scatters the weights back, so masked
+    positions stay +0.0. Whoever changes a mask calls `reset_positions`.
+    Weight decay is SGD-only, folded into the gradient.
     """
 
     SLOTS = {"sgd_momentum": ("momentum",), "adam": ("m", "v")}
 
     def __init__(self, config: TrainConfig, params: list[model_mod.ParamRef]):
+        self.store = params[0].store if params else None
+        if self.store is None or [p.name for p in params] != list(self.store.offsets):
+            raise ValueError("an optimizer takes every parameter of one store, in order")
         self.config = config
-        self.params = {p.name: p for p in params}
         self.kind = config.optimizer
         self.adam_t = 0
-        self.flat = {p.name: p.array.reshape(-1) for p in params}  # views
-        self.active = {p.name: None if p.mask is None else active_indices(p.mask)
-                       for p in params}  # None: unmasked, every entry
-        self.slots = {name: {slot: np.zeros(len(self.flat[name] if idx is None else idx),
-                                            self.flat[name].dtype)
-                             for slot in self.SLOTS[self.kind]}
-                      for name, idx in self.active.items()}
+        self.active = active_indices(self.store.mask)
+        self.slots = {slot: np.zeros(self.active.size, self.store.values.dtype)
+                      for slot in self.SLOTS[self.kind]}
 
     @property
     def state(self) -> dict[str, dict[str, np.ndarray]]:
-        """Dense copies of the slots, +0.0 at masked positions; checks that
-        every mask still matches its indices."""
-        for name, idx in self.active.items():
-            if idx is not None and not np.array_equal(idx, active_indices(self.params[name].mask)):
-                raise RuntimeError(f"optimizer indices of {name} disagree with its mask")
-        return {name: {slot: self._dense(name, arr).reshape(self.params[name].array.shape)
-                       for slot, arr in slots.items()} for name, slots in self.slots.items()}
+        """Dense copies of the slots per parameter, +0.0 at masked positions;
+        checks that the mask still matches the active positions."""
+        if not np.array_equal(self.active, active_indices(self.store.mask)):
+            raise RuntimeError("optimizer indices disagree with its mask")
+        dense = {}
+        for slot, arr in self.slots.items():
+            dense[slot] = np.zeros(self.store.values.size, arr.dtype)
+            dense[slot][self.active] = arr
+        return {ref.name: {slot: arr[ref.offset:ref.offset + ref.array.size]
+                           .reshape(ref.array.shape) for slot, arr in dense.items()}
+                for ref in self.store.refs}
 
-    def _dense(self, name: str, compact: np.ndarray) -> np.ndarray:
-        idx = self.active[name]
-        dense = np.zeros(self.flat[name].size, compact.dtype)
-        dense[slice(None) if idx is None else idx] = compact
-        return dense
-
-    def split(self, name: str, size: int) -> list[tuple[np.ndarray | None, slice]]:
-        """`name`'s compact entries cut into its size-long slices, the heads of
-        a stacked parameter: per slice, its active flat positions within the
-        slice (None if unmasked) and where its entries sit in the slots, which
-        sorted positions keep contiguous."""
-        idx, n = self.active[name], self.flat[name].size
-        if size == n:
-            return [(idx, slice(None))]
-        if idx is None:
-            return [(None, slice(a, a + size)) for a in range(0, n, size)]
-        ends = idx.searchsorted(np.arange(0, n + 1, size)).tolist()
-        return [(idx[a:b] - m * size if m else idx[a:b], slice(a, b))
-                for m, (a, b) in enumerate(zip(ends, ends[1:]))]
-
-    def step(self, grads: dict[str, np.ndarray], lr: float, step: int = 0) -> None:
-        # check every whole gradient first, so a diverged step changes nothing and
-        # no non-finite entry at a masked position reaches RigL growth's selection
-        for name, grad in grads.items():
-            if not np.isfinite(grad).all():
-                kind = "NaN" if np.isnan(grad).any() else "inf"
-                raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
+    def step(self, lr: float, step: int = 0) -> None:
+        """One update from the gradient in the store's `grad` buffer."""
+        store, grad = self.store, self.store.grad
+        # check the whole gradient first, so a diverged step changes nothing and
+        # no non-finite entry at a masked position reaches RigL growth's selection;
+        # min and max are NaN or infinite if any entry is, and allocate nothing
+        if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
+            name = next(ref.name for ref in reversed(store.refs) if ref.offset <= bad)
+            kind = "NaN" if np.isnan(grad).any() else "inf"
+            raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
         c = self.config
-        if self.kind == "adam":
+        # the gather drops the gradient at masked positions (RigL growth reads it)
+        g, w = grad.take(self.active), store.values.take(self.active)
+        if self.kind == "sgd_momentum":
+            if c.weight_decay:
+                g += c.weight_decay * w
+            v = self.slots["momentum"]
+            v *= c.momentum
+            v += g
+            del g  # freed before the update's temporary
+            w -= lr * v
+        else:
             self.adam_t += 1
             bias1, bias2 = 1.0 - c.beta1 ** self.adam_t, 1.0 - c.beta2 ** self.adam_t
-        for name, grad in grads.items():
-            flat, idx, state = self.flat[name], self.active[name], self.slots[name]
-            # the gather drops the gradient at masked positions (RigL growth reads it)
-            g, w = (grad.reshape(-1), flat) if idx is None else (grad.take(idx), flat.take(idx))
-            if self.kind == "sgd_momentum":
-                if c.weight_decay:
-                    g = g + c.weight_decay * w
-                v = state["momentum"]
-                v *= c.momentum
-                v += g
-                w -= lr * v
-            else:
-                m, v = state["m"], state["v"]
-                m *= c.beta1
-                m += (1.0 - c.beta1) * g
-                v *= c.beta2
-                v += (1.0 - c.beta2) * g * g
-                w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
-            if idx is not None:
-                flat.put(idx, w)
+            m, v = self.slots["m"], self.slots["v"]
+            m *= c.beta1
+            m += (1.0 - c.beta1) * g
+            v *= c.beta2
+            v += (1.0 - c.beta2) * g * g
+            del g
+            w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
+        store.values.put(self.active, w)
 
-    def reset_positions(self, name: str, flat_indices: list[int]) -> None:
-        """Re-derive `name`'s active indices from its live mask. Kept positions
-        keep their state unless listed; listed and new ones start at +0.0."""
-        active = active_indices(self.params[name].mask)
-        for slot, arr in self.slots[name].items():
-            dense = self._dense(name, arr)
-            dense[flat_indices] = 0.0
-            self.slots[name][slot] = dense.take(active)
-        self.active[name] = active
+    def reset_positions(self, positions) -> None:
+        """Re-derive the active positions from the store's live mask. Kept
+        positions keep their state unless listed (as store positions); listed
+        and new ones start at +0.0."""
+        # 2 at the positions active before and now and not listed
+        seen = self.store.mask.copy()
+        seen[self.active] += 1
+        seen[np.asarray(positions, np.int64)] = 0
+        from_old = seen[self.active] == 2
+        self.active = None  # the old positions, freed before the new ones are found
+        self.active = active_indices(self.store.mask)
+        into_new = seen[self.active] == 2
+        del seen
+        for slot, arr in self.slots.items():
+            self.slots[slot] = np.zeros(self.active.size, arr.dtype)
+            self.slots[slot][into_new] = arr[from_old]
 
 
 # ---------------------------------------------------------------------------
@@ -457,14 +452,10 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
 
     def reset_state(changes):
-        """Zero optimizer state where masks changed, one call per parameter;
-        `changes` holds (component, layer, flat positions in that layer)."""
-        by_name = {}
-        for comp_idx, li, flat in changes:
-            name, positions = model.weight_positions(comp_idx, li, flat)
-            by_name.setdefault(name, []).append(positions)
-        for name, parts in by_name.items():
-            optimizer.reset_positions(name, np.concatenate(parts))
+        """Zero optimizer state where masks changed, in one call; `changes`
+        holds (component, layer, flat positions in that layer)."""
+        optimizer.reset_positions(np.concatenate(
+            [model.weight_positions(comp_idx, li, flat) for comp_idx, li, flat in changes]))
 
     def batch_for(member, t):
         epoch, idx = divmod(t - 1, steps_per_epoch)
@@ -484,9 +475,9 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
         outputs = forward_heads(model, x, record=True)
         loss, _, probs = composite_loss(outputs, y)
-        grads = model_backward(model, outputs, y, probs)
+        model_backward(model, outputs, y, probs)
         del outputs  # the tapes, freed before the optimizer's temporaries
-        optimizer.step(grads, lr, step=t)
+        optimizer.step(lr, step=t)
         if not math.isfinite(loss):
             raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
         ledger.charge_step(len(drawn[0][1]))
@@ -502,13 +493,10 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                 record = topology_update(
                     masked, schedule, t, config.total_steps, component=comp_name,
                     streams=streams,
-                    grads={li: model.weight_grad(grads, comp_idx, li) for li, _ in masked})
+                    grads={li: model.weight_grad(comp_idx, li) for li, _ in masked})
                 changes += [(comp_idx, u.layer, u.pruned + u.grown) for u in record.layers]
                 history.updates.append(record)
             reset_state(changes)
-        # freed now, not when the next backward replaces them: two steps'
-        # gradients would otherwise be live at once
-        del grads
 
         if prune_step is not None and t == prune_step:
             where = [(comp_idx, li, f"{comp_name}/{li}/weight", mt)

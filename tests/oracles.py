@@ -17,6 +17,8 @@
 - The per-head training pass: forward, loss and backward of one head at a
   time on its own views, the backbone gradient summing the heads' input
   gradients in head order, which the stacked pass must reproduce bit for bit.
+- Cross-entropy and softmax by numpy's row reductions over the class axis,
+  which `nn.loss_forward` and `nn.softmax` must reproduce bit for bit.
 """
 
 import copy
@@ -53,8 +55,7 @@ def stack_astype(layers: list[Layer], dtype) -> list[Layer]:
 
 def model_astype(model: TrailsModel, dtype) -> TrailsModel:
     clone = copy.copy(model)
-    clone.backbone = stack_astype(model.backbone, dtype)
-    clone.head_stack = stack_astype(model.head_stack, dtype)
+    clone.attach(model.store.astype(dtype))
     clone.topo_streams = {}
     return clone
 
@@ -223,10 +224,11 @@ def choice_without_replacement(stream: Stream, n: int, k: int) -> np.ndarray:
 
 
 class DenseOptimizer:
-    """SGD-with-momentum or Adam with dense slots, a drop-in for `Optimizer`
-    in `fit`. The gradient is masked before the update, so masked weight
-    positions and their slot entries stay +0.0; `reset_positions` zeroes
-    the slots at the listed positions."""
+    """SGD-with-momentum or Adam with dense slots per parameter, a drop-in
+    for `Optimizer` in `fit`: each step reads every parameter's own `grad`.
+    The gradient is masked before the update, so masked weight positions and
+    their slot entries stay +0.0; `reset_positions` zeroes the slots at the
+    listed store positions."""
 
     SLOTS = Optimizer.SLOTS
 
@@ -238,15 +240,15 @@ class DenseOptimizer:
         self.state = {p.name: {slot: np.zeros_like(p.array) for slot in self.SLOTS[self.kind]}
                       for p in params}
 
-    def step(self, grads, lr, step=0):
-        for name, grad in grads.items():
-            if not np.isfinite(grad).all():
+    def step(self, lr, step=0):
+        for name, ref in self.params.items():
+            if not np.isfinite(ref.grad).all():
                 raise TrainingDiverged(f"non-finite gradient in {name}", step=step)
         if self.kind == "adam":
             self.adam_t += 1
         c = self.config
-        for name, grad in grads.items():
-            ref, state = self.params[name], self.state[name]
+        for name, ref in self.params.items():
+            grad, state = ref.grad, self.state[name]
             if ref.mask is not None:
                 grad = grad * ref.mask
             if self.kind == "sgd_momentum":
@@ -266,9 +268,13 @@ class DenseOptimizer:
                 v_hat = v / (1.0 - c.beta2 ** self.adam_t)
                 ref.array -= lr * m_hat / (np.sqrt(v_hat) + c.adam_eps)
 
-    def reset_positions(self, name, flat_indices):
-        for slot in self.state[name].values():
-            slot.reshape(-1)[flat_indices] = 0.0
+    def reset_positions(self, positions):
+        positions = np.asarray(positions, np.int64)
+        for name, ref in self.params.items():
+            mine = positions[(positions >= ref.offset)
+                             & (positions < ref.offset + ref.array.size)] - ref.offset
+            for slot in self.state[name].values():
+                slot.reshape(-1)[mine] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +315,22 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
                        config: TrainConfig) -> None:
     """Train one member's layers in place for config.total_steps steps, as
     if it were the only network: batches in the order of data stream
-    `member`, the plain mean cross-entropy (no 1/M scale), a masked
+    `member`, the plain mean cross-entropy (no 1/M scale), a masked dense
     optimizer step, no topology updates."""
     plan = BatchPlan(batch_size=config.batch_size,
                      shuffle_seed=Stream(config.seed).child("data", member).seed,
                      drop_last=config.drop_last)
-    params = []
+    params, grads = [], []
     for li, layer in enumerate(layers):
+        grads.append(LayerGrads())
         if layer.weight is not None:
-            params.append(ParamRef(f"{li}/weight", layer.weight.values, layer.weight.mask))
+            grads[li].weight = np.empty_like(layer.weight.values)
+            params.append(ParamRef(f"{li}/weight", layer.weight.values, layer.weight.mask,
+                                   grads[li].weight))
         if layer.bias is not None:
-            params.append(ParamRef(f"{li}/bias", layer.bias, None))
-    optimizer = Optimizer(config, params)
+            grads[li].bias = np.empty_like(layer.bias)
+            params.append(ParamRef(f"{li}/bias", layer.bias, None, grads[li].bias))
+    optimizer = DenseOptimizer(config, params)
     step, epoch = 0, 0
     while step < config.total_steps:
         for sel in batches(train_set, plan, epoch)[:config.total_steps - step]:
@@ -328,10 +338,8 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
             x, y = train_set.inputs[sel], train_set.labels[sel]
             logits, tape = stack_forward(layers, x, record=True)
             _, probs = loss_forward(logits, y)
-            grads, _ = stack_backward(layers, tape, loss_backward(probs, y))
-            optimizer.step({f"{li}/{kind}": arr for li, g in enumerate(grads)
-                            for kind, arr in (("weight", g.weight), ("bias", g.bias))
-                            if arr is not None}, lr_at(step, config))
+            stack_backward(layers, tape, loss_backward(probs, y), out=grads)
+            optimizer.step(lr_at(step, config))
         epoch += 1
 
 
@@ -370,3 +378,21 @@ def per_head_pass(model: TrailsModel, batch, targets):
 def _named_grads(component: str, grads: list[LayerGrads]) -> dict[str, np.ndarray]:
     return {f"{component}/{li}/{kind}": arr for li, g in enumerate(grads)
             for kind, arr in (("weight", g.weight), ("bias", g.bias)) if arr is not None}
+
+
+# ---------------------------------------------------------------------------
+# cross-entropy by axis reductions
+# ---------------------------------------------------------------------------
+
+
+def axis_loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`nn.loss_forward` with its max and both exp-sums as reductions over
+    the class axis: (per-index mean cross-entropy, softmax probabilities)."""
+    targets = np.broadcast_to(targets, logits.shape[:-1])
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    shifted = shifted.astype(np.float64)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
+    return -log_p.mean(axis=-1), probs

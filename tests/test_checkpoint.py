@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,42 @@ class TestRoundTrip:
                 assert a.mask.tobytes() == b.mask.tobytes(), a.name
             assert state_a[a.name]["momentum"].tobytes() \
                 == state_c[b.name]["momentum"].tobytes(), a.name
+
+
+# written by the package before its parameter store (commit 2a383d6), when
+# the optimizer kept its state per parameter: the run of `older_file_run`
+OLDER_FILE = Path(__file__).parent / "data" / "rings_adam_rigl_step20.bin"
+
+
+def older_file_run(seed):
+    """A model with a sparse backbone and three stacked heads, its Adam
+    optimizer and ledger; trained for 20 RigL steps if seed is 4."""
+    data = gen_synthetic("rings", 60, noise=0.2, seed=2)
+    model = build_trails(mlp_spec(2, 6, 3, 2), 1, 3, 0.5, seed=seed)
+    config = TrainConfig(total_steps=20, batch_size=16, eval_interval=20, optimizer="adam",
+                         lr=0.01, seed=seed,
+                         topology=TopologySchedule(strategy="rigl", delta_t=5))
+    optimizer, ledger = Optimizer(config, model.named_parameters()), count_flops(model)
+    if seed == 4:
+        fit(model, data, data, config, optimizer=optimizer, ledger=ledger)
+    return model, optimizer, ledger
+
+
+class TestOlderFiles:
+    def test_the_same_run_writes_the_same_bytes(self, tmp_path):
+        model, optimizer, ledger = older_file_run(seed=4)
+        path = tmp_path / "c.bin"
+        save_checkpoint(capture(model, optimizer, ledger, 20, "5a" * 32), str(path))
+        assert path.read_bytes() == OLDER_FILE.read_bytes()
+
+    def test_loads_and_saves_back_bit_for_bit(self, tmp_path):
+        model, optimizer, ledger = older_file_run(seed=99)
+        ckpt = load_checkpoint(str(OLDER_FILE))
+        step = restore(ckpt, model, optimizer, ledger)
+        assert step == 20 and optimizer.adam_t == 20
+        path = tmp_path / "c.bin"
+        save_checkpoint(capture(model, optimizer, ledger, step, ckpt.config_hash), str(path))
+        assert path.read_bytes() == OLDER_FILE.read_bytes()
 
 
 class TestCanonicalZero:

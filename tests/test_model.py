@@ -9,6 +9,7 @@ from sparsetrails.model import (HeadOutputs, build_independent_ensemble, build_t
                                 mlp_spec, model_backward, small_cnn_spec, soft_vote)
 from sparsetrails.nn import stack_forward
 from sparsetrails.rng import Stream
+from sparsetrails.train import Optimizer, TrainConfig
 
 from conftest import max_relative_error
 from oracles import model_astype, model_finite_difference, per_head_pass
@@ -206,13 +207,12 @@ class TestModelBackward:
         y = np.array([0, 1, 1])
         out = forward_heads(model, x, record=True)
         _, _, probs = composite_loss(out, y)
-        analytic = model_backward(model, out, y, probs)
+        model_backward(model, out, y, probs)
         fd = model_finite_difference(model, x, y, eps=1e-5)
-        for key, _, _, name, m in model.component_parameters():
-            comp, li, kind = key.split("/")
+        for ref in model.component_parameters():
+            comp, li, kind = ref.name.split("/")
             want = getattr(fd[comp][int(li)], kind)
-            got = analytic[name] if comp == "backbone" else analytic[name][m]
-            assert max_relative_error(got, want) < 1e-3, key
+            assert max_relative_error(ref.grad, want) < 1e-3, ref.name
 
     def test_backward_requires_recording(self):
         model = build_trails(toy_spec(), 1, 2, 0.0, seed=0)
@@ -302,15 +302,15 @@ class TestStackedHeads:
 
         out = forward_heads(model, x, record=True)
         loss, losses, probs = composite_loss(out, y)
-        grads = model_backward(model, out, y, probs)
+        model_backward(model, out, y, probs)
         assert out.logits.tobytes() == want_out.logits.tobytes()
         assert probs.tobytes() == want_probs.tobytes()
         assert losses.tobytes() == want_losses.tobytes() and loss == want_loss
         assert np.array_equal(head_predictions(out), head_predictions(want_out))
         assert soft_vote(out)[0].tobytes() == soft_vote(want_out)[0].tobytes()
-        for key, _, _, name, m in model.component_parameters():
-            got = grads[name] if key.startswith("backbone/") else grads[name][m]
-            assert got.dtype == dtype and got.tobytes() == want_grads[key].tobytes(), key
+        for ref in model.component_parameters():
+            assert ref.grad.dtype == dtype, ref.name
+            assert ref.grad.tobytes() == want_grads[ref.name].tobytes(), ref.name
         if not model.independent:
             d_logits = nn.loss_backward(probs, y, scale=1.0 / model.num_heads)
             _, d_h = nn.stack_backward(model.head_stack, out.head_tape, d_logits)
@@ -345,3 +345,30 @@ class TestStackedHeads:
             assert ref.array.tobytes() == old.tobytes(), ref.name
         assert not all(layer.weight.mask[1].all()
                        for layer in model.head_stack if layer.weight is not None)
+
+    def test_deepcopy_views_and_optimizer_use_only_the_copys_store(self):
+        model = build_trails(toy_spec(blocks=2), 1, 3, 0.5, seed=3)
+        clone = copy.deepcopy(model)
+        ours = [clone.store.values, clone.store.mask, clone.store.grad]
+        theirs = [model.store.values, model.store.mask, model.store.grad]
+        for got, want in zip(ours, theirs):
+            assert got.tobytes() == want.tobytes()
+        views = [arr for layers in [clone.backbone, clone.head_stack, *clone.heads]
+                 for layer in layers if layer.weight is not None
+                 for arr in (layer.weight.values, layer.weight.mask, layer.bias)]
+        views += [arr for ref in clone.named_parameters() + clone.component_parameters()
+                  for arr in (ref.array, ref.mask, ref.grad) if arr is not None]
+        views += [arr for grads in clone.store.grads.values() for g in grads
+                  for arr in (g.weight, g.bias) if arr is not None]
+        for view in views:
+            assert any(np.shares_memory(view, buf) for buf in ours)
+            assert not any(np.shares_memory(view, buf) for buf in theirs)
+        assert all(ref.store is clone.store for ref in clone.named_parameters())
+
+        before = [buf.copy() for buf in theirs]
+        clone.store.grad[...] = 1.0
+        optimizer = Optimizer(TrainConfig(total_steps=1), clone.named_parameters())
+        optimizer.step(lr=0.1)
+        assert not np.array_equal(clone.store.values, model.store.values)
+        for buf, old in zip(theirs, before):
+            assert buf.tobytes() == old.tobytes()

@@ -14,8 +14,8 @@ from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, init_layer,
 from sparsetrails.rng import Stream
 
 from conftest import gradcheck_stack, make_linear, max_relative_error, random_stack
-from oracles import (conv2d_backward, conv2d_forward, finite_difference_gradient,
-                     stack_finite_difference)
+from oracles import (axis_loss_forward, conv2d_backward, conv2d_forward,
+                     finite_difference_gradient, stack_finite_difference)
 
 
 class TestLayerForward:
@@ -147,6 +147,26 @@ class TestLossForward:
         loss, probs = loss_forward(logits, np.array([0, 1, 2]))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert loss >= 0.0
+
+    # few distinct values make rows tie; +-1e4 sends exp to 0 and 1
+    LOGIT = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 88.0, -100.0, 1e4, -1e4]) \
+        | st.floats(-60, 60, width=32)
+
+    @given(st.integers(1, 12), st.sampled_from([np.float32, np.float64]), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_axis_reductions_bit_for_bit(self, classes, dtype, data):
+        heads, batch = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 5))
+        logits = np.array(data.draw(st.lists(self.LOGIT, min_size=heads * batch * classes,
+                                             max_size=heads * batch * classes)),
+                          dtype).reshape(heads, batch, classes)
+        targets = np.array(data.draw(st.lists(st.integers(0, classes - 1),
+                                              min_size=heads * batch,
+                                              max_size=heads * batch))).reshape(heads, batch)
+        want_losses, want_probs = axis_loss_forward(logits, targets)
+        losses, probs = loss_forward(logits, targets)
+        assert losses.dtype == want_losses.dtype and losses.tobytes() == want_losses.tobytes()
+        assert probs.dtype == want_probs.dtype and probs.tobytes() == want_probs.tobytes()
+        assert nn.softmax(logits).tobytes() == want_probs.tobytes()
 
 
 class TestBackward:

@@ -100,9 +100,11 @@ def test_state_roundtrip_resumes_sequence():
 # -- bulk draws against the scalar loops -------------------------------------
 
 CUTOFF = rng._LANE_CUTOFF
-# 4096 draws run as 64 lanes of 64 steps, so 4095 and 4097 end one step
-# before and after a lane boundary; 10007 is prime
-BULK_SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 4095, 4096, 4097, 10007]
+# lanes are 32 steps long up to 2047 draws and 64 from 2048 on; 4096 draws
+# run as 64 lanes of 64 steps, so 4095 and 4097 end one step before and
+# after a lane boundary; 10007 is prime
+BULK_SIZES = [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 2047, 2048, 2049, 4095, 4096, 4097,
+              10007]
 HELPERS = ["uniforms", "gumbels", "permutation", "choice_third", "choice_all"]
 
 

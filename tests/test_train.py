@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sparsetrails.data import gen_synthetic
-from sparsetrails.model import ParamRef, build_independent_ensemble, build_trails, mlp_spec
+from sparsetrails.model import build_independent_ensemble, build_trails, mlp_spec
+from sparsetrails.nn import LayerSpec, ParamStore
 from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
                                 count_flops, evaluate, extension_cap, fit, lr_at)
@@ -35,8 +36,8 @@ class TestOptimizerStep:
         ref.array[...] = 1.0
         config = small_config(optimizer="sgd_momentum", momentum=0.0, weight_decay=0.0)
         opt = Optimizer(config, model.named_parameters())
-        grads = {ref.name: np.full_like(ref.array, 0.5)}
-        opt.step(grads, lr=0.1)
+        ref.grad[...] = 0.5
+        opt.step(lr=0.1)
         np.testing.assert_allclose(ref.array, 0.95, rtol=1e-6)
 
     def test_masked_positions_stay_zero(self):
@@ -44,8 +45,8 @@ class TestOptimizerStep:
         config = small_config()
         opt = Optimizer(config, model.named_parameters())
         for _ in range(5):
-            grads = {p.name: np.ones_like(p.array) for p in model.named_parameters()}
-            opt.step(grads, lr=0.05)
+            model.store.grad[...] = 1.0
+            opt.step(lr=0.05)
         for p in model.named_parameters():
             if p.mask is not None:
                 assert np.all(p.array[p.mask == 0] == 0.0)
@@ -58,8 +59,8 @@ class TestOptimizerStep:
         before = ref.array.copy()
         config = small_config(optimizer="adam", adam_eps=1e-12, lr=0.01)
         opt = Optimizer(config, model.named_parameters())
-        grad = np.full_like(ref.array, 0.5)
-        opt.step({ref.name: grad}, lr=0.01)
+        ref.grad[...] = 0.5
+        opt.step(lr=0.01)
         np.testing.assert_allclose(before - ref.array, 0.01, rtol=1e-5)
 
     def test_nan_gradient_aborts(self):
@@ -67,20 +68,20 @@ class TestOptimizerStep:
         ref = model.named_parameters()[0]
         config = small_config()
         opt = Optimizer(config, model.named_parameters())
-        bad = np.ones_like(ref.array)
-        bad.reshape(-1)[0] = np.nan
-        with pytest.raises(TrainingDiverged, match="NaN gradient"):
-            opt.step({ref.name: bad}, lr=0.1)
+        ref.grad[...] = 1.0
+        ref.grad.reshape(-1)[0] = np.nan
+        with pytest.raises(TrainingDiverged, match=f"NaN gradient in {ref.name}"):
+            opt.step(lr=0.1)
 
     def test_inf_gradient_aborts_before_touching_any_parameter(self):
         model = toy_model()
         refs = model.named_parameters()
         before = [ref.array.copy() for ref in refs]
         opt = Optimizer(small_config(optimizer="adam"), refs)
-        grads = {ref.name: np.ones_like(ref.array) for ref in refs}
-        grads[refs[-1].name].reshape(-1)[0] = -np.inf
-        with pytest.raises(TrainingDiverged, match="inf gradient"):
-            opt.step(grads, lr=0.1)
+        model.store.grad[...] = 1.0
+        refs[-1].grad.reshape(-1)[0] = -np.inf
+        with pytest.raises(TrainingDiverged, match=f"inf gradient in {refs[-1].name}"):
+            opt.step(lr=0.1)
         for ref, old in zip(refs, before):
             np.testing.assert_array_equal(ref.array, old)
         assert opt.adam_t == 0
@@ -91,11 +92,15 @@ class TestOptimizerStep:
         ref = next(r for r in model.named_parameters() if r.mask is not None)
         before = ref.array.copy()
         opt = Optimizer(small_config(), model.named_parameters())
-        grad = np.zeros_like(ref.array)
-        grad[ref.mask == 0] = np.inf
+        ref.grad[ref.mask == 0] = np.inf
         with pytest.raises(TrainingDiverged, match="inf gradient"):
-            opt.step({ref.name: grad}, lr=0.1)
+            opt.step(lr=0.1)
         np.testing.assert_array_equal(ref.array, before)
+
+    def test_takes_every_parameter_of_one_store(self):
+        refs = toy_model().named_parameters()
+        with pytest.raises(ValueError, match="every parameter of one store"):
+            Optimizer(small_config(), refs[1:])
 
     def test_weight_decay_pulls_toward_zero(self):
         model = toy_model()
@@ -103,7 +108,7 @@ class TestOptimizerStep:
         ref.array[...] = 1.0
         config = small_config(momentum=0.0, weight_decay=0.1)
         opt = Optimizer(config, model.named_parameters())
-        opt.step({ref.name: np.zeros_like(ref.array)}, lr=0.5)
+        opt.step(lr=0.5)
         np.testing.assert_allclose(ref.array, 0.95, rtol=1e-6)
 
 
@@ -140,12 +145,12 @@ class TestCompactState:
         oracle_model, dense = run(DenseOptimizer)
         assert compact.adam_t == dense.adam_t
         state = compact.state
+        for slot in compact.slots.values():
+            assert slot.size == np.count_nonzero(model.store.mask)
         for ref, oracle in zip(model.named_parameters(), oracle_model.named_parameters()):
             assert ref.array.tobytes() == oracle.array.tobytes(), ref.name
             if ref.mask is not None:
                 assert ref.mask.tobytes() == oracle.mask.tobytes(), ref.name
-                assert compact.slots[ref.name][Optimizer.SLOTS[kind][0]].size \
-                    == int(ref.mask.sum())
             for slot, arr in dense.state[ref.name].items():
                 assert state[ref.name][slot].tobytes() == arr.tobytes(), (ref.name, slot)
 
@@ -157,7 +162,7 @@ class TestCompactState:
         ref.mask.reshape(-1)[position] = 1
         with pytest.raises(RuntimeError, match="disagree with its mask"):
             opt.state
-        opt.reset_positions(ref.name, [position])
+        opt.reset_positions([ref.offset + position])
         assert opt.state[ref.name]["momentum"].reshape(-1)[position] == 0.0
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
@@ -165,15 +170,36 @@ class TestCompactState:
         # a float32 pass over the whole weight, gradient or slots allocates a
         # weight-sized array; the compact step's arrays have nnz entries
         rng = np.random.default_rng(0)
-        mask = (rng.random((512, 512)) < 0.1).astype(np.uint8)
-        weight = (rng.standard_normal((512, 512)) * mask).astype(np.float32)
-        grad = (rng.standard_normal((512, 512)) * mask).astype(np.float32)
-        opt = Optimizer(small_config(optimizer=kind, weight_decay=5e-4),
-                        [ParamRef(name="w", array=weight, mask=mask)])
-        opt.step({"w": grad}, lr=0.1)
+        store = ParamStore({"w": ([LayerSpec.linear(512, 512, has_bias=False)], None)})
+        ref, = store.refs
+        ref.mask[...] = rng.random((512, 512)) < 0.1
+        ref.array[...] = rng.standard_normal((512, 512)) * ref.mask
+        ref.grad[...] = rng.standard_normal((512, 512)) * ref.mask
+        opt = Optimizer(small_config(optimizer=kind, weight_decay=5e-4), store.refs)
+        opt.step(lr=0.1)
         tracemalloc.start()
         try:
-            opt.step({"w": grad}, lr=0.1)
+            opt.step(lr=0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ref.array.nbytes
+
+
+    def test_fit_step_allocates_no_weight_sized_gradient(self):
+        # two heads of 512x512 at density 0.1, as in the wide workload: backward
+        # writes dW into the store, and the optimizer's arrays hold the ~10%
+        # active entries, so no step array comes near one head's 1 MiB weight
+        data = gen_synthetic("rings", 32, noise=0.2, seed=3)
+        model = build_trails(mlp_spec(2, 512, 1, 2), 0, 2, 0.9, allocation="uniform", seed=1)
+        config = small_config(total_steps=1, eval_interval=1, weight_decay=5e-4,
+                              topology=TopologySchedule(strategy="rigl", delta_t=100))
+        optimizer, ledger = Optimizer(config, model.named_parameters()), count_flops(model)
+        weight = model.head_stack[0].weight.values[0]
+        assert weight.shape == (512, 512)
+        tracemalloc.start()
+        try:
+            fit(model, data, data, config, optimizer=optimizer, ledger=ledger)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -437,9 +463,9 @@ class TestFit:
         resets = []
         original = Optimizer.reset_positions
 
-        def recording(opt, name, flat):
-            resets.append((name, sorted(int(i) for i in flat)))
-            original(opt, name, flat)
+        def recording(opt, positions):
+            resets.append(sorted(int(i) for i in positions))
+            original(opt, positions)
 
         monkeypatch.setattr(Optimizer, "reset_positions", recording)
         if strategy == "rigl":
@@ -453,35 +479,29 @@ class TestFit:
             config = small_config(total_steps=40, base_steps=40, eval_interval=40,
                                   topology=sched)
             target = 0.5
-        before = {p.name: p.mask.copy() for p in model.named_parameters()
-                  if p.mask is not None}
+        before = {ref.name: ref.mask.copy() for ref in model.component_parameters()
+                  if ref.mask is not None}
         optimizer = Optimizer(config, model.named_parameters())
         history = fit(model, data, data, config, sparsity_target=target,
                       optimizer=optimizer)
 
-        # one reset per parameter and mask change; head m's positions in a
-        # stacked weight start at m * (the weight's per-head size)
+        # one reset per mask change, at store positions: each component
+        # layer's flat positions from the start of its range of the store
+        start = {ref.name: ref.offset for ref in model.component_parameters()}
         if strategy == "rigl":
-            want = []
-            for step in sorted({r.step for r in history.updates}):
-                changed = {}
-                for r in history.updates:
-                    comp = model.component_names().index(r.component)
-                    for u in r.layers if r.step == step else []:
-                        name, flat = model.weight_positions(comp, u.layer, u.pruned + u.grown)
-                        changed.setdefault(name, []).extend(flat.tolist())
-                want += [(name, sorted(flat)) for name, flat in changed.items()]
+            want = [sorted(start[f"{r.component}/{u.layer}/weight"] + i
+                           for r in history.updates if r.step == step
+                           for u in r.layers for i in u.pruned + u.grown)
+                    for step in sorted({r.step for r in history.updates})]
         else:
             # masks are frozen after the prune, so the final ones show what it dropped
-            want = [(p.name, np.flatnonzero(before[p.name] > p.mask).tolist())
-                    for p in model.named_parameters() if p.mask is not None]
-            counts = history.events[0]["pruned_counts"]
-            assert sum(counts.values()) == sum(len(flat) for _, flat in want)
-            assert counts == {key: int(np.count_nonzero(
-                before[name].reshape(-1, mask.size)[m] > mask.reshape(-1)))
-                for key, _, mask, name, m in model.component_parameters() if mask is not None}
-        assert want and any(flat for _, flat in want)
-        assert sorted(resets) == sorted(want)
+            dropped = {ref.name: np.flatnonzero(before[ref.name] > ref.mask).tolist()
+                       for ref in model.component_parameters() if ref.mask is not None}
+            want = [sorted(start[name] + i for name, flat in dropped.items() for i in flat)]
+            assert history.events[0]["pruned_counts"] == {
+                name: len(flat) for name, flat in dropped.items()}
+        assert want and any(want)
+        assert resets == want
         for p in model.named_parameters():
             if p.mask is not None:
                 for slot in optimizer.state[p.name].values():
