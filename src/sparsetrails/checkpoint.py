@@ -37,12 +37,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import TrailsModel
-from .train import FlopsLedger, Optimizer, active_indices, count_flops
+from .nn import active_indices
+from .train import FlopsLedger, Optimizer, count_flops
 
 MAGIC = b"STRLCKPT"
 VERSION = 2
 _OPT_KINDS = {"sgd_momentum": 0, "adam": 1}
 _OPT_NAMES = {v: k for k, v in _OPT_KINDS.items()}
+
+
+# a checkpoint goes to its file in pieces of up to this many bytes, not
+# record by record: every write is a system call, on some file systems a slow one
+_WRITE_SIZE = 1 << 16
+_BLOCK = 1 << 16  # store entries per pass of the zero-where-masked check in restore
 
 
 class CheckpointError(ValueError):
@@ -69,21 +76,17 @@ def _slot_key(name: str, slot: str) -> str:
     return f"{name}@{slot}"
 
 
-def _cuts(model: TrailsModel, optimizer: Optimizer) -> list[int]:
-    """Where each component record's store range starts and ends among the
-    optimizer's active positions: its entries in every slot."""
-    bounds = [end for ref in model.component_parameters()
-              for end in (ref.offset, ref.offset + ref.array.size)]
-    return optimizer.active.searchsorted(bounds).tolist()
-
-
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
                       optimizer_kind=optimizer.kind, adam_t=optimizer.adam_t,
                       cumulative_flops=ledger.cumulative_train)
-    cuts, slots = _cuts(model, optimizer), optimizer.slots.items()
-    for ref, lo, hi in zip(model.component_parameters(), cuts[::2], cuts[1::2]):
+    records, slots = model.component_parameters(), optimizer.slots.items()
+    # where each record's store range starts and ends among the optimizer's
+    # active positions: its entries in every slot
+    cuts = optimizer.active.searchsorted(
+        [end for ref in records for end in (ref.offset, ref.offset + ref.array.size)]).tolist()
+    for ref, lo, hi in zip(records, cuts[::2], cuts[1::2]):
         ckpt.params[ref.name] = ref.array
         if ref.mask is not None:
             ckpt.masks[ref.name] = ref.mask
@@ -95,11 +98,13 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
     return ckpt
 
 
-def write_atomic(path, *chunks: bytes) -> None:
-    """Write the chunks to a temp file beside path, then rename it over path.
+def write_atomic(path, chunks) -> None:
+    """Write the chunks (an iterable of bytes) one after another to a temp
+    file beside path, then rename it over path.
 
-    A write that fails part-way leaves the previous file at path as it was
-    and removes the temp file; readers never see a truncated file.
+    A write that fails part-way, or chunks that raise, leave the previous
+    file at path as it was and remove the temp file; readers never see a
+    truncated file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
@@ -119,34 +124,48 @@ def _named(name: str, fmt: str, *fields) -> bytes:
     return struct.pack(f"<H{len(raw)}s{fmt}", len(raw), raw, *fields)
 
 
-def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
-    out: list[bytes] = [MAGIC, struct.pack("<H", ckpt.version),
-                        bytes.fromhex(ckpt.config_hash),
-                        struct.pack("<QBQQ", ckpt.step, _OPT_KINDS[ckpt.optimizer_kind],
-                                    ckpt.adam_t, ckpt.cumulative_flops),
-                        b"PRM", struct.pack("<I", len(ckpt.params))]
+def _sections(ckpt: Checkpoint):
+    """The file before its CRC: the header, each parameter record, then the
+    RNG section and trailer, one bytes object each."""
+    yield b"".join([MAGIC, struct.pack("<H", ckpt.version), bytes.fromhex(ckpt.config_hash),
+                    struct.pack("<QBQQ", ckpt.step, _OPT_KINDS[ckpt.optimizer_kind],
+                                ckpt.adam_t, ckpt.cumulative_flops),
+                    b"PRM", struct.pack("<I", len(ckpt.params))])
     # few numpy calls per record: on small models they are most of the save time
     slots = Optimizer.SLOTS[ckpt.optimizer_kind]
     for name, values in ckpt.params.items():
         mask = ckpt.masks.get(name)
-        out.append(_named(name, f"B{values.ndim}IB", values.ndim, *values.shape,
-                          mask is not None))
+        record = [_named(name, f"B{values.ndim}IB", values.ndim, *values.shape,
+                         mask is not None)]
         if mask is not None:
-            out.append(np.packbits(mask).tobytes())
+            record.append(np.packbits(mask))
             values = values.take(ckpt.active[name])
         for arr in [values] + [ckpt.opt_state[_slot_key(name, slot)] for slot in slots]:
             if arr.size != values.size:
                 raise CheckpointError(f"optimizer slots of {name} do not match its entries")
-            out.append(arr.astype("<f4", copy=False).tobytes())
+            record.append(np.ascontiguousarray(arr, "<f4"))
+        record = b"".join(record)  # the parts are freed before the record goes out
+        yield record
+    yield b"".join([b"RNG", struct.pack("<I", len(ckpt.rng_states))]
+                   + [_named(name, "4Q", *state) for name, state in ckpt.rng_states.items()]
+                   + [b"END!"])
 
-    out += [b"RNG", struct.pack("<I", len(ckpt.rng_states))]
-    for name, state in ckpt.rng_states.items():
-        out.append(_named(name, "4Q", *state))
-    out.append(b"END!")
-    data = b"".join(out)
-    # the CRC goes out as its own chunk: appending it to `data` would copy the
-    # whole file once more, and on a large model grow and trim the heap per save
-    write_atomic(path, data, struct.pack("<I", zlib.crc32(data)))
+
+def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
+    """Write `ckpt` to path in pieces of up to _WRITE_SIZE bytes (or one
+    longer record), with a running CRC: the file is never all in memory."""
+    def pieces():
+        crc, batch, held = 0, [], 0
+        for chunk in _sections(ckpt):
+            if batch and held + len(chunk) > _WRITE_SIZE:
+                yield b"".join(batch)
+                batch, held = [], 0
+            crc = zlib.crc32(chunk, crc)
+            batch.append(chunk)
+            held += len(chunk)
+        yield b"".join(batch + [struct.pack("<I", crc)])
+
+    write_atomic(path, pieces())
     return path
 
 
@@ -246,12 +265,13 @@ def _parse(r: _Reader, path: str) -> Checkpoint:
     return ckpt
 
 
-def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...],
+def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...] | None,
            what: str) -> np.ndarray:
-    """entries[key], which must exist with exactly the given shape."""
+    """entries[key], which must exist with exactly the given shape (any
+    shape if None)."""
     if key not in entries:
         raise CheckpointError(f"checkpoint missing {what} {key}")
-    if entries[key].shape != shape:
+    if shape is not None and entries[key].shape != shape:
         raise CheckpointError(
             f"checkpoint {what} {key} has shape {entries[key].shape}, expected {shape}")
     return entries[key]
@@ -260,8 +280,9 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...],
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
     """Load a checkpoint into live objects; returns the step to resume from.
-    Each component's records fill its range of the model's parameter store
-    and of the optimizer's state."""
+    Each component's records fill its range of the model's parameter store;
+    the checks on masks and the optimizer's state then run once over the
+    whole store."""
     records = model.component_parameters()
     keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
@@ -272,28 +293,34 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
         raise CheckpointError(
             f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
             f"{optimizer.kind!r}")
-    slot_names = Optimizer.SLOTS[optimizer.kind]
-    parts = []
-    for ref in records:
-        key = ref.name
-        values = _entry(ckpt.params, key, ref.array.shape, "parameter")
-        entries = ref.array.size
-        if ref.mask is not None:
-            saved = _entry(ckpt.masks, key, ref.mask.shape, "mask")
-            if np.logical_and(values, np.logical_not(saved)).any():
-                raise CheckpointError(f"checkpoint weight {key} is nonzero where its mask is 0")
-            ref.mask[...] = saved
-            entries = len(_entry(ckpt.active, key, (np.count_nonzero(saved),),
-                                 "active indices"))
-        ref.array[...] = values
-        parts.append([_entry(ckpt.opt_state, _slot_key(key, slot), (entries,),
-                             "optimizer slot") for slot in slot_names])
-    optimizer.active = active_indices(model.store.mask)
-    cuts = _cuts(model, optimizer)
-    for i, slot in enumerate(slot_names):
-        arr = optimizer.slots[slot] = np.empty(optimizer.active.size, model.store.values.dtype)
-        for lo, hi, entries in zip(cuts[::2], cuts[1::2], parts):
-            arr[lo:hi] = entries[i]
+    order = sorted(records, key=lambda ref: ref.offset)
+    listed = []  # each record's active positions in the store, in store order
+    for ref in order:
+        ref.array[...] = _entry(ckpt.params, ref.name, ref.array.shape, "parameter")
+        if ref.mask is None:
+            listed.append(np.arange(ref.offset, ref.offset + ref.array.size))
+        else:
+            ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
+            listed.append(_entry(ckpt.active, ref.name, None, "active indices") + ref.offset)
+    store = model.store
+    # a block of the store at a time, so no temporary is the store's size
+    for lo in range(0, store.values.size, _BLOCK):
+        hi = lo + _BLOCK
+        wrong = np.logical_and(store.values[lo:hi], ~store.mask[lo:hi].view(bool))
+        if wrong.any():
+            bad = lo + int(wrong.argmax())
+            name = next(ref.name for ref in records if 0 <= bad - ref.offset < ref.array.size)
+            raise CheckpointError(f"checkpoint weight {name} is nonzero where its mask is 0")
+    optimizer.active = active_indices(store.mask)
+    if not np.array_equal(np.concatenate(listed), optimizer.active):
+        ref = next(ref for ref in records if ref.mask is not None and not np.array_equal(
+            ckpt.active[ref.name], active_indices(ref.mask)))
+        _entry(ckpt.active, ref.name, (np.count_nonzero(ref.mask),), "active indices")
+        raise CheckpointError(f"checkpoint active indices {ref.name} disagree with its mask")
+    for slot in Optimizer.SLOTS[optimizer.kind]:
+        optimizer.slots[slot] = np.concatenate(
+            [_entry(ckpt.opt_state, _slot_key(ref.name, slot), at.shape, "optimizer slot")
+             for ref, at in zip(order, listed)], dtype=store.values.dtype)
     optimizer.adam_t = ckpt.adam_t
     for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:

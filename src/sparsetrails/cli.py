@@ -52,11 +52,11 @@ def _fmt(value) -> str:
 def _write_csv(path: Path, rows: list[list]) -> None:
     text = io.StringIO()
     csv.writer(text).writerows(rows)
-    write_atomic(path, text.getvalue().encode())
+    write_atomic(path, [text.getvalue().encode()])
 
 
 def _write_json(path: Path, payload: dict, sort_keys: bool = False) -> None:
-    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n").encode())
+    write_atomic(path, [(json.dumps(payload, indent=2, sort_keys=sort_keys) + "\n").encode()])
 
 
 def write_summary(path: Path, rows: list[dict]) -> None:
@@ -65,14 +65,19 @@ def write_summary(path: Path, rows: list[dict]) -> None:
                + [[_fmt(row[c]) for c in SUMMARY_COLUMNS] for row in rows])
 
 
-def _earlier_history(path: Path, start_step: int) -> list[str]:
-    """The lines of an existing history.jsonl for steps up to start_step; a
-    last line without its newline is an unfinished write and is dropped."""
-    if not path.exists():
-        return []
-    with open(path) as f:
-        return [line for line in f
-                if line.endswith("\n") and json.loads(line)["step"] <= start_step]
+def _earlier_history(path: Path, start_step: int) -> tuple[list[str], list[list]]:
+    """The lines of an existing history.jsonl for steps up to start_step, and
+    the updates and events up to start_step in the line after them, which the
+    first record written after the resume lists again, as the uninterrupted
+    run did. A last line without its newline is an unfinished write."""
+    lines = []
+    if path.exists():
+        with open(path) as f:
+            lines = [line for line in f if line.endswith("\n")]
+    kept = [line for line in lines if json.loads(line)["step"] <= start_step]
+    after = json.loads(lines[len(kept)]) if lines[len(kept):] else {"updates": [], "events": []}
+    return kept, [[e for e in after[key] if e["step"] <= start_step]
+                  for key in ("updates", "events")]
 
 
 def write_disagreements(path: Path, heads: np.ndarray, ens: np.ndarray,
@@ -123,14 +128,16 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
     _write_json(out / "config.resolved.json", cfg, sort_keys=True)
     # resuming into the run's own directory keeps the evaluations before the
     # checkpoint; the ones after it are about to be recomputed
-    kept = _earlier_history(out / "history.jsonl", start_step) \
-        if resume is not None else []
+    kept, carried = _earlier_history(out / "history.jsonl", start_step) \
+        if resume is not None else ([], [[], []])
     history_file = open(out / "history.jsonl", "w")
     history_file.writelines(kept)
 
     def on_eval(report, updates, events):
         record = {"step": report.step, "metrics": report.to_json(),
-                  "updates": [u.to_json() for u in updates], "events": events}
+                  "updates": carried[0] + [u.to_json() for u in updates],
+                  "events": carried[1] + events}
+        carried[:] = [], []
         history_file.write(json.dumps(record) + "\n")
         history_file.flush()
         if not quiet:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .nn import Layer, LayerSpec, MaskedTensor, ParamRef, ParamStore
+from .nn import Layer, LayerSpec, ParamRef, ParamStore
 from .rng import Stream
 from .sparsity import SparsityPlan, allocate, init_masks
 
@@ -130,14 +130,15 @@ class TrailsModel:
         # an independent ensemble's members each read their own batch and
         # keep an unscaled loss (set by build_independent_ensemble)
         self.independent = False
-        # live streams for stochastic pruning / random regrowth, one per
-        # masked layer, keyed "component/layer" as checkpoints store them
+        # live streams for stochastic pruning / random regrowth, one per masked
+        # weight record, keyed "component/layer" as checkpoints store them
         self.topo_streams: dict[str, Stream] = {}
         master = Stream(seed)
-        for comp_idx, name in enumerate(self.component_names()):
-            for layer_idx, _ in self.masked_layers(comp_idx):
-                self.topo_streams[f"{name}/{layer_idx}"] = master.child(
-                    "topo", comp_idx, layer_idx)
+        for ref in self._records:
+            if ref.mask is not None:
+                comp, layer, _ = ref.name.split("/")
+                index = 0 if comp == "backbone" else int(comp.removeprefix("head")) + 1
+                self.topo_streams[f"{comp}/{layer}"] = master.child("topo", index, int(layer))
 
     def attach(self, store: ParamStore) -> None:
         """Make `store`, laid out as `build_trails` lays it out, the model's
@@ -181,9 +182,6 @@ class TrailsModel:
     def components(self) -> list[list[Layer]]:
         return [self.backbone] + self.heads
 
-    def component_names(self) -> list[str]:
-        return ["backbone"] + [f"head{i}" for i in range(self.num_heads)]
-
     def named_parameters(self) -> list[ParamRef]:
         """The store's parameters: the backbone's, then the heads' stacked
         ones (M, ...)."""
@@ -192,28 +190,9 @@ class TrailsModel:
     def component_parameters(self) -> list[ParamRef]:
         """Every component's own parameters, backbone then head 0, 1, ...,
         named `component/layer/kind`; a head's are its slices of the stacked
-        ones, each a range of the store."""
+        ones, each a range of the store starting at its `offset`. Topology
+        updates, pruning, optimizer resets and checkpoints all read these."""
         return self._records
-
-    def weight_positions(self, comp_idx: int, layer_idx: int, flat: list[int]) -> np.ndarray:
-        """A component layer's flat weight positions as positions in the
-        store: head m's slice of a stacked weight starts m sizes in."""
-        if comp_idx == 0:
-            start = self.store.offsets[f"backbone/{layer_idx}/weight"]
-        else:
-            start = self.store.offsets[f"heads/{layer_idx}/weight"] \
-                + (comp_idx - 1) * self.head_stack[layer_idx].spec.weight_size
-        return np.asarray(flat, np.int64) + start
-
-    def weight_grad(self, comp_idx: int, layer_idx: int) -> np.ndarray:
-        """A component layer's own view of the store's weight gradient."""
-        if comp_idx == 0:
-            return self.store.grads["backbone"][layer_idx].weight
-        return self.store.grads["heads"][layer_idx].weight[comp_idx - 1]
-
-    def masked_layers(self, comp_idx: int) -> list[tuple[int, MaskedTensor]]:
-        return [(li, layer.weight) for li, layer in enumerate(self.component(comp_idx))
-                if layer.weight is not None]
 
 
 def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,

@@ -211,6 +211,12 @@ class ParamStore:
         return clone
 
 
+def active_indices(mask: np.ndarray) -> np.ndarray:
+    """Sorted flat indices where a 0/1 uint8 mask is 1. Read as bool in
+    place, which is faster than on uint8 or on a `mask != 0` copy."""
+    return mask.view(bool).ravel().nonzero()[0]
+
+
 def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None,
                out: Layer | None = None) -> Layer:
     """Kaiming-uniform fan-in init (drawn dense), then the mask zeroes inactive

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nn import MaskedTensor
+from .nn import MaskedTensor, ParamRef, active_indices
 from .rng import Stream
 from .sparsity import round_half_up
 
@@ -120,7 +120,7 @@ def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
     without replacement with weight proportional to exp(-|theta| / (tau * mu)),
     mu being the mean active |theta| (Gumbel-top-k over the log-weights).
     """
-    active = np.flatnonzero(weights.mask.reshape(-1) != 0)
+    active = active_indices(weights.mask)
     if k > active.size:
         raise ValueError(f"cannot prune {k} of {active.size} active weights")
     if k == 0:
@@ -148,8 +148,9 @@ def select_prune(weights: MaskedTensor, k: int, method: str = "magnitude", *,
 def select_grow(mask: np.ndarray, k: int, method: str,
                 dense_grad: np.ndarray | None = None,
                 stream: Stream | None = None) -> np.ndarray:
-    """Flat indices of k inactive positions to activate, sorted ascending."""
-    inactive = np.flatnonzero(mask.reshape(-1) == 0)
+    """Flat indices of k inactive positions of a 0/1 uint8 mask to activate,
+    sorted ascending."""
+    inactive = active_indices(mask ^ 1)
     if k > inactive.size:
         raise ValueError(f"cannot grow {k} of {inactive.size} inactive positions")
     if k == 0:
@@ -167,20 +168,18 @@ def select_grow(mask: np.ndarray, k: int, method: str,
     raise ValueError(f"unknown grow method {method!r}")
 
 
-def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
-                    schedule: TopologySchedule, t: int, total_steps: int, *,
-                    component: str = "",
-                    streams: dict[int, Stream] | None = None,
-                    grads: dict[int, np.ndarray] | None = None) -> UpdateRecord:
-    """One prune/regrow pass over a component's maskable layers.
+def topology_update(records: list[ParamRef], schedule: TopologySchedule, t: int,
+                    total_steps: int, *,
+                    streams: dict[str, Stream] | None = None) -> UpdateRecord:
+    """One prune/regrow pass over one component's weight records, named
+    `component/layer/weight`, each layer's stream under its `component/layer`.
 
     Per layer, k = round(p(t) * active) positions are pruned and the same
     number regrown (weights initialized to 0); p(t) decays to zero at
-    t = total_steps. RigL regrows where the weight gradient in `grads` (per
-    layer index, masked positions included) is largest.
-    Mutates masks and values in place and returns the record of what
-    changed; the caller resets optimizer state at each layer's pruned and
-    grown positions.
+    t = total_steps. RigL regrows where the record's `grad` (masked
+    positions included) is largest. Mutates masks and values in place and
+    returns the record of what changed; the caller resets optimizer state
+    at each layer's pruned and grown positions.
     """
     if schedule.strategy not in ("set", "rigl"):
         raise ValueError(f"topology updates not defined for strategy {schedule.strategy!r}")
@@ -188,12 +187,14 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
         raise ValueError(f"step {t} is off the update schedule (delta_t={schedule.delta_t})")
     p_t = drop_fraction(t, total_steps, schedule.initial_drop_fraction)
     grow_method = "random" if schedule.strategy == "set" else "gradient"
-    record = UpdateRecord(step=t, component=component)
+    record = UpdateRecord(step=t, component=records[0].name.split("/")[0])
 
-    for layer_idx, mt in masked_layers:
+    for ref in records:
+        key = ref.name.removesuffix("/weight")
+        mt = MaskedTensor.view(ref.array, ref.mask)
         before = mt.active_count()
         k = round_half_up(p_t * before)
-        stream = streams.get(layer_idx) if streams else None
+        stream = streams.get(key) if streams else None
         pruned = select_prune(mt, k, schedule.prune_method,
                               temperature=schedule.soft_temperature,
                               normalize_by_mean=schedule.normalize_by_mean,
@@ -202,42 +203,40 @@ def topology_update(masked_layers: list[tuple[int, MaskedTensor]],
         flat_vals = mt.values.reshape(-1)
         flat_mask[pruned] = 0
         flat_vals[pruned] = 0.0
-        grad = grads[layer_idx] if grads is not None else None
-        grown = select_grow(mt.mask, k, grow_method, dense_grad=grad, stream=stream)
+        grown = select_grow(mt.mask, k, grow_method, dense_grad=ref.grad, stream=stream)
         flat_mask[grown] = 1
         flat_vals[grown] = 0.0
-        record.layers.append(LayerUpdate(layer=layer_idx,
+        record.layers.append(LayerUpdate(layer=int(key.split("/")[1]),
                                          pruned=pruned.tolist(), grown=grown.tolist(),
                                          active_before=before,
                                          active_after=mt.active_count()))
     return record
 
 
-def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
-                          sparsity: float) -> dict[str, list[int]]:
-    """Single global magnitude threshold across all maskable weights.
+def one_shot_global_prune(records: list[ParamRef], sparsity: float) -> dict[str, list[int]]:
+    """Single global magnitude threshold across the masked weight records.
 
     Keeps exactly round((1 - S) * total) positions, the largest |theta|
-    first; ties at the threshold resolve to ascending (layer, flat index).
+    first; ties at the threshold resolve to ascending (record, flat index).
     Mutates masks/values in place and returns the pruned flat indices per
-    layer key.
+    record name.
     """
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    sizes = [mt.values.size for _, mt in masked_layers]
+    sizes = [ref.array.size for ref in records]
     budget = round_half_up((1.0 - sparsity) * sum(sizes))
 
-    # concatenated in (layer, flat index) order, so _top_k's lowest-position
-    # ties are the earliest (layer, index) ones
-    magnitudes = np.abs(np.concatenate([mt.values.reshape(-1) for _, mt in masked_layers]))
+    # concatenated in (record, flat index) order, so _top_k's lowest-position
+    # ties are the earliest (record, index) ones
+    magnitudes = np.abs(np.concatenate([ref.array.reshape(-1) for ref in records]))
     keep = np.zeros(magnitudes.size, dtype=np.uint8)
     if budget:  # _top_k needs k >= 1
         keep[_top_k(magnitudes, budget)] = 1
     pruned = {}
-    for (key, mt), new_mask in zip(masked_layers, np.split(keep, np.cumsum(sizes)[:-1])):
-        old_active = np.flatnonzero(mt.mask.reshape(-1) != 0)
+    for ref, new_mask in zip(records, np.split(keep, np.cumsum(sizes)[:-1])):
+        old_active = active_indices(ref.mask)
         dropped = old_active[new_mask[old_active] == 0]
-        mt.mask[...] = new_mask.reshape(mt.mask.shape)
-        mt.values.reshape(-1)[dropped] = 0.0
-        pruned[key] = dropped.tolist()
+        ref.mask[...] = new_mask.reshape(ref.mask.shape)
+        ref.array.reshape(-1)[dropped] = 0.0
+        pruned[ref.name] = dropped.tolist()
     return pruned

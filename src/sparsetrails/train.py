@@ -7,6 +7,7 @@ expensive), so cumulative cost is 3 * f_sparse * batch per step and must
 stay within 3 * f_dense * base_steps * batch.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from . import model as model_mod
 from . import nn
+from .nn import active_indices
 from .data import BatchPlan, Dataset, batches
 from .metrics import (MetricsReport, accuracy, ece, nll, perplexity,
                       prediction_disagreement)
@@ -196,12 +198,6 @@ def count_flops(model: TrailsModel) -> FlopsLedger:
 # optimizer
 # ---------------------------------------------------------------------------
 
-def active_indices(mask: np.ndarray) -> np.ndarray:
-    """Sorted flat indices where a 0/1 uint8 mask is 1. Read as bool in
-    place, which is faster than on uint8 or on a `mask != 0` copy."""
-    return mask.view(bool).ravel().nonzero()[0]
-
-
 class Optimizer:
     """Masked SGD-with-momentum or Adam over a model's parameter store.
 
@@ -226,20 +222,6 @@ class Optimizer:
         self.active = active_indices(self.store.mask)
         self.slots = {slot: np.zeros(self.active.size, self.store.values.dtype)
                       for slot in self.SLOTS[self.kind]}
-
-    @property
-    def state(self) -> dict[str, dict[str, np.ndarray]]:
-        """Dense copies of the slots per parameter, +0.0 at masked positions;
-        checks that the mask still matches the active positions."""
-        if not np.array_equal(self.active, active_indices(self.store.mask)):
-            raise RuntimeError("optimizer indices disagree with its mask")
-        dense = {}
-        for slot, arr in self.slots.items():
-            dense[slot] = np.zeros(self.store.values.size, arr.dtype)
-            dense[slot][self.active] = arr
-        return {ref.name: {slot: arr[ref.offset:ref.offset + ref.array.size]
-                           .reshape(ref.array.shape) for slot, arr in dense.items()}
-                for ref in self.store.refs}
 
     def step(self, lr: float, step: int = 0) -> None:
         """One update from the gradient in the store's `grad` buffer."""
@@ -450,12 +432,15 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     prune_step = round_half_up(schedule.prune_at_fraction * config.total_steps) \
         if schedule.strategy == "prune_oneshot" else None
     evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
+    masked = [ref for ref in model.component_parameters() if ref.mask is not None]
+    by_component = [list(refs) for _, refs in
+                    itertools.groupby(masked, key=lambda ref: ref.name.split("/")[0])]
 
     def reset_state(changes):
         """Zero optimizer state where masks changed, in one call; `changes`
-        holds (component, layer, flat positions in that layer)."""
+        pairs records with flat positions in them."""
         optimizer.reset_positions(np.concatenate(
-            [model.weight_positions(comp_idx, li, flat) for comp_idx, li, flat in changes]))
+            [ref.offset + np.asarray(flat, np.int64) for ref, flat in changes]))
 
     def batch_for(member, t):
         epoch, idx = divmod(t - 1, steps_per_epoch)
@@ -485,26 +470,16 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
 
         if update:
             changes = []
-            for comp_idx, comp_name in enumerate(model.component_names()):
-                masked = model.masked_layers(comp_idx)
-                if not masked:
-                    continue
-                streams = {li: model.topo_streams[f"{comp_name}/{li}"] for li, _ in masked}
-                record = topology_update(
-                    masked, schedule, t, config.total_steps, component=comp_name,
-                    streams=streams,
-                    grads={li: model.weight_grad(comp_idx, li) for li, _ in masked})
-                changes += [(comp_idx, u.layer, u.pruned + u.grown) for u in record.layers]
+            for refs in by_component:
+                record = topology_update(refs, schedule, t, config.total_steps,
+                                         streams=model.topo_streams)
+                changes += [(ref, u.pruned + u.grown) for ref, u in zip(refs, record.layers)]
                 history.updates.append(record)
             reset_state(changes)
 
         if prune_step is not None and t == prune_step:
-            where = [(comp_idx, li, f"{comp_name}/{li}/weight", mt)
-                     for comp_idx, comp_name in enumerate(model.component_names())
-                     for li, mt in model.masked_layers(comp_idx)]
-            pruned = one_shot_global_prune([(key, mt) for *_, key, mt in where],
-                                           sparsity_target)
-            reset_state([(c, li, pruned[key]) for c, li, key, _ in where])
+            pruned = one_shot_global_prune(masked, sparsity_target)
+            reset_state([(ref, pruned[ref.name]) for ref in masked])
             model.sparsity = sparsity_target
             ledger.forward_sparse = count_flops(model).forward_sparse
             remaining = (config.total_steps - t) * ledger.train_step_flops(

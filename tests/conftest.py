@@ -6,6 +6,12 @@ import pytest
 from sparsetrails.nn import Layer, LayerSpec, MaskedTensor, init_layer
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import allocate, init_masks
+from sparsetrails.train import Optimizer
+
+from oracles import dense_state
+
+# the tests read the compact optimizer's slots as dense arrays per parameter
+Optimizer.state = property(dense_state)
 
 
 def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-2) -> float:

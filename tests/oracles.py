@@ -10,7 +10,8 @@
   bulk helpers must reproduce them.
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
-  reproduce bit for bit at the active entries.
+  reproduce bit for bit at the active entries; and the compact
+  `Optimizer`'s slots read back densely per parameter (`dense_state`).
 - A one-shot global magnitude prune by one lexsort over every weight.
 - One member of an independent ensemble trained alone, by its own loop:
   its own batch order and its own unscaled loss.
@@ -123,8 +124,9 @@ def model_finite_difference(model: TrailsModel, batch: np.ndarray, targets: np.n
         loss, _, _ = composite_loss(forward_heads(shadow, x64), targets)
         return loss
 
+    names = ["backbone"] + [f"head{m}" for m in range(shadow.num_heads)]
     return {name: _stack_gradients(layers, loss_fn, eps)
-            for name, layers in zip(shadow.component_names(), shadow.components())}
+            for name, layers in zip(names, shadow.components())}
 
 
 # ---------------------------------------------------------------------------
@@ -277,32 +279,47 @@ class DenseOptimizer:
                 slot.reshape(-1)[mine] = 0.0
 
 
+def dense_state(optimizer: Optimizer) -> dict[str, dict[str, np.ndarray]]:
+    """Dense copies of a compact `Optimizer`'s slots per store parameter,
+    +0.0 at masked positions; raises if the store's mask no longer matches
+    the optimizer's active positions."""
+    store = optimizer.store
+    if not np.array_equal(optimizer.active, np.flatnonzero(store.mask)):
+        raise RuntimeError("optimizer indices disagree with its mask")
+    dense = {}
+    for slot, arr in optimizer.slots.items():
+        dense[slot] = np.zeros(store.values.size, arr.dtype)
+        dense[slot][optimizer.active] = arr
+    return {ref.name: {slot: arr[ref.offset:ref.offset + ref.array.size]
+                       .reshape(ref.array.shape) for slot, arr in dense.items()}
+            for ref in store.refs}
+
+
 # ---------------------------------------------------------------------------
 # one-shot global prune
 # ---------------------------------------------------------------------------
 
 
-def one_shot_global_prune(masked_layers: list[tuple[str, MaskedTensor]],
-                          sparsity: float) -> dict[str, list[int]]:
-    """Keep the round((1 - S) * total) largest |theta| over all layers, ties
-    to ascending (layer, flat index) by one lexsort; mutates masks and
-    values and returns each layer's dropped flat indices."""
-    sizes = [mt.values.size for _, mt in masked_layers]
+def one_shot_global_prune(records: list[ParamRef], sparsity: float) -> dict[str, list[int]]:
+    """Keep the round((1 - S) * total) largest |theta| over all weight
+    records, ties to ascending (record, flat index) by one lexsort; mutates
+    masks and values and returns each record's dropped flat indices."""
+    sizes = [ref.array.size for ref in records]
     budget = round_half_up((1.0 - sparsity) * sum(sizes))
-    abs_all = np.concatenate([np.abs(mt.values.reshape(-1)).astype(np.float64)
-                              for _, mt in masked_layers])
+    abs_all = np.concatenate([np.abs(ref.array.reshape(-1)).astype(np.float64)
+                              for ref in records])
     layer_ord = np.concatenate([np.full(n, i, dtype=np.int64) for i, n in enumerate(sizes)])
     flat_idx = np.concatenate([np.arange(n, dtype=np.int64) for n in sizes])
     keep = np.lexsort((flat_idx, layer_ord, -abs_all))[:budget]
     pruned = {}
-    for i, (key, mt) in enumerate(masked_layers):
-        new_mask = np.zeros(mt.values.size, dtype=np.uint8)
+    for i, ref in enumerate(records):
+        new_mask = np.zeros(ref.array.size, dtype=np.uint8)
         new_mask[flat_idx[keep[layer_ord[keep] == i]]] = 1
-        old_active = np.flatnonzero(mt.mask.reshape(-1) != 0)
+        old_active = np.flatnonzero(ref.mask.reshape(-1) != 0)
         dropped = old_active[new_mask[old_active] == 0]
-        mt.mask[...] = new_mask.reshape(mt.mask.shape)
-        mt.values.reshape(-1)[dropped] = 0.0
-        pruned[key] = dropped.tolist()
+        ref.mask[...] = new_mask.reshape(ref.mask.shape)
+        ref.array.reshape(-1)[dropped] = 0.0
+        pruned[ref.name] = dropped.tolist()
     return pruned
 
 

@@ -41,12 +41,6 @@ def criterion(number: int, text: str):
     print(f"[criterion {number:2d}] {text}: PASS")
 
 
-def masked_everywhere(model):
-    for comp_idx in range(len(model.components())):
-        for _, mt in model.masked_layers(comp_idx):
-            yield mt
-
-
 # ---------------------------------------------------------------------------
 # shared runs
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -217,6 +218,31 @@ class TestCanonicalZero:
                 assert getattr(loaded, part)[key].tobytes() == arr.tobytes(), key
 
 
+class TestSaveMemory:
+    def test_save_holds_the_file_less_than_once_more(self, tmp_path):
+        # two heads of 512x512 at density 0.1, as in the wide workload: the
+        # save writes its chunks one by one instead of joining them, so it
+        # never holds the file's bytes twice
+        data = gen_synthetic("rings", 32, noise=0.2, seed=3)
+        model = build_trails(mlp_spec(2, 512, 1, 2), 0, 2, 0.9, allocation="uniform", seed=1)
+        config = TrainConfig(total_steps=2, batch_size=16, eval_interval=2,
+                             topology=TopologySchedule(strategy="rigl", delta_t=100))
+        optimizer, ledger = Optimizer(config, model.named_parameters()), count_flops(model)
+        fit(model, data, data, config, optimizer=optimizer, ledger=ledger)
+        assert model.head_stack[0].weight.values[0].shape == (512, 512)
+        path = tmp_path / "c.bin"
+        ckpt = capture(model, optimizer, ledger, 2, "00" * 32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_checkpoint(ckpt, str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 200_000
+        assert peak < 1.5 * path.stat().st_size
+
+
 class TestRejection:
     def test_every_flipped_bit_is_rejected(self, tmp_path):
         model, optimizer, ledger, _, _ = trained_state()
@@ -287,6 +313,18 @@ class TestRejection:
             del ckpt.masks["backbone/0/weight"]
         with pytest.raises(CheckpointError, match="missing mask backbone/0/weight"):
             self._restore_into_fresh(tmp_path, corrupt)
+
+    def test_restore_rejects_active_indices_that_disagree_with_the_mask(self, tmp_path):
+        def shift(ckpt):
+            active = ckpt.active["head1/0/weight"]
+            active[-1] += 1 if active[-1] + 1 < ckpt.masks["head1/0/weight"].size else -1
+        with pytest.raises(CheckpointError, match="head1/0/weight disagree with its mask"):
+            self._restore_into_fresh(tmp_path, shift)
+
+        def drop(ckpt):
+            ckpt.active["head1/0/weight"] = ckpt.active["head1/0/weight"][:-1]
+        with pytest.raises(CheckpointError, match=r"active indices head1/0/weight has shape"):
+            self._restore_into_fresh(tmp_path, drop)
 
     def test_restore_rejects_nonzero_weight_at_masked_position(self, tmp_path):
         def put(value):

@@ -401,17 +401,24 @@ class TestSweepCommand:
 
 
 class TestArtifactWrites:
-    def test_resume_in_place_keeps_earlier_history(self, tmp_path):
-        cfg = write_config(tmp_path, checkpoint_every=20, eval_interval=10,
+    @pytest.mark.parametrize("strategy", ["rigl", "set", "prune_oneshot"])
+    def test_resume_in_place_keeps_earlier_history(self, tmp_path, strategy):
+        # checkpoints every 10 steps, evaluations every 15: the step-30 record
+        # lists the update (or the prune) of step 20, made before the checkpoint
+        cfg = write_config(tmp_path, checkpoint_every=10, eval_interval=15,
+                           topology={"strategy": strategy, "delta_t": 10},
                            train={"total_steps": 40})
         out = tmp_path / "run"
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
         history = (out / "history.jsonl").read_bytes()
         summary = (out / "summary.csv").read_bytes()
+        record = json.loads(history.splitlines()[1])
+        assert record["step"] == 30
+        assert [e["step"] for e in record["updates"] + record["events"]][0] == 20
         assert main(["train", "--config", str(cfg), "--quiet",
                      "--resume", str(out / "checkpoint_000020.bin")]) == 0
         lines = (out / "history.jsonl").read_text().splitlines()
-        assert [json.loads(l)["step"] for l in lines] == [10, 20, 30, 40]
+        assert [json.loads(l)["step"] for l in lines] == [15, 30, 40]
         assert (out / "history.jsonl").read_bytes() == history
         assert (out / "summary.csv").read_bytes() == summary
 

@@ -194,8 +194,9 @@ class TestBuilders:
         cfg = minimal()
         cfg["topology"] = {"strategy": "prune_oneshot"}
         model = make_model(resolve(cfg))
-        for _, mt in model.masked_layers(0):
-            assert mt.mask.all()
+        for layer in model.component(0):
+            if layer.weight is not None:
+                assert layer.weight.mask.all()
 
     def test_independent_members_build(self):
         model = make_model(resolve(minimal(independent_members=True)))

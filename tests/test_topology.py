@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsetrails.nn import MaskedTensor
+from sparsetrails.nn import MaskedTensor, ParamRef
 from sparsetrails.rng import Stream
 from sparsetrails.topology import (TopologySchedule, _top_k, drop_fraction,
                                    one_shot_global_prune, select_grow,
@@ -18,6 +18,11 @@ def mt(values, mask=None):
     if mask is None:
         mask = np.ones_like(values, dtype=np.uint8)
     return MaskedTensor(values=values, mask=np.asarray(mask, dtype=np.uint8))
+
+
+def record(weights, name="head0/0/weight", grad=None):
+    """A weight record over a MaskedTensor's arrays, as `component_parameters` lists it."""
+    return ParamRef(name, weights.values, weights.mask, grad)
 
 
 class TestDropFraction:
@@ -161,8 +166,8 @@ class TestTopologyUpdate:
     def test_final_step_is_identity(self):
         weights = mt([1.0, 2.0, 3.0, 4.0])
         sched = make_schedule()
-        rec = topology_update([(0, weights)], sched, 100, 100,
-                              streams={0: Stream(0)})
+        rec = topology_update([record(weights)], sched, 100, 100,
+                              streams={"head0/0": Stream(0)})
         assert rec.layers[0].pruned == [] and rec.layers[0].grown == []
 
     def test_density_conserved_and_counts_match(self):
@@ -172,7 +177,8 @@ class TestTopologyUpdate:
         mask[stream.choice_without_replacement(20, 10)] = 1
         weights = mt(values, mask)
         sched = make_schedule()
-        rec = topology_update([(0, weights)], sched, 100, 200, streams={0: Stream(1)})
+        rec = topology_update([record(weights)], sched, 100, 200,
+                              streams={"head0/0": Stream(1)})
         update = rec.layers[0]
         assert len(update.pruned) == len(update.grown) == 3  # round(0.25 * 10 + 0.5) = 3
         assert update.active_before == update.active_after == 10
@@ -181,7 +187,8 @@ class TestTopologyUpdate:
     def test_grown_weights_start_at_zero(self):
         weights = mt([1.0, 2.0, 3.0, 4.0], [1, 1, 0, 0])
         sched = make_schedule(strategy="set", initial_drop_fraction=1.0)
-        rec = topology_update([(0, weights)], sched, 50, 100, streams={0: Stream(2)})
+        rec = topology_update([record(weights)], sched, 50, 100,
+                              streams={"head0/0": Stream(2)})
         for g in rec.layers[0].grown:
             assert weights.values.reshape(-1)[g] == 0.0
             assert weights.mask.reshape(-1)[g] == 1
@@ -196,26 +203,48 @@ class TestTopologyUpdate:
             weights = mt(values, mask)
             before = set(np.flatnonzero(weights.mask))
             sched = make_schedule()
-            rec = topology_update([(0, weights)], sched, 10, 100,
-                                  streams={0: stream.child(trial)})
+            rec = topology_update([record(weights)], sched, 10, 100,
+                                  streams={"head0/0": stream.child(trial)})
             upd = rec.layers[0]
             survivors = before - set(upd.pruned)
             assert not (set(upd.grown) & survivors)
 
+    def test_record_names_pick_the_component_layers_and_streams(self):
+        def weights():
+            return mt(np.arange(1, 13, dtype=np.float32), np.tile([1, 0], 6))
+
+        rec = topology_update([record(weights(), "head1/0/weight"),
+                               record(weights(), "head1/2/weight")], make_schedule(), 20, 40,
+                              streams={"head1/0": Stream(5), "head1/2": Stream(6)})
+        assert rec.component == "head1" and [u.layer for u in rec.layers] == [0, 2]
+        assert rec.layers[0].grown != rec.layers[1].grown
+        for got, stream in zip(rec.layers, (Stream(5), Stream(6))):
+            alone = topology_update([record(weights())], make_schedule(), 20, 40,
+                                    streams={"head0/0": stream}).layers[0]
+            assert (alone.pruned, alone.grown) == (got.pruned, got.grown)
+
+    def test_rigl_grows_where_the_records_gradient_is_largest(self):
+        weights = mt([4.0, 3.0, 2.0, 1.0, 0.0, 0.0], [1, 1, 1, 1, 0, 0])
+        grad = np.array([0.0, 0.0, 0.5, 0.0, 0.1, 0.9], np.float32)
+        rec = topology_update([record(weights, grad=grad)], make_schedule(strategy="rigl"),
+                              10, 100)
+        assert rec.layers[0].pruned == [2, 3] and rec.layers[0].grown == [2, 5]
+        assert weights.mask.tolist() == [1, 1, 1, 0, 0, 1]
+
     def test_off_schedule_rejected(self):
         with pytest.raises(ValueError, match="off the update schedule"):
-            topology_update([(0, mt([1.0]))], make_schedule(delta_t=10), 15, 100)
+            topology_update([record(mt([1.0]))], make_schedule(delta_t=10), 15, 100)
 
     def test_static_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
-            topology_update([(0, mt([1.0]))], make_schedule(strategy="static"), 10, 100)
+            topology_update([record(mt([1.0]))], make_schedule(strategy="static"), 10, 100)
 
     def test_set_reproducible_across_runs(self):
         def run():
             weights = mt(np.arange(1, 13, dtype=np.float32), np.tile([1, 0], 6))
             sched = make_schedule()
-            rec = topology_update([(0, weights)], sched, 20, 40,
-                                  streams={0: Stream(77).child("topo", 0, 0)})
+            rec = topology_update([record(weights)], sched, 20, 40,
+                                  streams={"head0/0": Stream(77).child("topo", 0, 0)})
             return rec.layers[0].pruned, rec.layers[0].grown, weights.mask.copy()
 
         first, second = run(), run()
@@ -226,29 +255,29 @@ class TestTopologyUpdate:
 class TestOneShotGlobalPrune:
     def test_zero_sparsity_keeps_everything(self):
         a, b = mt([1.0, -2.0]), mt([[3.0], [4.0]])
-        one_shot_global_prune([("a", a), ("b", b)], 0.0)
+        one_shot_global_prune([record(a, "a"), record(b, "b")], 0.0)
         assert a.active_count() == 2 and b.active_count() == 2
 
     def test_keeps_global_top_half(self):
         a, b = mt([1.0, 2.0, 3.0]), mt([4.0, 5.0, 6.0])
-        one_shot_global_prune([("a", a), ("b", b)], 0.5)
+        one_shot_global_prune([record(a, "a"), record(b, "b")], 0.5)
         np.testing.assert_array_equal(a.mask, [0, 0, 0])
         np.testing.assert_array_equal(b.mask, [1, 1, 1])
         np.testing.assert_array_equal(a.values, 0.0)
 
     def test_single_survivor_is_global_argmax(self):
         a, b = mt([1.0, -9.0]), mt([2.0, 3.0])
-        one_shot_global_prune([("a", a), ("b", b)], 0.75)
+        one_shot_global_prune([record(a, "a"), record(b, "b")], 0.75)
         assert a.mask.tolist() == [0, 1]
         assert b.mask.tolist() == [0, 0]
 
     def test_sparsity_one_rejected(self):
         with pytest.raises(ValueError, match="sparsity"):
-            one_shot_global_prune([("a", mt([1.0]))], 1.0)
+            one_shot_global_prune([record(mt([1.0]), "a")], 1.0)
 
     def test_ties_resolve_to_earlier_layer_and_index(self):
         a, b = mt([2.0, 2.0]), mt([2.0, 2.0])
-        one_shot_global_prune([("a", a), ("b", b)], 0.5)
+        one_shot_global_prune([record(a, "a"), record(b, "b")], 0.5)
         assert a.mask.tolist() == [1, 1]
         assert b.mask.tolist() == [0, 0]
 
@@ -263,11 +292,11 @@ class TestOneShotGlobalPrune:
             shape = data.draw(st.sampled_from([(3,), (2, 5), (1, 2, 2, 3), (17,)]))
             values = data.draw(arrays(np.float32, shape, elements=self.VALUES))
             mask = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
-            layers.append((f"l{i}", MaskedTensor(values=values, mask=mask)))
-        want_layers = [(key, MaskedTensor(values=w.values.copy(), mask=w.mask.copy()))
-                       for key, w in layers]
+            layers.append(record(MaskedTensor(values=values, mask=mask), f"l{i}"))
+        want_layers = [ParamRef(ref.name, ref.array.copy(), ref.mask.copy())
+                       for ref in layers]
         got = one_shot_global_prune(layers, sparsity)
         assert got == oracles.one_shot_global_prune(want_layers, sparsity)
-        for (_, w), (_, want) in zip(layers, want_layers):
+        for w, want in zip(layers, want_layers):
             np.testing.assert_array_equal(w.mask, want.mask)
-            assert w.values.tobytes() == want.values.tobytes()
+            assert w.array.tobytes() == want.array.tobytes()

@@ -450,10 +450,9 @@ class TestFit:
                               topology=sched)
         history = fit(model, data, data, config, sparsity_target=0.5)
         assert history.events and history.events[0]["event"] == "one_shot_prune"
-        total = sum(mt.values.size for c in range(len(model.components()))
-                    for _, mt in model.masked_layers(c))
-        active = sum(mt.active_count() for c in range(len(model.components()))
-                     for _, mt in model.masked_layers(c))
+        weights = [ref for ref in model.component_parameters() if ref.mask is not None]
+        total = sum(ref.mask.size for ref in weights)
+        active = sum(int(ref.mask.sum()) for ref in weights)
         assert active == round(0.5 * total)
         assert history.ledger.forward_sparse < history.ledger.forward_dense
 
