@@ -280,9 +280,9 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...] | No
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
     """Load a checkpoint into live objects; returns the step to resume from.
-    Each component's records fill its range of the model's parameter store;
-    the checks on masks and the optimizer's state then run once over the
-    whole store."""
+    Each component's records fill its range of the model's parameter store,
+    each masked record's active list is checked against its own mask, and
+    the lists, in store order, become the optimizer's active positions."""
     records = model.component_parameters()
     keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
@@ -299,9 +299,15 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
         ref.array[...] = _entry(ckpt.params, ref.name, ref.array.shape, "parameter")
         if ref.mask is None:
             listed.append(np.arange(ref.offset, ref.offset + ref.array.size))
-        else:
-            ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
-            listed.append(_entry(ckpt.active, ref.name, None, "active indices") + ref.offset)
+            continue
+        ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
+        at = _entry(ckpt.active, ref.name, (int(np.count_nonzero(ref.mask)),),
+                    "active indices")
+        # count_nonzero positions, strictly increasing, in range, 1 in the mask
+        if at.size and not (0 <= at[0] and at[-1] < ref.mask.size
+                            and (np.diff(at) > 0).all() and ref.mask.reshape(-1)[at].all()):
+            raise CheckpointError(f"checkpoint active indices {ref.name} disagree with its mask")
+        listed.append(at + ref.offset)
     store = model.store
     # a block of the store at a time, so no temporary is the store's size
     for lo in range(0, store.values.size, _BLOCK):
@@ -311,12 +317,7 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             bad = lo + int(wrong.argmax())
             name = next(ref.name for ref in records if 0 <= bad - ref.offset < ref.array.size)
             raise CheckpointError(f"checkpoint weight {name} is nonzero where its mask is 0")
-    optimizer.active = active_indices(store.mask)
-    if not np.array_equal(np.concatenate(listed), optimizer.active):
-        ref = next(ref for ref in records if ref.mask is not None and not np.array_equal(
-            ckpt.active[ref.name], active_indices(ref.mask)))
-        _entry(ckpt.active, ref.name, (np.count_nonzero(ref.mask),), "active indices")
-        raise CheckpointError(f"checkpoint active indices {ref.name} disagree with its mask")
+    optimizer.active = np.concatenate(listed)
     for slot in Optimizer.SLOTS[optimizer.kind]:
         optimizer.slots[slot] = np.concatenate(
             [_entry(ckpt.opt_state, _slot_key(ref.name, slot), at.shape, "optimizer slot")

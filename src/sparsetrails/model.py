@@ -14,6 +14,7 @@ and keeping its own unscaled loss.
 """
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,18 +45,19 @@ class NetworkSpec:
         flat.extend(self.classifier)
         return flat
 
-    def validate(self) -> int:
-        """Propagate shapes through all layers; returns the class count."""
+    def validate(self) -> list[tuple[int, ...]]:
+        """Propagate shapes through all layers; returns each flat layer's
+        per-sample output shape, the last one the class logits."""
         if not self.blocks:
             raise ValueError("network needs at least one block")
         if not self.classifier:
             raise ValueError("network needs a classifier")
-        shape = tuple(self.input_shape)
+        shapes = [tuple(self.input_shape)]
         for i, spec in enumerate(self.flat_layers()):
-            shape = activation_shape(spec, shape, where=f"layer {i}")
-        if len(shape) != 1:
-            raise ValueError(f"classifier must produce class logits, got shape {shape}")
-        return shape[0]
+            shapes.append(activation_shape(spec, shapes[-1], where=f"layer {i}"))
+        if len(shapes[-1]) != 1:
+            raise ValueError(f"classifier must produce class logits, got shape {shapes[-1]}")
+        return shapes[1:]
 
 
 def activation_shape(spec: LayerSpec, in_shape: tuple[int, ...], where: str = "layer"):
@@ -115,17 +117,22 @@ class TrailsModel:
     (`store`): the backbone's layers, then the heads' layers stacked
     (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)). All of
     them, and `heads[m]`'s plain layers over head m's slices, write through
-    to the store."""
+    to the store. The forward cost table holds names and integers only:
+    `fixed_flops` (bias adds and elementwise work, which masks do not change)
+    and, per store weight array, `flops_multipliers[name]` (its output
+    positions per channel; each active weight costs 2x that)."""
 
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
                  sparsity: float, seed: int, store: ParamStore,
-                 plans: list[SparsityPlan | None], vote: str = "probs"):
+                 plans: list[SparsityPlan | None], costs: tuple[int, dict[str, int]],
+                 vote: str = "probs"):
         self.spec = spec
         self.split_index = split_index
         self.num_heads = num_heads
         self.sparsity = sparsity
         self.attach(store)
         self.plans = plans
+        self.fixed_flops, self.flops_multipliers = costs
         self.vote = vote
         # an independent ensemble's members each read their own batch and
         # keep an unscaled loss (set by build_independent_ensemble)
@@ -210,6 +217,23 @@ def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
     return plan
 
 
+def _cost_table(store: ParamStore, shapes: list[tuple[int, ...]]) -> tuple[int, dict]:
+    """`TrailsModel`'s cost table in `train.FlopsLedger`'s convention, from
+    the per-sample output shape of each of the store's layers in order; a
+    stacked group's fixed costs count once per head."""
+    fixed, multipliers = 0, {}
+    shapes = iter(shapes)
+    for group, (specs, heads) in store.groups.items():
+        for li, spec in enumerate(specs):
+            shape = next(shapes)
+            if spec.weight_shape is not None:
+                # the output positions each weight is applied at (1 for linear)
+                multipliers[f"{group}/{li}/weight"] = math.prod(shape[1:])
+            if spec.weight_shape is None or spec.has_bias:
+                fixed += (heads or 1) * math.prod(shape)
+    return fixed, multipliers
+
+
 def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
                  sparsity: float, allocation: str = "er", seed: int = 0,
                  vote: str = "probs") -> TrailsModel:
@@ -220,8 +244,9 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     M distinct classifiers. Backbone and every head are each allocated to
     the global sparsity independently, each into its own views of the
     parameter store (a head into its slice of the stacked head layers).
+    The shape walk that validates the network also makes the cost table.
     """
-    spec.validate()
+    shapes = spec.validate()
     if not 0 <= split_index <= spec.num_blocks:
         raise ValueError(
             f"split index {split_index} outside [0, {spec.num_blocks}]")
@@ -241,7 +266,8 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
         plans.append(_build_component(head_specs, sparsity, allocation, master, m + 1,
                                       [layer.head(m) for layer in store.layers["heads"]]))
     return TrailsModel(spec=spec, split_index=split_index, num_heads=num_heads,
-                       sparsity=sparsity, seed=seed, store=store, plans=plans, vote=vote)
+                       sparsity=sparsity, seed=seed, store=store, plans=plans,
+                       costs=_cost_table(store, shapes), vote=vote)
 
 
 def build_independent_ensemble(spec: NetworkSpec, num_members: int, sparsity: float,

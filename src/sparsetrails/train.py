@@ -10,12 +10,11 @@ stay within 3 * f_dense * base_steps * batch.
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
-from . import model as model_mod
-from . import nn
-from .nn import active_indices
+from .nn import ParamRef, active_indices
 from .data import BatchPlan, Dataset, batches
 from .metrics import (MetricsReport, accuracy, ece, nll, perplexity,
                       prediction_disagreement)
@@ -111,10 +110,11 @@ def lr_at(t: int, config: TrainConfig) -> float:
 
 
 def extension_cap(sparsity: float, base_steps: int) -> int:
-    """Longest allowed sparse run: floor(base_steps / (1 - S))."""
+    """Longest allowed sparse run: floor(base_steps / (1 - S)), exact on the
+    decimal S is written as (0.95 and 10 give 200), not on its binary float."""
     if not 0.0 <= sparsity < 1.0:
         raise ValueError(f"sparsity must be in [0, 1), got {sparsity}")
-    return int(math.floor(base_steps / (1.0 - sparsity)))
+    return math.floor(base_steps / (1 - Fraction(str(float(sparsity)))))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +128,8 @@ class FlopsLedger:
     Convention: a linear layer costs 2 * active_weights + (out_dim bias
     adds); conv2d costs 2 * active_kernel_weights * output_positions plus
     one bias add per output element; elementwise layers cost their element
-    count. Mask bookkeeping and topology updates are not charged.
+    count. Mask bookkeeping and topology updates are not charged. Per-layer
+    costs come from the model's cost table, made once by `build_trails`.
     """
 
     forward_sparse: int
@@ -145,53 +146,17 @@ class FlopsLedger:
         return 3 * self.forward_dense * base_steps * batch
 
 
-@dataclass(frozen=True)
-class LayerCost:
-    """Per-sample forward cost of one layer in the ledger's convention.
-
-    `fixed` counts bias adds and elementwise work, which masks do not
-    change. Each weight costs 2 * `multiplier` FLOPs, the multiplier being
-    the output positions per channel (1 for linear, 0 for weightless
-    layers); `active` of the layer's `size` weights are unmasked.
-    """
-
-    multiplier: int
-    fixed: int
-    active: int
-    size: int
-
-
-def layer_costs(model: TrailsModel) -> list[LayerCost]:
-    """One walk over the backbone, then every head on the backbone's output."""
-    costs = []
-
-    def walk(layers: list[nn.Layer], shape: tuple[int, ...]) -> tuple[int, ...]:
-        for layer in layers:
-            spec = layer.spec
-            shape = model_mod.activation_shape(spec, shape)
-            elements = int(np.prod(shape))
-            if layer.weight is None:
-                costs.append(LayerCost(multiplier=0, fixed=elements, active=0, size=0))
-            else:
-                costs.append(LayerCost(multiplier=int(np.prod(shape[1:])),
-                                       fixed=elements if spec.has_bias else 0,
-                                       active=layer.weight.active_count(),
-                                       size=spec.weight_size))
-        return shape
-
-    features = walk(model.backbone, tuple(model.spec.input_shape))
-    for head in model.heads:
-        walk(head, features)
-    return costs
-
-
 def count_flops(model: TrailsModel) -> FlopsLedger:
-    """Per-sample forward FLOPs of the ensemble: backbone once plus every head."""
-    costs = layer_costs(model)
-    fixed = sum(c.fixed for c in costs)
-    return FlopsLedger(
-        forward_sparse=fixed + sum(2 * c.multiplier * c.active for c in costs),
-        forward_dense=fixed + sum(2 * c.multiplier * c.size for c in costs))
+    """Per-sample forward FLOPs of the ensemble, backbone once plus every
+    head, from the model's cost table: each weight array's active count (all
+    M heads' at once for a stacked one) at its position multiplier."""
+    sparse = dense = model.fixed_flops
+    for ref in model.store.refs:
+        if ref.mask is not None:
+            per_weight = 2 * model.flops_multipliers[ref.name]
+            sparse += per_weight * int(np.count_nonzero(ref.mask))
+            dense += per_weight * ref.mask.size
+    return FlopsLedger(forward_sparse=sparse, forward_dense=dense)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +177,7 @@ class Optimizer:
 
     SLOTS = {"sgd_momentum": ("momentum",), "adam": ("m", "v")}
 
-    def __init__(self, config: TrainConfig, params: list[model_mod.ParamRef]):
+    def __init__(self, config: TrainConfig, params: list[ParamRef]):
         self.store = params[0].store if params else None
         if self.store is None or [p.name for p in params] != list(self.store.offsets):
             raise ValueError("an optimizer takes every parameter of one store, in order")
@@ -232,7 +197,7 @@ class Optimizer:
         if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             name = next(ref.name for ref in reversed(store.refs) if ref.offset <= bad)
-            kind = "NaN" if np.isnan(grad).any() else "inf"
+            kind = "NaN" if np.isnan(grad[bad]) else "inf"
             raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
         c = self.config
         # the gather drops the gradient at masked positions (RigL growth reads it)
@@ -336,9 +301,9 @@ def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
     charged at the worst per-weight position multiplier, which is exact
     for pure-linear networks.
     """
-    costs = layer_costs(model)
-    keep = round_half_up((1.0 - sparsity) * sum(c.size for c in costs))
-    return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)
+    weights = sum(ref.mask.size for ref in model.store.refs if ref.mask is not None)
+    keep = round_half_up((1.0 - sparsity) * weights)
+    return model.fixed_flops + 2 * keep * max(model.flops_multipliers.values(), default=0)
 
 
 def validate_run(model: TrailsModel, train_set: Dataset, config: TrainConfig,

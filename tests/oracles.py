@@ -20,16 +20,21 @@
   gradients in head order, which the stacked pass must reproduce bit for bit.
 - Cross-entropy and softmax by numpy's row reductions over the class axis,
   which `nn.loss_forward` and `nn.softmax` must reproduce bit for bit.
+- The FLOPs ledger by a walk over every layer's activation shape, the
+  backbone once and then every head on its output, with each layer's own
+  active count: the numbers `train.count_flops` and the one-shot prune's
+  bound must give from the model's cost table.
 """
 
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from sparsetrails.data import BatchPlan, Dataset, batches
-from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, composite_loss,
-                               forward_heads)
+from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
+                               composite_loss, forward_heads)
 from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, loss_backward, loss_forward,
                              stack_backward, stack_forward)
 from sparsetrails.rng import Stream
@@ -413,3 +418,64 @@ def axis_loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
     return -log_p.mean(axis=-1), probs
+
+
+# ---------------------------------------------------------------------------
+# FLOPs by a shape walk
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LayerCost:
+    """Per-sample forward cost of one layer in the ledger's convention.
+
+    `fixed` counts bias adds and elementwise work, which masks do not
+    change. Each weight costs 2 * `multiplier` FLOPs, the multiplier being
+    the output positions per channel (1 for linear, 0 for weightless
+    layers); `active` of the layer's `size` weights are unmasked.
+    """
+
+    multiplier: int
+    fixed: int
+    active: int
+    size: int
+
+
+def layer_costs(model: TrailsModel) -> list[LayerCost]:
+    """One walk over the backbone, then every head on the backbone's output."""
+    costs = []
+
+    def walk(layers: list[Layer], shape: tuple[int, ...]) -> tuple[int, ...]:
+        for layer in layers:
+            spec = layer.spec
+            shape = activation_shape(spec, shape)
+            elements = int(np.prod(shape))
+            if layer.weight is None:
+                costs.append(LayerCost(multiplier=0, fixed=elements, active=0, size=0))
+            else:
+                costs.append(LayerCost(multiplier=int(np.prod(shape[1:])),
+                                       fixed=elements if spec.has_bias else 0,
+                                       active=layer.weight.active_count(),
+                                       size=spec.weight_size))
+        return shape
+
+    features = walk(model.backbone, tuple(model.spec.input_shape))
+    for head in model.heads:
+        walk(head, features)
+    return costs
+
+
+def forward_flops(model: TrailsModel) -> tuple[int, int]:
+    """Per-sample forward FLOPs of the ensemble, (sparse, dense)."""
+    costs = layer_costs(model)
+    fixed = sum(c.fixed for c in costs)
+    return (fixed + sum(2 * c.multiplier * c.active for c in costs),
+            fixed + sum(2 * c.multiplier * c.size for c in costs))
+
+
+def post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
+    """Dense bias and elementwise costs, and the weights a global prune to
+    `sparsity` keeps, each at the worst position multiplier."""
+    costs = layer_costs(model)
+    keep = round_half_up((1.0 - sparsity) * sum(c.size for c in costs))
+    return sum(c.fixed for c in costs) + 2 * keep * max(c.multiplier for c in costs)

@@ -15,7 +15,9 @@ package from its tree's `src/`. The matrix:
 - cnn-idx-set at seed 0 again, resumed in place from its first checkpoint.
 
 Every run writes a checkpoint at every evaluation and dumps its last
-disagreements. The IDX images are written once, into a directory both
+disagreements. `sparsetrails eval` then reads back the final checkpoint of
+the one-shot pruned run and of the resumed run, and writes `eval.json`
+beside the run's other files: its FLOPs come from the restored masks. The IDX images are written once, into a directory both
 trees read, so the config hashes agree. Each file must be byte-equal,
 except `config.resolved.json`, which is compared without `out_dir`. The
 first difference is printed with its file and field, and the exit code is
@@ -42,7 +44,9 @@ import workloads  # noqa: E402  (bench/workloads.py)
 from sparsetrails.checkpoint import CheckpointError, load_checkpoint  # noqa: E402
 
 RESUMED = "cnn-idx-set-s0-resumed"
-# runs `sparsetrails train` from the tree whose src/ is the first argument
+# runs whose final checkpoint `sparsetrails eval` evaluates
+EVALUATED = ("rings-prune-oneshot", RESUMED)
+# runs `sparsetrails` from the tree whose src/ is the first argument
 LAUNCH = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsetrails.cli as cli; "
           "sys.exit(cli.main(sys.argv[2:]) if cli.__file__.startswith(sys.argv[1]) "
           "else f'sparsetrails imported from {cli.__file__}')")
@@ -87,25 +91,28 @@ def export(revision: str, into: Path) -> Path:
     return into
 
 
-def train(tree: Path, config: Path, out: Path, *extra: str) -> None:
-    """`sparsetrails train` on the package in tree/src; raises if it fails."""
-    done = subprocess.run([sys.executable, "-c", LAUNCH, str(tree / "src"), "train",
-                           "--config", str(config), "--out", str(out), "--quiet",
-                           "--dump-disagreements", *extra],
+def sparsetrails(tree: Path, command: str, config: Path, out: Path, *extra: str) -> None:
+    """`sparsetrails command` on the package in tree/src; raises if it fails."""
+    done = subprocess.run([sys.executable, "-c", LAUNCH, str(tree / "src"), command,
+                           "--config", str(config), "--out", str(out), "--quiet", *extra],
                           capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{tree}: {config.stem} exited {done.returncode}\n{done.stderr}")
+        raise RuntimeError(
+            f"{tree}: {command} {config.stem} exited {done.returncode}\n{done.stderr}")
 
 
 def run_matrix(tree: Path, configs: dict[str, Path], out: Path) -> None:
     for name, config in configs.items():
         if name != RESUMED:
-            train(tree, config, out / name)
+            sparsetrails(tree, "train", config, out / name, "--dump-disagreements")
     # the finished run again, resumed in place from its first checkpoint
     first = json.loads(configs[RESUMED].read_text())["checkpoint_every"]
     shutil.copytree(out / "cnn-idx-set-s0", out / RESUMED)
-    train(tree, configs[RESUMED], out / RESUMED,
-          "--resume", str(out / RESUMED / f"checkpoint_{first:06d}.bin"))
+    sparsetrails(tree, "train", configs[RESUMED], out / RESUMED, "--dump-disagreements",
+                 "--resume", str(out / RESUMED / f"checkpoint_{first:06d}.bin"))
+    for name in EVALUATED:
+        sparsetrails(tree, "eval", configs[name], out / name,
+                     "--resume", str(out / name / "checkpoint.bin"))
 
 
 def first_field(a, b, where: str = "") -> str | None:
@@ -215,7 +222,7 @@ def main(argv=None) -> int:
             if found:
                 print(f"differs: {name}/{found}")
                 return 1
-    print(f"same numbers: {len(configs)} runs, {files} files")
+    print(f"same numbers: {len(configs)} runs, {len(EVALUATED)} evals, {files} files")
     return 0
 
 

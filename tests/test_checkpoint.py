@@ -326,6 +326,17 @@ class TestRejection:
         with pytest.raises(CheckpointError, match=r"active indices head1/0/weight has shape"):
             self._restore_into_fresh(tmp_path, drop)
 
+    @pytest.mark.parametrize("fault", ["duplicate", "out_of_order"])
+    def test_restore_rejects_a_right_length_list_out_of_order(self, tmp_path, fault):
+        def corrupt(ckpt):
+            active = ckpt.active["head1/0/weight"]
+            if fault == "duplicate":
+                active[1] = active[0]
+            else:
+                active[[0, 1]] = active[[1, 0]]
+        with pytest.raises(CheckpointError, match="head1/0/weight disagree with its mask"):
+            self._restore_into_fresh(tmp_path, corrupt)
+
     def test_restore_rejects_nonzero_weight_at_masked_position(self, tmp_path):
         def put(value):
             def corrupt(ckpt):

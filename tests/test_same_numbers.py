@@ -13,11 +13,17 @@ def test_two_step_matrix_matches_a_copy_of_the_tree(tmp_path, capsys):
     work = tmp_path / "work"
     assert same_numbers.main(["--against", str(copy), "--steps", "2",
                               "--work", str(work)]) == 0
-    assert "same numbers: 10 runs, 70 files" in capsys.readouterr().out
+    assert "same numbers: 10 runs, 2 evals, 72 files" in capsys.readouterr().out
     # the resumed run rewrote the run's artifacts after its first checkpoint
     resumed = work / "this" / same_numbers.RESUMED
     assert [json.loads(line)["step"]
             for line in (resumed / "history.jsonl").read_text().splitlines()] == [1, 2]
+    # eval read the final checkpoint back: the last evaluation's metrics again
+    evaluated = json.loads((resumed / "eval.json").read_text())
+    final = json.loads((resumed / "history.jsonl").read_text().splitlines()[-1])["metrics"]
+    assert {key: final[key] for key, value in evaluated.items() if value is not None} == \
+        {key: value for key, value in evaluated.items() if value is not None}
+    assert evaluated["flops_forward_sparse"] > 0
 
     # config.resolved.json differs in out_dir between the sides; one changed
     # metric is found and named with its file, line and field

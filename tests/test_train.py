@@ -1,17 +1,26 @@
+import copy
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparsetrails.data import gen_synthetic
-from sparsetrails.model import build_independent_ensemble, build_trails, mlp_spec
+import sparsetrails.model as model_module
+from sparsetrails.checkpoint import capture, restore
+from sparsetrails.config import network_spec, resolve
+from sparsetrails.data import Dataset, gen_synthetic
+from sparsetrails.model import (build_independent_ensemble, build_trails, mlp_spec,
+                                small_cnn_spec)
 from sparsetrails.nn import LayerSpec, ParamStore
 from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
-                                count_flops, evaluate, extension_cap, fit, lr_at)
+                                _post_prune_forward_bound, count_flops, evaluate,
+                                extension_cap, fit, lr_at, validate_run)
 
-from oracles import DenseOptimizer, train_member_alone
+import oracles
+from oracles import DenseOptimizer, LayerCost, layer_costs, train_member_alone
 
 
 def small_config(**kw):
@@ -85,6 +94,17 @@ class TestOptimizerStep:
         for ref, old in zip(refs, before):
             np.testing.assert_array_equal(ref.array, old)
         assert opt.adam_t == 0
+
+    def test_names_the_kind_of_the_entry_it_names(self):
+        # an inf in the first weight and a NaN in a head: the inf comes first
+        model = toy_model(heads=2)
+        refs = model.named_parameters()
+        assert refs[0].name == "backbone/0/weight" and refs[-2].name.startswith("heads/")
+        opt = Optimizer(small_config(), refs)
+        refs[0].grad.reshape(-1)[3] = np.inf
+        refs[-2].grad.reshape(-1)[0] = np.nan
+        with pytest.raises(TrainingDiverged, match="^inf gradient in backbone/0/weight$"):
+            opt.step(lr=0.1)
 
     def test_inf_at_a_masked_position_aborts(self):
         # RigL growth reads the masked entries, so the check covers them too
@@ -253,6 +273,32 @@ class TestExtensionCap:
         with pytest.raises(ValueError):
             extension_cap(1.0, 100)
 
+    def test_exact_on_the_written_decimal(self):
+        # 10 / (1 - 0.95) is 199.99999999999983 in binary floating point
+        assert extension_cap(0.95, 10) == 200
+        assert extension_cap(0.7, 3) == 10
+        assert extension_cap(0.84, 1000) == 6250
+
+    @given(st.integers(min_value=0, max_value=99), st.integers(min_value=1, max_value=10**6))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_percent_sparsities(self, percent, base):
+        assert extension_cap(percent / 100, base) == 100 * base // (100 - percent)
+
+    def test_a_run_at_its_cap_is_accepted(self):
+        # no biases or elementwise layers: 30% of the weights cost 30% of the
+        # dense FLOPs, so 10 steps at S = 0.7 spend exactly 3 dense steps' budget
+        from sparsetrails.model import NetworkSpec
+        net = NetworkSpec(input_shape=(10,), stem=[],
+                          blocks=[[LayerSpec.linear(10, 10, has_bias=False)]],
+                          classifier=[LayerSpec.linear(10, 2, has_bias=False)])
+        model = build_trails(net, 1, 1, 0.7, allocation="uniform", seed=0)
+        data = Dataset(np.zeros((32, 10), np.float32), np.zeros(32, np.int64), 2)
+        ledger = count_flops(model)
+        assert 10 * ledger.forward_sparse == 3 * ledger.forward_dense
+        validate_run(model, data, small_config(total_steps=10, base_steps=3), ledger)
+        with pytest.raises(ValueError, match="extension cap 10 "):
+            validate_run(model, data, small_config(total_steps=11, base_steps=3), ledger)
+
 
 class TestCountFlops:
     def test_dense_linear_hand_count(self):
@@ -302,10 +348,9 @@ class TestCountFlops:
                           classifier=[LayerSpec.linear(4, 2, has_bias=False)])
         assert count_flops(bt(net, 1, 1, 0.0, seed=0)).forward_dense == 4 + 16
 
-    def test_layer_costs_hand_count(self):
+    def test_cost_table_hand_count(self):
         from sparsetrails.model import NetworkSpec, build_trails as bt
         from sparsetrails.nn import LayerSpec
-        from sparsetrails.train import LayerCost, _post_prune_forward_bound, layer_costs
         net = NetworkSpec(input_shape=(1, 4, 4), stem=[],
                           blocks=[[LayerSpec.conv2d(1, 2, 3, 3), LayerSpec.relu()]],
                           classifier=[LayerSpec.linear(8, 3, has_bias=False)])
@@ -315,9 +360,111 @@ class TestCountFlops:
         relu = LayerCost(multiplier=0, fixed=8, active=0, size=0)
         linear = LayerCost(multiplier=1, fixed=0, active=24, size=24)
         assert layer_costs(model) == [conv, relu, linear, conv, relu, linear]
-        assert count_flops(model).forward_dense == 2 * (8 + 2 * 4 * 18 + 8 + 2 * 24)
+        assert model.flops_multipliers == {"heads/0/weight": 4, "heads/2/weight": 1}
+        assert model.fixed_flops == 2 * (8 + 8)
+        ledger = count_flops(model)
+        assert ledger.forward_dense == 2 * (8 + 2 * 4 * 18 + 8 + 2 * 24)
+        assert ledger.forward_sparse == ledger.forward_dense
         # 84 weights in all, keep 42, each charged at the worst multiplier 4
         assert _post_prune_forward_bound(model, 0.5) == 2 * (8 + 8) + 2 * 42 * 4
+
+
+def cost_table_models():
+    """A model of every network kind at every split, and an independent ensemble."""
+    mlp = mlp_spec(3, 6, 3, 2)
+    cnn = small_cnn_spec((2, 5, 5), 3, 2, 3)
+    layers = network_spec(resolve({
+        "dataset": {"kind": "rings", "n": 100, "noise": 0.2},
+        "network": {"kind": "layers", "input_shape": [1, 6, 6],
+                    "stem": [{"kind": "conv2d", "in_channels": 1, "out_channels": 2,
+                              "kernel_h": 3, "kernel_w": 3}, {"kind": "relu"}],
+                    "blocks": [[{"kind": "conv2d", "in_channels": 2, "out_channels": 3,
+                                 "kernel_h": 2, "kernel_w": 2, "bias": False}],
+                               [{"kind": "relu"}, {"kind": "linear", "in": 27, "out": 5}]],
+                    "classifier": [{"kind": "linear", "in": 5, "out": 2, "bias": False}]},
+        "split_index": 0, "heads": 2, "sparsity": 0.5,
+        "train": {"total_steps": 20, "batch_size": 16}}))
+    models = {}
+    for name, spec in (("mlp", mlp), ("cnn", cnn), ("layers", layers)):
+        for split in range(spec.num_blocks + 1):
+            models[f"{name}-split{split}"] = build_trails(spec, split, 3, 0.6, seed=split)
+    models["independent"] = build_independent_ensemble(cnn, 3, 0.6, seed=1)
+    return models
+
+
+def images(shape):
+    """The rings points tiled into per-sample arrays of `shape`."""
+    rings = gen_synthetic("rings", 48, noise=0.2, seed=1)
+    return Dataset(np.resize(rings.inputs, (48, *shape)).astype(np.float32), rings.labels, 2)
+
+
+def assert_matches_the_walk(model, sparsity=0.7):
+    ledger = count_flops(model)
+    assert (ledger.forward_sparse, ledger.forward_dense) == oracles.forward_flops(model)
+    assert ledger.forward_sparse < ledger.forward_dense
+    assert _post_prune_forward_bound(model, sparsity) == \
+        oracles.post_prune_forward_bound(model, sparsity)
+
+
+class TestCostTable:
+    @pytest.mark.parametrize("name", list(cost_table_models()))
+    def test_count_and_bound_match_the_shape_walk(self, name):
+        assert_matches_the_walk(cost_table_models()[name])
+
+    @pytest.mark.parametrize("strategy", ["rigl", "prune_oneshot"])
+    def test_after_mask_changes(self, strategy):
+        oneshot = strategy == "prune_oneshot"
+        # a conv net: its layers' multipliers differ, so moving weights
+        # between layers changes the count
+        data = images((2, 5, 5))
+        model = build_trails(small_cnn_spec((2, 5, 5), 3, 2, 2), 1, 2,
+                             0.0 if oneshot else 0.6, seed=0)
+        before = count_flops(model).forward_sparse
+        config = small_config(total_steps=10, eval_interval=10, lr=0.05,
+                              topology=TopologySchedule(strategy=strategy, delta_t=3))
+        fit(model, data, data, config, sparsity_target=0.8 if oneshot else None)
+        assert_matches_the_walk(model)
+        if oneshot:
+            assert count_flops(model).forward_sparse < before
+
+    def test_deep_copy_restored_from_a_checkpoint(self):
+        data = gen_synthetic("rings", 48, noise=0.2, seed=1)
+        trained = build_trails(mlp_spec(2, 8, 2, 2), 1, 3, 0.0, seed=0)
+        config = small_config(total_steps=10, eval_interval=10,
+                              topology=TopologySchedule(strategy="prune_oneshot"))
+        optimizer, ledger = Optimizer(config, trained.named_parameters()), count_flops(trained)
+        fit(trained, data, data, config, sparsity_target=0.8, optimizer=optimizer,
+            ledger=ledger)
+        ckpt = capture(trained, optimizer, ledger, 10, "00" * 32)
+        fresh = build_trails(mlp_spec(2, 8, 2, 2), 1, 3, 0.0, seed=5)
+        dense = count_flops(fresh)
+        clone = copy.deepcopy(fresh)
+        clone_ledger = count_flops(clone)
+        restore(ckpt, clone, Optimizer(config, clone.named_parameters()), clone_ledger)
+        assert clone_ledger.forward_sparse == ledger.forward_sparse < dense.forward_sparse
+        assert_matches_the_walk(clone)
+        # the original keeps its own masks and count
+        assert count_flops(fresh) == dense
+        assert oracles.forward_flops(fresh) == (dense.forward_sparse, dense.forward_dense)
+
+    def test_count_and_restore_walk_no_shapes(self, monkeypatch):
+        data = images((1, 4, 4))
+        model = build_trails(small_cnn_spec((1, 4, 4), 2, 1, 2), 1, 2, 0.5, seed=0)
+        config = small_config(total_steps=4, eval_interval=4,
+                              topology=TopologySchedule(strategy="rigl", delta_t=2))
+        optimizer, ledger = Optimizer(config, model.named_parameters()), count_flops(model)
+        fit(model, data, data, config, optimizer=optimizer, ledger=ledger)
+        ckpt = capture(model, optimizer, ledger, 4, "00" * 32)
+        fresh = build_trails(small_cnn_spec((1, 4, 4), 2, 1, 2), 1, 2, 0.5, seed=3)
+
+        def walk(*args, **kwargs):
+            raise AssertionError("activation_shape called after the build")
+        monkeypatch.setattr(model_module, "activation_shape", walk)
+        assert count_flops(model).forward_sparse == ledger.forward_sparse
+        fresh_ledger = count_flops(fresh)
+        assert restore(ckpt, fresh, Optimizer(config, fresh.named_parameters()),
+                       fresh_ledger) == 4
+        assert fresh_ledger.forward_sparse == ledger.forward_sparse
 
 
 class TestFit:
