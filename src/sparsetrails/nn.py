@@ -227,7 +227,10 @@ def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None,
     shape = spec.weight_shape
     bound = math.sqrt(6.0 / spec.fan_in)
     flat = stream.uniforms(int(np.prod(shape)))
-    values = ((flat * 2.0 - 1.0) * bound).astype(np.float32).reshape(shape)
+    flat *= 2.0                      # (u * 2 - 1) * bound, in place in float64
+    flat -= 1.0
+    flat *= bound
+    values = flat.astype(np.float32).reshape(shape)
     mask = np.ones(shape, dtype=np.uint8) if mask is None else mask.reshape(shape)
     bias = None
     if spec.has_bias:

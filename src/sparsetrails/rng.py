@@ -106,7 +106,11 @@ class Stream:
     # `open_unit`, `randbelow`); the draws are only computed in bulk.
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (_bulk_u64(self, n) >> 11).astype(np.float64) * _DOUBLE_SCALE
+        draws = _bulk_u64(self, n)
+        draws >>= 11
+        out = draws.astype(np.float64)
+        out *= _DOUBLE_SCALE
+        return out
 
     def gumbels(self, n: int) -> np.ndarray:
         opens = ((_bulk_u64(self, n) >> 11).astype(np.float64) + 0.5) * _DOUBLE_SCALE
@@ -131,24 +135,24 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        perm = list(range(n))
-        swaps = _bulk_below(self, np.arange(n, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(n - 1, 0, -1), swaps):
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int64)
+        # step i swaps position n-1-i with j = randbelow(n-i). Read position
+        # p as n-1-p, and that is a partial shuffle of n-1 steps with targets
+        # n-1-j >= i, whose pool entry q stands for the value n-1-q; the
+        # last position keeps the one entry never picked
+        draws = _bulk_below(self, np.arange(n, 1, -1, dtype=np.uint64))
+        picks = _shuffled_prefix((n - 1) - draws.astype(np.int64))
+        mirrored = np.empty(n, dtype=np.int64)
+        mirrored[:n - 1] = picks
+        mirrored[n - 1:] = n * (n - 1) // 2 - picks.sum()
+        return (n - 1) - mirrored[::-1]
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n), via partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from range({n})")
-        offsets = _bulk_below(self, np.arange(n, n - k, -1, dtype=np.uint64))
-        swaps = (offsets + np.arange(k, dtype=np.uint64)).tolist()
-        moved: dict[int, int] = {}  # pool positions that no longer hold their index
-        picks = []
-        for i, j in enumerate(swaps):
-            picks.append(moved.get(j, j))
-            moved[j] = moved.get(i, i)
-        return np.array(picks, dtype=np.int64)
+        swaps = _bulk_below(self, np.arange(n, n - k, -1, dtype=np.uint64)).astype(np.int64)
+        swaps += np.arange(k)
+        return _shuffled_prefix(swaps)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -225,28 +229,83 @@ def _bulk_u64(stream: Stream, n: int) -> np.ndarray:
     # draw of it is kept
     last, remainder = divmod(n, steps)
     lanes = last + 1
-    starts = _state_bits(np.array([stream.get_state()], dtype=np.uint64).T)
-    j = b
-    while starts.shape[1] < lanes:        # [V, A^(B 2^j) V]
-        ahead = starts[:, :lanes - starts.shape[1]]
-        starts = np.concatenate([starts, (_jump(j) @ ahead) % 2], axis=1)
+    starts = np.empty((256, lanes), dtype=np.float32)   # [V, A^B V, A^(2B) V, ...]
+    starts[:, :1] = _state_bits(np.array([stream.get_state()], dtype=np.uint64).T)
+    filled, j = 1, b
+    while filled < lanes:                 # lanes [filled, 2 filled) are A^(B 2^j) ahead
+        ahead = min(filled, lanes - filled)
+        # entries of a 0/1 product are at most 256
+        product = (_jump(j) @ starts[:, :ahead]).astype(np.int16)
+        starts[:, filled:filled + ahead] = product & 1
+        filled += ahead
         j += 1
-    s0, s1, s2, s3 = _bits_state(starts)
+    state = _bits_state(starts)
+    s0, s1, s2, s3 = state                # rows of `state`, stepped in place
     seen = np.empty((steps, lanes), dtype=np.uint64)   # s1 before each step
+    t = np.empty(lanes, dtype=np.uint64)
+    xor, or_, shl, shr = np.bitwise_xor, np.bitwise_or, np.left_shift, np.right_shift
     for i in range(steps):
         if i == remainder:
-            final = (int(s0[last]), int(s1[last]), int(s2[last]), int(s3[last]))
+            final = tuple(int(w) for w in state[:, last])
         seen[i] = s1
-        t = s1 << 17
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = (s3 << 45) | (s3 >> 19)
+        shl(s1, 17, out=t)
+        xor(s2, s0, out=s2)
+        xor(s3, s1, out=s3)
+        xor(s1, s2, out=s1)
+        xor(s0, s3, out=s0)
+        xor(s2, t, out=s2)
+        shr(s3, 19, out=t)                # s3 = rotl(s3, 45)
+        shl(s3, 45, out=s3)
+        or_(s3, t, out=s3)
     stream.set_state(final)
-    x = seen.T.reshape(-1)[:n] * 5
-    return ((x << 7) | (x >> 57)) * 9
+    # output = rotl(s1 * 5, 7) * 9, scrambled in place; the output block
+    # serves as scratch until the transposed copy overwrites it
+    out = np.empty((lanes, steps), dtype=np.uint64)
+    high = out.reshape(steps, lanes)
+    seen *= 5
+    np.right_shift(seen, 57, out=high)
+    seen <<= 7
+    seen |= high
+    seen *= 9
+    out[...] = seen.T
+    return out.reshape(-1)[:n]
+
+
+def _shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
+    """`pool[:k]` after a partial Fisher-Yates shuffle of pool = range(n):
+    for i < k, `pool[i], pool[swaps[i]] = pool[swaps[i]], pool[i]`, where
+    swaps is int64 with i <= swaps[i] < n.
+
+    Position i is never read after step i, so only the values moved into the
+    targets matter: pick i is swaps[i], unless an earlier step w also
+    targeted swaps[i]. Then it is the value position w held before step w:
+    w itself, unless a step before w targeted position w, and so on down a
+    chain of strictly earlier steps that pointer jumping follows to its end.
+    """
+    k = swaps.size
+    n = int(swaps.max()) + 1 if k else 0
+    if n * k > 1 << 63:
+        raise ValueError(f"sort keys of {k} swaps over range({n}) overflow int64")
+    # the steps ordered by (target, step), as one int64 key each
+    target, step = np.divmod(np.sort(swaps * k + np.arange(k)), max(k, 1))
+    again = target[1:] == target[:-1]
+    before = np.full(k, -1, dtype=np.int64)    # the last earlier step with the same target
+    before[step[1:][again]] = step[:-1][again]
+    # link w -> the last step that targeted position w, which comes before
+    # step w; if it is step w itself, no later step reads position w. A
+    # position no step targeted is a root and links to itself. (Only group
+    # ends are written: numpy keeps no promised value for a repeated index.)
+    group_end = np.ones(k, dtype=bool)
+    group_end[:-1] = ~again
+    group_end &= target < k
+    link = np.arange(k, dtype=np.int64)
+    link[target[group_end]] = step[group_end]
+    while True:                                # link -> the root of each chain
+        jumped = link[link]
+        if np.array_equal(jumped, link):
+            break
+        link = jumped
+    return np.where(before >= 0, link[before], swaps)
 
 
 def _bulk_below(stream: Stream, bounds: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@
   over an explicitly zero-padded float64 input.
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
   `random`, `open_unit` or `randbelow` call per value, exactly as the
-  bulk helpers must reproduce them.
+  bulk helpers must reproduce them; and the partial Fisher-Yates shuffle
+  walked one swap at a time over a dict of moved positions, which
+  `rng._shuffled_prefix` must reproduce from the swap targets alone.
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries; and the compact
@@ -223,6 +225,17 @@ def choice_without_replacement(stream: Stream, n: int, k: int) -> np.ndarray:
         j = i + stream.randbelow(n - i)
         pool[i], pool[j] = pool[j], pool[i]
     return pool[:k].copy()
+
+
+def shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
+    """pool[:k] after `pool[i], pool[swaps[i]] = pool[swaps[i]], pool[i]` for
+    i < k from pool = range(n), keeping only the positions that moved."""
+    moved: dict[int, int] = {}
+    picks = []
+    for i, j in enumerate(swaps.tolist()):
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(picks, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

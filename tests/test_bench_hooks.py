@@ -1,10 +1,12 @@
-"""The benchmark's tracing hooks see every layer call of a training step.
+"""The benchmark's tracing hooks see every layer call of a training step
+and every random draw of a model build.
 
 `bench/spans.py` times layers by replacing `nn.layer_forward` with a
 `(layer, x)` wrapper, and counts `nn.stack_forward`/`nn.stack_backward`
 calls as backbone or heads dispatches. `bench/test_smoke.py` runs only the
 rings and cnn workloads, so this runs a 4-head wide-style model and an
-independent ensemble through the same wrappers.
+independent ensemble through the same wrappers, and builds one under the
+set-up wrappers behind `rng.draws`, `sparsity.init_masks_s` and `nn.init_s`.
 """
 
 import sys
@@ -59,3 +61,30 @@ def test_every_layer_call_passes_the_benchmark_wrappers(independent):
             for part in ("backbone", "heads")] == [1, 1, 1, 1]
     layer_calls = sum(per_step(f"nn.{kind}.fwd") for kind in ("linear", "conv2d", "relu"))
     assert layer_calls == len(model.backbone) + len(model.head_stack)
+
+
+def test_every_setup_draw_passes_the_benchmark_wrappers():
+    tracer = Tracer()
+    with Patches() as patches:
+        tracer.install(patches)
+        model = build_trails(wide_spec(), 2, 4, 0.9, seed=0)
+
+    def spans(name, parent=None):
+        return [i for i, n in enumerate(tracer.names) if n == name and (
+            parent is None or tracer.parents[i] >= 0
+            and tracer.names[tracer.parents[i]] == parent)]
+
+    head_specs = [layer.spec for layer in model.head_stack]
+    components = [[layer.spec for layer in model.backbone], *[head_specs] * model.num_heads]
+    assert len(spans("sparsity.init_masks")) == len(components) == len(model.plans)
+    # one rng.draw per mask, drawing the layer's budget
+    budgets = [b for plan in model.plans for b in plan.budgets]
+    mask_draws = spans("rng.draw", "sparsity.init_masks")
+    assert [tracer.values[i] for i in mask_draws] == budgets
+    assert budgets == [int(np.count_nonzero(ref.mask))
+                       for ref in model.component_parameters() if ref.mask is not None]
+    assert len(spans("nn.init")) == sum(len(specs) for specs in components)
+    # rng.draws counts the masks' picks and every weight and bias drawn dense
+    dense = sum(s.weight_size + (s.out_dim if s.has_bias else 0)
+                for specs in components for s in specs)
+    assert tracer.rng_split()[2] == sum(budgets) + dense

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsetrails import rng
@@ -159,3 +161,92 @@ def test_bulk_bounded_draws_follow_randbelow_rejections():
     assert bulk.get_state() == scalar.get_state()
     rng._bulk_u64(plain, n)
     assert plain.get_state() != scalar.get_state()  # rejections did happen
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 511, 1600, 5000])
+def test_permutation_equals_the_downward_swap_loop(n):
+    for seed in range(3):
+        assert_bulk_matches_oracle("permutation", seed, n)
+
+
+@pytest.mark.parametrize("helper, args", [
+    ("choice_without_replacement", (262_144, 26_214)),   # a 512x512 mask at density 0.1
+    ("uniforms", (262_144,)),                            # a 512x512 layer's weights
+    ("uniforms", (100_352,)),                            # a 196x512 layer's weights
+])
+def test_wide_layer_draws_equal_scalar_loops(helper, args):
+    bulk, scalar = Stream(2024), Stream(2024)
+    got, want = getattr(bulk, helper)(*args), getattr(oracles, helper)(scalar, *args)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert bulk.get_state() == scalar.get_state()
+
+
+# -- the partial Fisher-Yates resolver against the swap walk ------------------
+
+@st.composite
+def swap_targets(draw) -> np.ndarray:
+    """Targets swaps[i] in [i, n) for k <= n steps: anywhere, every step on
+    its own position, or every target inside the first k positions, where
+    values travel down long chains of earlier steps."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    k = draw(st.integers(min_value=0, max_value=n))
+    kind = draw(st.sampled_from(["any", "own", "prefix"]))
+    if kind == "own":
+        return np.arange(k, dtype=np.int64)
+    end = n if kind == "any" else k
+    return np.array([draw(st.integers(min_value=i, max_value=end - 1)) for i in range(k)],
+                    dtype=np.int64)
+
+
+def assert_resolver_matches_walk(swaps: np.ndarray) -> None:
+    got = rng._shuffled_prefix(swaps)
+    assert got.dtype == np.int64
+    assert got.tolist() == oracles.shuffled_prefix(swaps).tolist()
+
+
+@given(swap_targets())
+@example(np.array([], dtype=np.int64))
+@example(np.array([0], dtype=np.int64))
+@example(np.array([1, 1], dtype=np.int64))
+@example(np.array([2, 2, 2], dtype=np.int64))
+@example(np.array([1, 2, 2], dtype=np.int64))
+@settings(max_examples=200, deadline=None)
+def test_resolver_equals_the_swap_walk(swaps):
+    assert_resolver_matches_walk(swaps)
+
+
+@pytest.mark.parametrize("k", [1000, 5000])
+def test_resolver_follows_long_chains(k):
+    # k = n with every target in [i, k); then the rotation swaps[i] = i + 1,
+    # which carries position 0's value down a chain through every step
+    assert_resolver_matches_walk(np.random.default_rng(k).integers(np.arange(k), k))
+    assert_resolver_matches_walk(np.minimum(np.arange(k) + 1, k - 1))
+
+
+def test_resolver_rejects_keys_past_int64():
+    with pytest.raises(ValueError, match="overflow"):
+        rng._shuffled_prefix(np.array([2**62, 2**62], dtype=np.int64))
+
+
+class TestDrawMemory:
+    """A wide layer's set-up draws hold a few copies of their output at most."""
+
+    @staticmethod
+    def peak_over_output(draw) -> float:
+        draw()   # builds the jump matrices this size needs, kept for the process
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = draw()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / out.nbytes
+
+    def test_uniforms_peak_is_under_four_outputs(self):
+        assert self.peak_over_output(lambda: Stream(1).uniforms(262_144)) < 4
+
+    def test_mask_picks_peak_is_under_twelve_outputs(self):
+        draw = lambda: Stream(1).choice_without_replacement(262_144, 26_214)  # noqa: E731
+        assert self.peak_over_output(draw) < 12
