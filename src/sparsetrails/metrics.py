@@ -1,14 +1,12 @@
 """Evaluation metrics: accuracy, NLL, ECE, perplexity, prediction disagreement.
 
-Prediction disagreement (PD) defaults to the pairwise-mean convention:
-the mean over all unordered head pairs of the fraction of samples on
-which the pair disagrees (which reduces to the usual two-model PD at
-M=2). pd_mode="strict" instead reports the fraction of samples where not
-all heads agree.
+Prediction disagreement (PD) is the pairwise mean: the mean over all
+unordered head pairs of the fraction of samples on which the pair
+disagrees (which reduces to the usual two-model PD at M=2).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -30,15 +28,7 @@ class MetricsReport:
     flops_forward_dense: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "step": self.step, "accuracy": self.accuracy, "nll": self.nll,
-            "ece": self.ece, "perplexity": self.perplexity, "pd": self.pd,
-            "train_loss": self.train_loss, "lr": self.lr,
-            "drop_fraction": self.drop_fraction,
-            "flops_cumulative": self.flops_cumulative,
-            "flops_forward_sparse": self.flops_forward_sparse,
-            "flops_forward_dense": self.flops_forward_dense,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -104,19 +94,15 @@ def perplexity(mean_nll: float) -> float:
     return math.exp(mean_nll)
 
 
-def prediction_disagreement(head_predictions: np.ndarray, mode: str = "pairwise") -> float:
-    """Fraction of samples on which heads conflict (pairwise mean or strict)."""
+def prediction_disagreement(head_predictions: np.ndarray) -> float:
+    """Fraction of samples on which heads conflict, as a mean over head pairs."""
     head_predictions = np.asarray(head_predictions)
     m = head_predictions.shape[0]
     if m < 2:
         raise ValueError(f"prediction disagreement needs at least 2 heads, got {m}")
-    if mode == "pairwise":
-        rates = [np.mean(head_predictions[i] != head_predictions[j])
-                 for i, j in combinations(range(m), 2)]
-        return float(np.mean(rates))
-    if mode == "strict":
-        return float(np.mean(np.any(head_predictions != head_predictions[0], axis=0)))
-    raise ValueError(f"unknown pd mode {mode!r}")
+    rates = [np.mean(head_predictions[i] != head_predictions[j])
+             for i, j in combinations(range(m), 2)]
+    return float(np.mean(rates))
 
 
 def disagreement_breakdown(head_predictions: np.ndarray, ensemble_predictions: np.ndarray,

@@ -13,7 +13,6 @@ an empty backbone and M whole-network heads, each reading its own batch
 and keeping its own unscaled loss.
 """
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -115,12 +114,14 @@ class HeadOutputs:
 class TrailsModel:
     """A backbone and M heads, every parameter in one `nn.ParamStore`
     (`store`): the backbone's layers, then the heads' layers stacked
-    (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)). All of
-    them, and `heads[m]`'s plain layers over head m's slices, write through
-    to the store. The forward cost table holds names and integers only:
-    `fixed_flops` (bias adds and elementwise work, which masks do not change)
-    and, per store weight array, `flops_multipliers[name]` (its output
-    positions per channel; each active weight costs 2x that)."""
+    (`head_stack`: one `nn.Layer` per head layer, arrays (M, ...)). The
+    store makes every view the model reads, `heads[m]`'s plain layers over
+    head m's slices and the per-component records included, so a deep copy
+    of the model is a model on its own store. The forward cost table holds
+    names and integers only: `fixed_flops` (bias adds and elementwise work,
+    which masks do not change) and, per store weight array,
+    `flops_multipliers[name]` (its output positions per channel; each
+    active weight costs 2x that)."""
 
     def __init__(self, spec: NetworkSpec, split_index: int, num_heads: int,
                  sparsity: float, seed: int, store: ParamStore,
@@ -130,7 +131,7 @@ class TrailsModel:
         self.split_index = split_index
         self.num_heads = num_heads
         self.sparsity = sparsity
-        self.attach(store)
+        self.store = store
         self.plans = plans
         self.fixed_flops, self.flops_multipliers = costs
         self.vote = vote
@@ -141,53 +142,31 @@ class TrailsModel:
         # weight record, keyed "component/layer" as checkpoints store them
         self.topo_streams: dict[str, Stream] = {}
         master = Stream(seed)
-        for ref in self._records:
-            if ref.mask is not None:
-                comp, layer, _ = ref.name.split("/")
-                index = 0 if comp == "backbone" else int(comp.removeprefix("head")) + 1
-                self.topo_streams[f"{comp}/{layer}"] = master.child("topo", index, int(layer))
-
-    def attach(self, store: ParamStore) -> None:
-        """Make `store`, laid out as `build_trails` lays it out, the model's
-        parameters."""
-        self.store = store
-        self.backbone, self.head_stack = store.layers["backbone"], store.layers["heads"]
-        records = [ref for ref in store.refs if ref.name.startswith("backbone/")]
-        stacked = [ref for ref in store.refs if ref.name.startswith("heads/")]
-        for m in range(self.num_heads):
-            for ref in stacked:
-                size = ref.array[m].size
-                records.append(ParamRef(
-                    f"head{m}/{ref.name.removeprefix('heads/')}", ref.array[m],
-                    None if ref.mask is None else ref.mask[m], ref.grad[m],
-                    ref.offset + m * size, store))
-        self._records = records
-
-    def __deepcopy__(self, memo) -> "TrailsModel":
-        """A model on a copy of the store: the copy's layers, views and
-        records all write into the copy's buffers."""
-        clone = copy.copy(self)
-        memo[id(self)] = clone
-        views = ("store", "backbone", "head_stack", "_records")
-        for key, value in vars(self).items():
-            if key not in views:
-                setattr(clone, key, copy.deepcopy(value, memo))
-        clone.attach(copy.deepcopy(self.store, memo))
-        return clone
+        for index, (comp, layers) in enumerate(store.components.items()):
+            for li, layer in enumerate(layers):
+                if layer.weight is not None:
+                    self.topo_streams[f"{comp}/{li}"] = master.child("topo", index, li)
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def backbone(self) -> list[Layer]:
+        return self.store.layers["backbone"]
+
+    @property
+    def head_stack(self) -> list[Layer]:
+        return self.store.layers["heads"]
+
     def component(self, comp_idx: int) -> list[Layer]:
         """The backbone (0) or head comp_idx - 1, as plain layers."""
-        return self.backbone if comp_idx == 0 else \
-            [layer.head(comp_idx - 1) for layer in self.head_stack]
+        return self.components()[comp_idx]
 
     @property
     def heads(self) -> list[list[Layer]]:
-        return [self.component(m + 1) for m in range(self.num_heads)]
+        return self.components()[1:]
 
     def components(self) -> list[list[Layer]]:
-        return [self.backbone] + self.heads
+        return list(self.store.components.values())
 
     def named_parameters(self) -> list[ParamRef]:
         """The store's parameters: the backbone's, then the heads' stacked
@@ -199,12 +178,13 @@ class TrailsModel:
         named `component/layer/kind`; a head's are its slices of the stacked
         ones, each a range of the store starting at its `offset`. Topology
         updates, pruning, optimizer resets and checkpoints all read these."""
-        return self._records
+        return self.store.records
 
 
-def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
-                     master: Stream, comp_idx: int, into: list[Layer]) -> SparsityPlan | None:
-    """Initialise a component's layers into the zeroed layers `into`."""
+def _build_component(layers: list[Layer], sparsity: float, allocation: str,
+                     master: Stream, comp_idx: int) -> SparsityPlan | None:
+    """Initialise a component's zeroed layers in place."""
+    specs = [layer.spec for layer in layers]
     maskable = [i for i, s in enumerate(specs) if s.weight_size > 0]
     plan = None
     masks: dict[int, np.ndarray] = {}
@@ -213,7 +193,7 @@ def _build_component(specs: list[LayerSpec], sparsity: float, allocation: str,
         streams = [master.child("mask", comp_idx, i) for i in plan.layer_indices]
         masks = init_masks(plan, specs, streams)
     for i, spec in enumerate(specs):
-        nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i), out=into[i])
+        nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i), out=layers[i])
     return plan
 
 
@@ -223,14 +203,14 @@ def _cost_table(store: ParamStore, shapes: list[tuple[int, ...]]) -> tuple[int, 
     stacked group's fixed costs count once per head."""
     fixed, multipliers = 0, {}
     shapes = iter(shapes)
-    for group, (specs, heads) in store.groups.items():
+    for group, (specs, names) in store.groups.items():
         for li, spec in enumerate(specs):
             shape = next(shapes)
             if spec.weight_shape is not None:
                 # the output positions each weight is applied at (1 for linear)
                 multipliers[f"{group}/{li}/weight"] = math.prod(shape[1:])
             if spec.weight_shape is None or spec.has_bias:
-                fixed += (heads or 1) * math.prod(shape)
+                fixed += (1 if names is None else len(names)) * math.prod(shape)
     return fixed, multipliers
 
 
@@ -258,13 +238,11 @@ def build_trails(spec: NetworkSpec, split_index: int, num_heads: int,
     backbone_specs = spec.stem + [s for block in spec.blocks[:split_index] for s in block]
     head_specs = [s for block in spec.blocks[split_index:] for s in block] + spec.classifier
 
-    store = ParamStore({"backbone": (backbone_specs, None), "heads": (head_specs, num_heads)})
+    store = ParamStore({"backbone": (backbone_specs, None),
+                        "heads": (head_specs, [f"head{m}" for m in range(num_heads)])})
     master = Stream(seed)
-    plans = [_build_component(backbone_specs, sparsity, allocation, master, 0,
-                              store.layers["backbone"])]
-    for m in range(num_heads):
-        plans.append(_build_component(head_specs, sparsity, allocation, master, m + 1,
-                                      [layer.head(m) for layer in store.layers["heads"]]))
+    plans = [_build_component(layers, sparsity, allocation, master, comp_idx)
+             for comp_idx, layers in enumerate(store.components.values())]
     return TrailsModel(spec=spec, split_index=split_index, num_heads=num_heads,
                        sparsity=sparsity, seed=seed, store=store, plans=plans,
                        costs=_cost_table(store, shapes), vote=vote)

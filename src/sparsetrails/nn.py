@@ -7,12 +7,12 @@ stay that way through every forward, backward and optimizer step. Biases
 are dense and never masked.
 
 A `ParamStore` holds every parameter of a model in three flat buffers
-(values, masks, gradients); its layers and `ParamRef`s are views into them.
-A stacked layer holds M heads' weights, masks and biases in arrays with a
-leading head axis. It runs on inputs with a leading axis of M per-head
-inputs, or of 1 for one input that every head reads, and returns
-(M, B, ...); heads that read one input add their input gradients in head
-order. `Layer.head(m)` is head m's slice as a plain layer.
+(values, masks, gradients) and makes every view of them: its layers, each
+head's plain layers and the `ParamRef`s. A stacked layer holds M heads'
+weights, masks and biases in arrays with a leading head axis. It runs on
+inputs with a leading axis of M per-head inputs, or of 1 for one input
+that every head reads, and returns (M, B, ...); heads that read one input
+add their input gradients in head order.
 
 The math is dtype-following: arrays produced by a layer keep the dtype of
 its inputs, which lets the finite-difference oracle run the same code in
@@ -123,12 +123,6 @@ class Layer:
     weight: MaskedTensor | None = None
     bias: np.ndarray | None = None
 
-    def head(self, m: int) -> "Layer":
-        """Head m's slice of a stacked layer, as a plain layer that writes through."""
-        weight = None if self.weight is None else \
-            MaskedTensor.view(self.weight.values[m], self.weight.mask[m])
-        return Layer(self.spec, weight, None if self.bias is None else self.bias[m])
-
 
 @dataclass
 class LayerGrads:
@@ -153,17 +147,22 @@ class ParamStore:
     """Every parameter of a model in three flat buffers: `values`, a uint8
     `mask` (1 at biases) and `grad`. Groups of layers follow each other,
     each layer's weight then bias; a group stacked over M heads holds each
-    parameter as one (M, ...) range. `layers[group]`, their gradients
-    `grads[group]` and `refs` are views, so a write to any of them is a
-    write to the buffers, and back."""
+    parameter as one (M, ...) range. The store makes every view of the
+    buffers: the layers `layers[group]`, their gradients `grads[group]`,
+    the parameters `refs` (`group/layer/kind`), and per component (a plain
+    group, or one head of a stacked group) its plain layers
+    `components[name]` and its parameters in `records`
+    (`component/layer/kind`, each a range starting at its `offset`). A
+    write to any view is a write to the buffers, and back."""
 
-    def __init__(self, groups: dict[str, tuple[list[LayerSpec], int | None]],
+    def __init__(self, groups: dict[str, tuple[list[LayerSpec], list[str] | None]],
                  dtype=np.float32):
-        """groups: name -> (layer specs, head count, or None for plain layers)."""
+        """groups: name -> (layer specs, the names of the components a group
+        stacks, or None for plain layers that are one component)."""
         self.groups = groups
         layout = []
-        for group, (specs, heads) in groups.items():
-            lead = () if heads is None else (heads,)
+        for group, (specs, names) in groups.items():
+            lead = () if names is None else (len(names),)
             for li, spec in enumerate(specs):
                 if spec.weight_shape is not None:
                     layout.append((group, li, "weight", lead + spec.weight_shape))
@@ -178,11 +177,9 @@ class ParamStore:
         self.grads = {group: [LayerGrads() for _ in specs]
                       for group, (specs, _) in groups.items()}
         self.refs: list[ParamRef] = []
-        self.offsets: dict[str, int] = {}
         offset = 0
         for group, li, kind, shape in layout:
             end = offset + math.prod(shape)
-            name = f"{group}/{li}/{kind}"
             values, grad = (buf[offset:end].reshape(shape) for buf in (self.values, self.grad))
             layer, mask = self.layers[group][li], None
             if kind == "weight":
@@ -192,9 +189,27 @@ class ParamStore:
             else:
                 layer.bias = values
             setattr(self.grads[group][li], kind, grad)
-            self.refs.append(ParamRef(name, values, mask, grad, offset, self))
-            self.offsets[name] = offset
+            self.refs.append(ParamRef(f"{group}/{li}/{kind}", values, mask, grad, offset, self))
             offset = end
+        self.components: dict[str, list[Layer]] = {}
+        self.records: list[ParamRef] = []
+        for group, (_, names) in groups.items():
+            refs = [ref for ref in self.refs if ref.name.split("/")[0] == group]
+            if names is None:
+                self.components[group] = self.layers[group]
+                self.records += refs
+                continue
+            for m, name in enumerate(names):
+                self.components[name] = [
+                    Layer(layer.spec, None if layer.weight is None else
+                          MaskedTensor.view(layer.weight.values[m], layer.weight.mask[m]),
+                          None if layer.bias is None else layer.bias[m])
+                    for layer in self.layers[group]]
+                self.records += [
+                    ParamRef(name + ref.name.removeprefix(group), ref.array[m],
+                             None if ref.mask is None else ref.mask[m], ref.grad[m],
+                             ref.offset + m * ref.array[m].size, self)
+                    for ref in refs]
 
     def astype(self, dtype) -> "ParamStore":
         """A store of the same layout holding these values, cast, and masks."""
@@ -204,8 +219,8 @@ class ParamStore:
         return clone
 
     def __deepcopy__(self, memo) -> "ParamStore":
-        """New buffers and new views of them; the layer specs, which nothing
-        changes, are shared."""
+        """New buffers and every view made anew over them; the layer specs,
+        which nothing changes, are shared."""
         clone = self.astype(self.values.dtype)
         clone.grad[...] = self.grad
         return clone

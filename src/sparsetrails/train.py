@@ -179,7 +179,7 @@ class Optimizer:
 
     def __init__(self, config: TrainConfig, params: list[ParamRef]):
         self.store = params[0].store if params else None
-        if self.store is None or [p.name for p in params] != list(self.store.offsets):
+        if self.store is None or [p.name for p in params] != [r.name for r in self.store.refs]:
             raise ValueError("an optimizer takes every parameter of one store, in order")
         self.config = config
         self.kind = config.optimizer
@@ -425,11 +425,12 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
         outputs = forward_heads(model, x, record=True)
         loss, _, probs = composite_loss(outputs, y)
+        # checked before the update: a loss can be inf while every gradient is finite
+        if not math.isfinite(loss):
+            raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
         model_backward(model, outputs, y, probs)
         del outputs  # the tapes, freed before the optimizer's temporaries
         optimizer.step(lr, step=t)
-        if not math.isfinite(loss):
-            raise TrainingDiverged(f"loss diverged to {loss} at step {t}", step=t)
         ledger.charge_step(len(drawn[0][1]))
         history.steps.append(StepRecord(step=t, loss=loss, lr=lr, drop_fraction=p_t))
 

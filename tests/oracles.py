@@ -63,7 +63,7 @@ def stack_astype(layers: list[Layer], dtype) -> list[Layer]:
 
 def model_astype(model: TrailsModel, dtype) -> TrailsModel:
     clone = copy.copy(model)
-    clone.attach(model.store.astype(dtype))
+    clone.store = model.store.astype(dtype)
     clone.topo_streams = {}
     return clone
 

@@ -21,7 +21,9 @@ beside the run's other files: its FLOPs come from the restored masks. The IDX im
 trees read, so the config hashes agree. Each file must be byte-equal,
 except `config.resolved.json`, which is compared without `out_dir`. The
 first difference is printed with its file and field, and the exit code is
-1; it is 0 when every file matches.
+1; it is 0 when every file matches. Above the verdict goes
+`src lines: <against> -> <this>`, the lines of each tree's
+`src/sparsetrails/*.py`, as `wc -l` counts them.
 """
 
 import argparse
@@ -187,6 +189,11 @@ def compare(a: Path, b: Path) -> tuple[int, str | None]:
     return len(names), None
 
 
+def src_lines(tree: Path) -> int:
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "sparsetrails").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="compare every artifact of a matrix of "
                                                  "runs between this tree and another")
@@ -208,6 +215,7 @@ def main(argv=None) -> int:
             configs[name] = work / "configs" / f"{name}.json"
             configs[name].write_text(json.dumps(cfg, indent=1))
         trees = {"this": ROOT, "against": other}
+        print(f"src lines: {src_lines(other)} -> {src_lines(ROOT)}")
         try:
             with ThreadPoolExecutor(len(trees)) as pool:  # one run of each tree at a time
                 list(pool.map(lambda side: run_matrix(trees[side], configs, work / side),

@@ -105,10 +105,6 @@ class TestPredictionDisagreement:
         with pytest.raises(ValueError, match="2 heads"):
             prediction_disagreement(np.array([[1, 2]]))
 
-    def test_strict_mode_counts_any_conflict(self):
-        preds = np.array([[1, 1, 1], [1, 1, 2], [1, 1, 2]])
-        assert prediction_disagreement(preds, mode="strict") == pytest.approx(1.0 / 3.0)
-
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=60, deadline=None)
     def test_symmetric_under_head_permutation(self, seed):
@@ -176,10 +172,6 @@ class TestBruteForceRecomputation:
         pd_loop = sum(sum(int(head_preds[i, s] != head_preds[j, s]) for s in range(n)) / n
                       for i, j in pairs) / len(pairs)
         assert prediction_disagreement(head_preds) == pytest.approx(pd_loop, abs=1e-12)
-
-        strict_loop = sum(int(len(set(head_preds[:, s])) > 1) for s in range(n)) / n
-        assert prediction_disagreement(head_preds, "strict") == pytest.approx(
-            strict_loop, abs=1e-12)
 
         records = disagreement_breakdown(head_preds, preds, labels)
         conflicted = [s for s in range(n) if len(set(head_preds[:, s])) > 1]

@@ -346,13 +346,19 @@ class TestStackedHeads:
         assert not all(layer.weight.mask[1].all()
                        for layer in model.head_stack if layer.weight is not None)
 
-    def test_deepcopy_views_and_optimizer_use_only_the_copys_store(self):
+    @pytest.mark.parametrize("how", ["deepcopy", "new_store"])
+    def test_deepcopy_views_and_optimizer_use_only_the_copys_store(self, how):
         model = build_trails(toy_spec(blocks=2), 1, 3, 0.5, seed=3)
-        clone = copy.deepcopy(model)
+        if how == "deepcopy":
+            clone = copy.deepcopy(model)
+        else:  # every view moves with the store it is a view of
+            clone = copy.copy(model)
+            clone.store = model.store.astype(np.float64)
         ours = [clone.store.values, clone.store.mask, clone.store.grad]
         theirs = [model.store.values, model.store.mask, model.store.grad]
-        for got, want in zip(ours, theirs):
-            assert got.tobytes() == want.tobytes()
+        if how == "deepcopy":
+            for got, want in zip(ours, theirs):
+                assert got.tobytes() == want.tobytes()
         views = [arr for layers in [clone.backbone, clone.head_stack, *clone.heads]
                  for layer in layers if layer.weight is not None
                  for arr in (layer.weight.values, layer.weight.mask, layer.bias)]

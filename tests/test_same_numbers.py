@@ -13,7 +13,10 @@ def test_two_step_matrix_matches_a_copy_of_the_tree(tmp_path, capsys):
     work = tmp_path / "work"
     assert same_numbers.main(["--against", str(copy), "--steps", "2",
                               "--work", str(work)]) == 0
-    assert "same numbers: 10 runs, 2 evals, 72 files" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "same numbers: 10 runs, 2 evals, 72 files" in out
+    lines = same_numbers.src_lines(ROOT)
+    assert f"src lines: {lines} -> {lines}\n" in out
     # the resumed run rewrote the run's artifacts after its first checkpoint
     resumed = work / "this" / same_numbers.RESUMED
     assert [json.loads(line)["step"]

@@ -660,6 +660,21 @@ class TestFit:
         with pytest.raises(TrainingDiverged):
             fit(model, data, data, config)
 
+    def test_an_infinite_loss_with_finite_gradients_changes_nothing(self):
+        # a logit of -inf at the target class: the loss is inf, every gradient finite
+        data = gen_synthetic("rings", 64, noise=0.2, seed=12)
+        model = toy_model(sparsity=0.5, heads=2, hidden=8)
+        model.head_stack[-1].bias[:, 0] = -np.inf
+        config = small_config(optimizer="adam")
+        optimizer = Optimizer(config, model.named_parameters())
+        values, slots = model.store.values.tobytes(), \
+            {name: slot.tobytes() for name, slot in optimizer.slots.items()}
+        with pytest.raises(TrainingDiverged, match="loss diverged to inf at step 1"):
+            fit(model, data, data, config, optimizer=optimizer)
+        assert model.store.values.tobytes() == values
+        assert {name: slot.tobytes() for name, slot in optimizer.slots.items()} == slots
+        assert optimizer.adam_t == 0
+
 
 class TestEvaluate:
     def test_reports_all_metrics(self):
