@@ -216,6 +216,16 @@ def _config_key(cfg: dict, axis: str) -> tuple[dict, str]:
     return cfg, leaf
 
 
+def _swept(axis: str, value):
+    """value as the sweep sets it: an integer for a float field is a float,
+    so --values 0 gives sparsity=0.0."""
+    if axis != "blocks_in_head":
+        defaults, leaf = _config_key(DEFAULTS, axis)
+        if isinstance(defaults[leaf], float) and type(value) is int:
+            return float(value)
+    return value
+
+
 def sweep_config(base: dict, axis: str, value, seed: int, out_root: Path) -> dict:
     """base with the axis at value: `blocks_in_head` sets split_index, any
     other axis is a dotted config key. Resolved, so values are type-checked."""
@@ -231,11 +241,7 @@ def sweep_config(base: dict, axis: str, value, seed: int, out_root: Path) -> dic
         cfg["split_index"] = num_blocks - value
     else:
         node, leaf = _config_key(cfg, axis)
-        defaults, _ = _config_key(DEFAULTS, axis)
-        # an integer for a float field is a float: --values 0 gives sparsity=0.0
-        if isinstance(defaults[leaf], float) and type(value) is int:
-            value = float(value)
-        node[leaf] = value
+        value = node[leaf] = _swept(axis, value)
     cfg["seed"] = seed
     cfg["out_dir"] = str(out_root / f"{axis}={value}" / f"seed={seed}")
     return resolve(cfg)
@@ -257,6 +263,12 @@ def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
     # validate the whole grid before any training starts
     grid = [(value, seed, sweep_config(base, axis, value, seed, out_root))
             for value in values for seed in seeds]
+    for key, points in (("sweep.values", [json.dumps(_swept(axis, v)) for v in values]),
+                        ("sweep.seeds", [json.dumps(seed) for seed in seeds])):
+        repeat = next((p for i, p in enumerate(points) if p in points[:i]), None)
+        if repeat is not None:
+            raise ConfigError(key, f"{repeat} is repeated: it would train one run "
+                                   "directory twice")
     results: dict = {value: [] for value in values}
     for value, seed, cfg in grid:
         if not quiet:

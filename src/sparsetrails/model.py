@@ -287,7 +287,7 @@ def composite_loss(outputs: HeadOutputs, targets: np.ndarray | list[np.ndarray]
     losses (M,) and softmax probabilities (M, B, classes). `targets` is one
     array, or a list of one per head for per-member batches."""
     losses, probs = nn.loss_forward(outputs.logits, _targets(targets))
-    return float(losses.mean()), losses, probs
+    return float(np.add.reduce(losses) / losses.size), losses, probs
 
 
 def _targets(targets: np.ndarray | list[np.ndarray]) -> np.ndarray:
@@ -301,18 +301,20 @@ def model_backward(model: TrailsModel, outputs: HeadOutputs,
     `probs` are the per-head softmax probabilities `composite_loss`
     returned for these outputs and targets. Head losses are scaled by 1/M,
     and the backbone gradient adds up the heads' input gradients in head
-    order; independent members keep their own unscaled losses. Requires
-    forward_heads(record=True).
+    order; independent members keep their own unscaled losses. The
+    gradient with respect to the data is not computed: the backbone's first
+    layer skips it, or with an empty backbone the heads' first layer.
+    Requires forward_heads(record=True).
     """
     if outputs.head_tape is None:
         raise ValueError("backward requires forward_heads(record=True)")
     scale = 1.0 if model.independent else 1.0 / model.num_heads
     d_logits = nn.loss_backward(probs, _targets(targets), scale=scale)
-    grads = model.store.grads
+    grads, shared = model.store.grads, bool(model.backbone)
     _, d_h = nn.stack_backward(model.head_stack, outputs.head_tape, d_logits,
-                               out=grads["heads"])
-    # an empty backbone passes its input gradient through untouched
-    nn.stack_backward(model.backbone, outputs.backbone_tape, d_h[0], out=grads["backbone"])
+                               out=grads["heads"], input_grad=shared)
+    nn.stack_backward(model.backbone, outputs.backbone_tape, d_h[0] if shared else None,
+                      out=grads["backbone"], input_grad=False)
 
 
 def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np.ndarray]:

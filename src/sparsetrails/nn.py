@@ -409,14 +409,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean cross-entropy over the batch of logits (..., B, C), per leading
-    index; returns (losses, softmax probs). `targets` broadcasts to (..., B)."""
+    index; returns (losses, softmax probs). `targets` broadcasts to (..., B).
+    Target log-probabilities are picked by one flat index and the mean is
+    numpy's own: a sum over the batch axis, then one division by B."""
     if logits.ndim < 2:
         raise ValueError(f"logits must be (..., batch, classes), got shape {logits.shape}")
-    targets = np.broadcast_to(targets, logits.shape[:-1])
-    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
-        raise ValueError(
-            f"target out of range [0, {logits.shape[-1]}): min={targets.min()}, "
-            f"max={targets.max()}")
+    classes = logits.shape[-1]
+    targets = np.asarray(targets)
+    if targets.size:
+        low, high = np.minimum.reduce(targets, axis=None), np.maximum.reduce(targets, axis=None)
+        if low < 0 or high >= classes:
+            raise ValueError(f"target out of range [0, {classes}): min={low}, max={high}")
     shifted = logits - _over_classes(np.maximum, logits)
     e = np.exp(shifted)
     probs = e / _over_classes(np.add, e)
@@ -424,14 +427,19 @@ def loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, n
     # probability rounds to 1 (a second exp: summing `e` would change bits)
     shifted = shifted.astype(np.float64)
     log_z = np.log(_over_classes(np.add, np.exp(shifted)))[..., 0]
-    log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
-    return -log_p.mean(axis=-1), probs
+    picks = np.arange(0, shifted.size, classes).reshape(log_z.shape) + targets
+    if picks.shape != log_z.shape:
+        raise ValueError(f"targets of shape {targets.shape} do not broadcast to "
+                         f"{log_z.shape}")
+    log_p = shifted.reshape(-1)[picks] - log_z
+    return -(np.add.reduce(log_p, axis=-1) / logits.shape[-2]), probs
 
 
 def loss_backward(probs: np.ndarray, targets: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """Gradient of scale * mean-CE with respect to the logits (..., B, C)."""
     d = probs - (np.asarray(targets)[..., None] == np.arange(probs.shape[-1]))
-    return d * np.asarray(scale / probs.shape[-2], dtype=probs.dtype)
+    d *= np.asarray(scale / probs.shape[-2], dtype=probs.dtype)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +457,11 @@ def _fold(dx: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _conv_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
-                   grads: LayerGrads) -> np.ndarray:
+                   grads: LayerGrads, input_grad: bool = True) -> np.ndarray | None:
     """Stacked conv2d gradients for x (M or 1, B, C, H, W), d_out (M, B, O, oh, ow),
     with the same column sharing as `_conv_forward`: dW and db go into `grads`,
-    dx is returned. Every head's dW is taken before any dx, so the columns
-    are freed before the input gradients' buffers."""
+    dx is returned, or None without `input_grad`. Every head's dW is taken
+    before any dx, so the columns are freed before the input gradients' buffers."""
     spec, w = layer.spec, layer.weight.values
     heads, o, c, kh, kw = w.shape
     b, _, h, wd = x.shape[1:]
@@ -471,8 +479,10 @@ def _conv_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
         # (cols @ d2.T).T runs ~1.8x faster than d2 @ cols.T with few output channels
         dw[m] = (cols @ d2s[m].T).T.reshape(w.shape[1:])
         if db is not None:
-            db[m] = d_out[m].reshape(b, o, -1).sum(axis=(0, 2))
+            db[m] = np.add.reduce(d_out[m].reshape(b, o, -1), axis=(0, 2))
     del cols
+    if not input_grad:
+        return None
     dx = np.empty((heads, b, c, h, wd), dtype=d_out.dtype)
     for m, d2 in enumerate(d2s):
         dcols = (w[m].reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
@@ -486,12 +496,13 @@ def _conv_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
     return _fold(dx, x)
 
 
-def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
-                    out: LayerGrads | None) -> tuple[LayerGrads, np.ndarray]:
-    """A layer's gradients, written into `out` if given, and its input gradient."""
+def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray, out: LayerGrads | None,
+                    input_grad: bool = True) -> tuple[LayerGrads, np.ndarray | None]:
+    """A layer's gradients, written into `out` if given, and its input
+    gradient, or None without `input_grad`."""
     spec = layer.spec
     if spec.kind == "relu":
-        return LayerGrads(), _fold(d_out * (x > 0), x)
+        return LayerGrads(), _fold(d_out * (x > 0), x) if input_grad else None
     w = layer.weight.values
     grads = out if out is not None else LayerGrads(
         np.empty(w.shape, d_out.dtype),
@@ -500,25 +511,29 @@ def _layer_backward(layer: Layer, x: np.ndarray, d_out: np.ndarray,
     if spec.kind == "linear":
         np.matmul(d_out.swapaxes(-1, -2), _flat_features(x, w), out=grads.weight)
         if grads.bias is not None:
-            d_out.sum(axis=-2, out=grads.bias)
-        return grads, _fold(d_out @ w, x)
+            np.add.reduce(d_out, axis=-2, out=grads.bias)
+        return grads, _fold(d_out @ w, x) if input_grad else None
 
     if spec.kind == "conv2d":
         if w.ndim == 5:
-            return grads, _conv_backward(layer, x, d_out, grads)
+            return grads, _conv_backward(layer, x, d_out, grads, input_grad)
         one = LayerGrads(*(g if g is None else g[None] for g in (grads.weight, grads.bias)))
-        return grads, _conv_backward(_one_head(layer), x[None], d_out[None], one)[0]
+        dx = _conv_backward(_one_head(layer), x[None], d_out[None], one, input_grad)
+        return grads, None if dx is None else dx[0]
 
     raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
-                   d_out: np.ndarray, dense: bool = False,
-                   out: list[LayerGrads] | None = None) -> tuple[list[LayerGrads], np.ndarray]:
+                   d_out: np.ndarray | None, dense: bool = False,
+                   out: list[LayerGrads] | None = None,
+                   input_grad: bool = True) -> tuple[list[LayerGrads], np.ndarray | None]:
     """Backprop through a recorded stack_forward pass.
 
     Returns per-layer gradients plus the gradient with respect to the stack
-    input. Each weight gradient covers every position, masked ones included:
+    input; with `input_grad=False` the first layer does not compute it and
+    None is returned in its place (an empty stack returns `d_out` as it is).
+    Each weight gradient covers every position, masked ones included:
     the optimizer reads the active entries and RigL growth the rest. With
     `out` (per layer, such as `ParamStore.grads[group]`) the gradients are
     written there and returned as those views. `dense` is accepted for older
@@ -531,5 +546,5 @@ def stack_backward(layers: list[Layer], tape: list[np.ndarray] | None,
     grads = [None] * len(layers)
     for i in range(len(layers) - 1, -1, -1):
         grads[i], d_out = _layer_backward(layers[i], tape[i], d_out,
-                                          None if out is None else out[i])
+                                          None if out is None else out[i], input_grad or i > 0)
     return grads, d_out

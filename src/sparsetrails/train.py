@@ -194,7 +194,7 @@ class Optimizer:
         # check the whole gradient first, so a diverged step changes nothing and
         # no non-finite entry at a masked position reaches RigL growth's selection;
         # min and max are NaN or infinite if any entry is, and allocate nothing
-        if not (np.isfinite(grad.min()) and np.isfinite(grad.max())):
+        if not (np.isfinite(np.minimum.reduce(grad)) and np.isfinite(np.maximum.reduce(grad))):
             bad = int(np.flatnonzero(~np.isfinite(grad))[0])
             name = next(ref.name for ref in reversed(store.refs) if ref.offset <= bad)
             kind = "NaN" if np.isnan(grad[bad]) else "inf"
@@ -220,7 +220,7 @@ class Optimizer:
             v += (1.0 - c.beta2) * g * g
             del g
             w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
-        store.values.put(self.active, w)
+        store.values[self.active] = w
 
     def reset_positions(self, positions) -> None:
         """Re-derive the active positions from the store's live mask. Kept

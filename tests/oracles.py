@@ -21,7 +21,10 @@
   time on its own views, the backbone gradient summing the heads' input
   gradients in head order, which the stacked pass must reproduce bit for bit.
 - Cross-entropy and softmax by numpy's row reductions over the class axis,
-  which `nn.loss_forward` and `nn.softmax` must reproduce bit for bit.
+  which `nn.loss_forward` and `nn.softmax` must reproduce bit for bit; and
+  the loss and its gradient by numpy's helpers (`broadcast_to`,
+  `take_along_axis`, `mean`, a scaled copy), whose bits the lean
+  `nn.loss_forward` and `nn.loss_backward` must keep.
 - The FLOPs ledger by a walk over every layer's activation shape, the
   backbone once and then every head on its output, with each layer's own
   active count: the numbers `train.count_flops` and the one-shot prune's
@@ -37,8 +40,8 @@ import numpy as np
 from sparsetrails.data import BatchPlan, Dataset, batches
 from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
                                composite_loss, forward_heads)
-from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, loss_backward, loss_forward,
-                             stack_backward, stack_forward)
+from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, _over_classes, loss_backward,
+                             loss_forward, stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import round_half_up
 from sparsetrails.train import Optimizer, TrainConfig, TrainingDiverged, lr_at
@@ -431,6 +434,31 @@ def axis_loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarr
     log_z = np.log(np.exp(shifted).sum(axis=-1))
     log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
     return -log_p.mean(axis=-1), probs
+
+
+def helper_loss_forward(logits: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`nn.loss_forward` through numpy's Python-level helpers: targets
+    broadcast and range-checked by `min`/`max`, the target log-probabilities
+    gathered by `take_along_axis`, the batch mean by `mean`."""
+    targets = np.broadcast_to(targets, logits.shape[:-1])
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
+        raise ValueError(
+            f"target out of range [0, {logits.shape[-1]}): min={targets.min()}, "
+            f"max={targets.max()}")
+    shifted = logits - _over_classes(np.maximum, logits)
+    e = np.exp(shifted)
+    probs = e / _over_classes(np.add, e)
+    shifted = shifted.astype(np.float64)
+    log_z = np.log(_over_classes(np.add, np.exp(shifted)))[..., 0]
+    log_p = np.take_along_axis(shifted, targets[..., None], axis=-1)[..., 0] - log_z
+    return -log_p.mean(axis=-1), probs
+
+
+def helper_loss_backward(probs: np.ndarray, targets: np.ndarray,
+                         scale: float = 1.0) -> np.ndarray:
+    """`nn.loss_backward` with the scaling as a product into a new array."""
+    d = probs - (np.asarray(targets)[..., None] == np.arange(probs.shape[-1]))
+    return d * np.asarray(scale / probs.shape[-2], dtype=probs.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,29 @@ class TestSweepCommand:
             (out / "sparsity=0.0" / "seed=1" / "config.resolved.json").read_text())
         assert type(resolved["sparsity"]) is float
 
+    @pytest.mark.parametrize("axis, values", [
+        ("train.total_steps", "20,20"),
+        ("sparsity", "0.5,0.25,0.50"),
+        ("train.lr", "1,1.0"),  # an integer for a float field is that float
+        ("topology.strategy", "set,rigl,set"),
+        ("blocks_in_head", "1,0,1"),
+    ])
+    def test_repeated_value_rejected_before_any_run(self, tmp_path, capsys, axis, values):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet", "--axis", axis,
+                     "--values", values, "--seeds", "0", "--out", str(out)]) == 1
+        assert "sweep.values" in capsys.readouterr().err
+        assert not list(out.rglob("*.json"))  # no run started
+
+    def test_repeated_seed_rejected_before_any_run(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet", "--axis", "heads",
+                     "--values", "1,2", "--seeds", "0,1,0", "--out", str(out)]) == 1
+        assert "sweep.seeds: 0 is repeated" in capsys.readouterr().err
+        assert not list(out.rglob("*.json"))
+
     @pytest.mark.parametrize("axis, values, named", [
         ("topology.strategyy", "set", "topology.strategyy"),
         ("network.kind.depth", "1", "network.kind.depth"),

@@ -317,6 +317,27 @@ class TestStackedHeads:
             assert d_h.shape == (1,) + want_d_h.shape
             assert d_h.tobytes() == want_d_h.tobytes()
 
+    @pytest.mark.parametrize("kind", ["mlp", "cnn", "independent"])
+    def test_no_data_gradient_and_the_same_parameter_gradients(self, kind):
+        model, x, y = self.case(kind)
+        out = forward_heads(model, x, record=True)
+        _, _, probs = composite_loss(out, y)
+        model_backward(model, out, y, probs)
+        # the default calls compute every input gradient, the data's included
+        targets = np.stack(y) if model.independent else y
+        scale = 1.0 if model.independent else 1.0 / model.num_heads
+        d_logits = nn.loss_backward(probs, targets, scale=scale)
+        heads, d_h = nn.stack_backward(model.head_stack, out.head_tape, d_logits)
+        backbone, dx = nn.stack_backward(model.backbone, out.backbone_tape,
+                                         d_h if model.independent else d_h[0])
+        data = np.stack(x) if model.independent else x
+        assert dx.shape == data.shape and dx.dtype == data.dtype
+        want = {f"{group}/{li}/{part}": getattr(g, part)
+                for group, grads in (("backbone", backbone), ("heads", heads))
+                for li, g in enumerate(grads) for part in ("weight", "bias")}
+        for ref in model.named_parameters():
+            assert ref.grad.tobytes() == want[ref.name].tobytes(), ref.name
+
     def test_head_views_write_through_to_the_store(self):
         model = build_trails(toy_spec(), 1, 3, 0.5, seed=3)
         layer = model.heads[2][0]

@@ -15,7 +15,8 @@ from sparsetrails.rng import Stream
 
 from conftest import gradcheck_stack, make_linear, max_relative_error, random_stack
 from oracles import (axis_loss_forward, conv2d_backward, conv2d_forward,
-                     finite_difference_gradient, stack_finite_difference)
+                     finite_difference_gradient, helper_loss_backward, helper_loss_forward,
+                     stack_finite_difference)
 
 
 class TestLayerForward:
@@ -168,6 +169,49 @@ class TestLossForward:
         assert probs.dtype == want_probs.dtype and probs.tobytes() == want_probs.tobytes()
         assert nn.softmax(logits).tobytes() == want_probs.tobytes()
 
+    # ties from a small pool; +-1e30 is finite in float32 and sends exp to 0 and 1
+    POOL = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e30, -1e30]) | st.floats(-60, 60),
+                    min_size=1, max_size=6)
+
+    @given(st.sampled_from([np.float32, np.float64]), st.sampled_from([2, 3, 7, 8, 10, 13]),
+           st.sampled_from([1, 3]), st.sampled_from([1, 5, 128]), st.booleans(), POOL,
+           st.integers(0, 2**32 - 1), st.integers(0, 12), st.sampled_from([1.0, 1 / 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_helper_loss_byte_for_byte(self, dtype, classes, heads, batch,
+                                                   shared, pool, seed, minus_inf, scale):
+        # classes 2..7 take `_over_classes`' per-column path, 8 and up numpy's reduction
+        rng = np.random.default_rng(seed)
+        logits = rng.choice(np.array(pool, dtype), (heads, batch, classes))
+        targets = rng.integers(0, classes, batch if shared else (heads, batch))
+        if minus_inf:  # -inf at one non-target class of every row
+            beside = (np.broadcast_to(targets, (heads, batch)) + minus_inf % (classes - 1) + 1)
+            np.put_along_axis(logits, (beside % classes)[..., None], -np.inf, axis=-1)
+        want_losses, want_probs = helper_loss_forward(logits, targets)
+        losses, probs = loss_forward(logits, targets)
+        assert losses.dtype == want_losses.dtype and losses.tobytes() == want_losses.tobytes()
+        assert probs.dtype == want_probs.dtype and probs.tobytes() == want_probs.tobytes()
+        want_d = helper_loss_backward(probs, targets, scale)
+        d = nn.loss_backward(probs, targets, scale)
+        assert d.dtype == want_d.dtype and d.tobytes() == want_d.tobytes()
+        # one batch of one head: the loss is a scalar, as the helper's mean gives
+        one, _ = loss_forward(logits[0], targets if shared else targets[0])
+        want_one, _ = helper_loss_forward(logits[0], targets if shared else targets[0])
+        assert type(one) is type(want_one) and one.tobytes() == want_one.tobytes()
+
+    @pytest.mark.parametrize("targets", [[[0, 2], [-1, 1]], [[0, 3], [1, 1]], [-2, 5]])
+    def test_out_of_range_target_message_is_the_helpers(self, targets):
+        logits = np.zeros((2, 2, 3), np.float32)
+        with pytest.raises(ValueError) as want:
+            helper_loss_forward(logits, np.array(targets))
+        with pytest.raises(ValueError, match="out of range") as got:
+            loss_forward(logits, np.array(targets))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 1, 2)])
+    def test_targets_that_do_not_broadcast_are_rejected(self, shape):
+        with pytest.raises(ValueError):
+            loss_forward(np.zeros((2, 2, 3), np.float32), np.zeros(shape, np.int64))
+
 
 class TestBackward:
     def test_hand_gradient_single_weight(self):
@@ -222,6 +266,21 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv"])
+    def test_skipping_the_input_gradient_keeps_every_layer_gradient(self, stream, kind):
+        layers, x, targets = random_stack(stream, kind, 0.5)
+        out, tape = stack_forward(layers, x, record=True)
+        _, probs = loss_forward(out, targets)
+        d_logits = nn.loss_backward(probs, targets)
+        full, dx = stack_backward(layers, tape, d_logits)
+        lean, none = stack_backward(layers, tape, d_logits, input_grad=False)
+        assert dx.shape == x.shape and dx.dtype == x.dtype and none is None
+        for a, b in zip(full, lean):
+            for part in ("weight", "bias"):
+                got, want = getattr(b, part), getattr(a, part)
+                assert (got is None) == (want is None)
+                assert got is None or got.tobytes() == want.tobytes()
 
     def test_backward_without_tape_rejected(self):
         layer = make_linear([[1.0]])
