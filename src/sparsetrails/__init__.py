@@ -12,7 +12,7 @@ from .train import (FlopsLedger, Optimizer, TrainConfig, TrainingDiverged,
 from .metrics import (DisagreementRecord, MetricsReport, accuracy,
                       disagreement_breakdown, ece, nll, perplexity,
                       prediction_disagreement)
-from .data import BatchPlan, Dataset, batches, gen_synthetic, load_idx, split
+from .data import Dataset, batches, gen_synthetic, load_idx, split
 
 __all__ = [
     "LayerSpec", "MaskedTensor", "NetworkSpec", "TrailsModel",
@@ -25,5 +25,5 @@ __all__ = [
     "count_flops", "evaluate", "extension_cap", "fit", "lr_at",
     "MetricsReport", "DisagreementRecord", "accuracy", "nll", "ece",
     "perplexity", "prediction_disagreement", "disagreement_breakdown",
-    "Dataset", "BatchPlan", "batches", "gen_synthetic", "load_idx", "split",
+    "Dataset", "batches", "gen_synthetic", "load_idx", "split",
 ]

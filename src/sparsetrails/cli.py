@@ -11,9 +11,10 @@ AXIS is blocks_in_head or a config key, dotted if nested (train.lr).
 
 Artifacts per run: config.resolved.json, history.jsonl (one record per
 evaluation), summary.csv, checkpoint.bin; sweeps add sweep.csv with
-mean/std aggregates per grid value. A run rejected by its checks writes
-nothing. Exit codes: 0 success, 1 validation error, 2 training
-divergence, 3 I/O or checkpoint error.
+mean/std aggregates per grid value. A run rejected by its checks (among
+them, labels the network cannot output in either split; `eval` checks the
+test split's) writes nothing. Exit codes: 0 success, 1 validation error,
+2 training divergence, 3 I/O or checkpoint error.
 """
 
 import argparse
@@ -32,8 +33,8 @@ from .checkpoint import (CheckpointError, capture, load_checkpoint, restore,
 from .config import (DEFAULTS, ConfigError, config_hash, load_config, make_dataset,
                      make_model, make_train_config, network_spec, resolve)
 from .metrics import disagreement_breakdown
-from .train import (Optimizer, TrainingDiverged, count_flops, evaluate, fit,
-                    validate_run)
+from .train import (Optimizer, TrainingDiverged, check_labels, count_flops, evaluate,
+                    fit, validate_run)
 
 SUMMARY_COLUMNS = ["step", "train_loss", "lr", "drop_fraction", "accuracy", "nll",
                    "ece", "pd", "perplexity", "flops_cumulative"]
@@ -120,7 +121,7 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
         _restored(cfg, resume, force)
     oneshot_target = cfg["sparsity"] \
         if cfg["topology"]["strategy"] == "prune_oneshot" else None
-    validate_run(model, train_set, tconf, ledger, oneshot_target, start_step)
+    validate_run(model, train_set, test_set, tconf, ledger, oneshot_target, start_step)
 
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -183,6 +184,7 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
 def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
              dump_disagreements: bool = False, quiet: bool = False) -> dict:
     _, test_set, model, tconf, _, ledger, step = _restored(cfg, checkpoint_path, force)
+    check_labels(model, test=test_set)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     # fit evaluates at the training batch size; so does eval, to reproduce its numbers

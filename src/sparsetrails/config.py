@@ -13,8 +13,7 @@ import hashlib
 import json
 from typing import Any
 
-from .data import (Dataset, SYNTHETIC_KINDS, apply_normalization, gen_synthetic,
-                   load_idx, normalize, split)
+from .data import Dataset, SYNTHETIC_KINDS, gen_synthetic, load_idx, normalize, split
 from .model import (NetworkSpec, TrailsModel, build_independent_ensemble,
                     build_trails, mlp_spec, small_cnn_spec)
 from .nn import LayerSpec
@@ -321,6 +320,5 @@ def make_dataset(cfg: dict) -> tuple[Dataset, Dataset]:
         full = gen_synthetic(ds["kind"], ds["n"], ds["noise"], seed=data_seed)
         train, test = split(full, ds["test_fraction"], seed=data_seed)
     if ds["normalize"]:
-        train = normalize(train)
-        test = apply_normalization(test, train)
+        train, test = normalize(train, test)
     return train, test

@@ -23,8 +23,6 @@ class Dataset:
     inputs: np.ndarray        # (N, features) or (N, C, H, W) float32
     labels: np.ndarray        # (N,) int64
     num_classes: int
-    norm_mean: np.ndarray | None = None
-    norm_std: np.ndarray | None = None
 
     def __post_init__(self):
         if len(self.inputs) != len(self.labels):
@@ -37,17 +35,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass
-class BatchPlan:
-    batch_size: int
-    shuffle_seed: int = 0
-    drop_last: bool = False
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
 
 
 def _read_exact(f, n: int, offset: int, what: str) -> bytes:
@@ -168,42 +155,35 @@ def split(dataset: Dataset, test_fraction: float, seed: int) -> tuple[Dataset, D
     def take(idx: np.ndarray) -> Dataset:
         idx = np.sort(idx)
         return Dataset(inputs=dataset.inputs[idx], labels=dataset.labels[idx],
-                       num_classes=dataset.num_classes,
-                       norm_mean=dataset.norm_mean, norm_std=dataset.norm_std)
+                       num_classes=dataset.num_classes)
 
     return take(train_idx), take(test_idx)
 
 
-def normalize(dataset: Dataset) -> Dataset:
-    """Per-feature standardization; stats recorded for reuse on other splits."""
-    flat = dataset.inputs.reshape(len(dataset), -1).astype(np.float64)
+def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+    """Per-feature standardization of both splits by the train split's
+    float64 mean and standard deviation."""
+    flat = train.inputs.reshape(len(train), -1).astype(np.float64)
     mean = flat.mean(axis=0)
     std = flat.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    out = ((flat - mean) / std).astype(np.float32).reshape(dataset.inputs.shape)
-    return Dataset(inputs=out, labels=dataset.labels, num_classes=dataset.num_classes,
-                   norm_mean=mean.astype(np.float32), norm_std=std.astype(np.float32))
+
+    def standardized(dataset: Dataset) -> Dataset:
+        flat = dataset.inputs.reshape(len(dataset), -1).astype(np.float64)
+        out = ((flat - mean) / std).astype(np.float32).reshape(dataset.inputs.shape)
+        return Dataset(inputs=out, labels=dataset.labels, num_classes=dataset.num_classes)
+
+    return standardized(train), standardized(test)
 
 
-def apply_normalization(dataset: Dataset, reference: Dataset) -> Dataset:
-    if reference.norm_mean is None:
-        raise ValueError("reference dataset carries no normalization stats")
-    flat = dataset.inputs.reshape(len(dataset), -1).astype(np.float64)
-    out = ((flat - reference.norm_mean) / reference.norm_std).astype(np.float32)
-    return Dataset(inputs=out.reshape(dataset.inputs.shape), labels=dataset.labels,
-                   num_classes=dataset.num_classes,
-                   norm_mean=reference.norm_mean, norm_std=reference.norm_std)
-
-
-def batches(dataset: Dataset, plan: BatchPlan, epoch: int) -> list[np.ndarray]:
+def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int,
+            drop_last: bool = False) -> list[np.ndarray]:
     """Index slices for one epoch; permutation derived from (seed, epoch)."""
     n = len(dataset)
-    if plan.drop_last and plan.batch_size > n:
-        raise ValueError(
-            f"batch size {plan.batch_size} exceeds dataset size {n} with drop_last")
-    perm = Stream(plan.shuffle_seed).child("epoch", epoch).permutation(n)
-    out = [perm[i:i + plan.batch_size] for i in range(0, n, plan.batch_size)]
-    if plan.drop_last and out and len(out[-1]) < plan.batch_size:
+    if drop_last and batch_size > n:
+        raise ValueError(f"batch size {batch_size} exceeds dataset size {n} with drop_last")
+    perm = Stream(seed).child("epoch", epoch).permutation(n)
+    out = [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+    if drop_last and out and len(out[-1]) < batch_size:
         out.pop()
     return out
-

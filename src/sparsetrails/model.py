@@ -157,10 +157,6 @@ class TrailsModel:
     def head_stack(self) -> list[Layer]:
         return self.store.layers["heads"]
 
-    def component(self, comp_idx: int) -> list[Layer]:
-        """The backbone (0) or head comp_idx - 1, as plain layers."""
-        return self.components()[comp_idx]
-
     @property
     def heads(self) -> list[list[Layer]]:
         return self.components()[1:]

@@ -58,9 +58,6 @@ class SparsityPlan:
     densities: list[float]
     budgets: list[int]
 
-    def total_active(self) -> int:
-        return sum(self.budgets)
-
 
 def _solve_densities(factors: list[float], sizes: list[int], target: float) -> list[float]:
     n = len(factors)

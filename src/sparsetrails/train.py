@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .nn import ParamRef, active_indices
-from .data import BatchPlan, Dataset, batches
+from .data import Dataset, batches
 from .metrics import (MetricsReport, accuracy, ece, nll, perplexity,
                       prediction_disagreement)
 from .model import (TrailsModel, composite_loss, forward_heads, head_predictions,
@@ -306,13 +306,26 @@ def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
     return model.fixed_flops + 2 * keep * max(model.flops_multipliers.values(), default=0)
 
 
-def validate_run(model: TrailsModel, train_set: Dataset, config: TrainConfig,
-                 ledger: FlopsLedger, sparsity_target: float | None = None,
-                 start_step: int = 0) -> int:
+def check_labels(model: TrailsModel, **splits: Dataset) -> None:
+    """Raise ValueError unless every label of each named split is a class
+    the model's logits have."""
+    classes = model.spec.validate()[-1][0]
+    for name, dataset in splits.items():
+        if len(dataset):
+            low, high = int(dataset.labels.min()), int(dataset.labels.max())
+            if low < 0 or high >= classes:
+                raise ValueError(f"{name} labels out of range [0, {classes}) of the "
+                                 f"network's logits: min={low}, max={high}")
+
+
+def validate_run(model: TrailsModel, train_set: Dataset, test_set: Dataset,
+                 config: TrainConfig, ledger: FlopsLedger,
+                 sparsity_target: float | None = None, start_step: int = 0) -> int:
     """Raise ValueError unless `fit` can run these arguments, changing
-    nothing; returns the steps per epoch. The projected cost must fit the
-    dense budget: exactly for static/set/rigl (density is conserved), by an
-    upper bound for prune_oneshot (re-checked exactly at the prune step)."""
+    nothing; returns the steps per epoch. Both splits' labels must be
+    classes of the model. The projected cost must fit the dense budget:
+    exactly for static/set/rigl (density is conserved), by an upper bound
+    for prune_oneshot (re-checked exactly at the prune step)."""
     config.validate()
     if not 0 <= start_step <= config.total_steps:
         raise ValueError(
@@ -320,6 +333,7 @@ def validate_run(model: TrailsModel, train_set: Dataset, config: TrainConfig,
     n = len(train_set)
     if n == 0:
         raise ValueError("training dataset is empty")
+    check_labels(model, train=train_set, test=test_set)
     base = config.dense_base_steps
     cap_sparsity = model.sparsity
     prune_step = None
@@ -380,20 +394,16 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     """
     if ledger is None:
         ledger = count_flops(model)
-    steps_per_epoch = validate_run(model, train_set, config, ledger, sparsity_target,
-                                   start_step)
+    steps_per_epoch = validate_run(model, train_set, test_set, config, ledger,
+                                   sparsity_target, start_step)
     schedule = config.topology
     if optimizer is None:
         optimizer = Optimizer(config, model.named_parameters())
 
     history = TrainHistory(ledger=ledger)
-    # one batch plan per independent member, else one for the whole model
-    members = range(model.num_heads if model.independent else 1)
-    plans = [BatchPlan(batch_size=config.batch_size,
-                       shuffle_seed=Stream(config.seed).child("data", m).seed,
-                       drop_last=config.drop_last)
-             for m in members]
-    epoch_cache: dict = {}
+    # one shuffle seed per independent member, else one for the whole model
+    seeds = [Stream(config.seed).child("data", m).seed
+             for m in range(model.num_heads if model.independent else 1)]
     prune_step = round_half_up(schedule.prune_at_fraction * config.total_steps) \
         if schedule.strategy == "prune_oneshot" else None
     evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
@@ -407,20 +417,17 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         optimizer.reset_positions(np.concatenate(
             [ref.offset + np.asarray(flat, np.int64) for ref, flat in changes]))
 
-    def batch_for(member, t):
-        epoch, idx = divmod(t - 1, steps_per_epoch)
-        cached = epoch_cache.get(member)
-        if cached is None or cached[0] != epoch:
-            epoch_cache[member] = (epoch, batches(train_set, plans[member], epoch))
-        sel = epoch_cache[member][1][idx]
-        return train_set.inputs[sel], train_set.labels[sel]
-
     for t in range(start_step + 1, config.total_steps + 1):
         lr = lr_at(t, config)
         p_t = drop_fraction(t, config.total_steps, schedule.initial_drop_fraction)
         update = schedule.is_update_step(t, config.total_steps)
 
-        drawn = [batch_for(m, t) for m in members]
+        epoch, idx = divmod(t - 1, steps_per_epoch)
+        if idx == 0 or t == start_step + 1:  # every member's order for this epoch
+            orders = [batches(train_set, config.batch_size, seed, epoch, config.drop_last)
+                      for seed in seeds]
+        drawn = [(train_set.inputs[order[idx]], train_set.labels[order[idx]])
+                 for order in orders]
         # an independent ensemble passes its members' inputs and labels as lists
         x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
         outputs = forward_heads(model, x, record=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsetrails.data import BatchPlan, Dataset, batches
+from sparsetrails.data import Dataset, batches
 from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
                                composite_loss, forward_heads)
 from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, _over_classes, loss_backward,
@@ -355,9 +355,7 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
     if it were the only network: batches in the order of data stream
     `member`, the plain mean cross-entropy (no 1/M scale), a masked dense
     optimizer step, no topology updates."""
-    plan = BatchPlan(batch_size=config.batch_size,
-                     shuffle_seed=Stream(config.seed).child("data", member).seed,
-                     drop_last=config.drop_last)
+    seed = Stream(config.seed).child("data", member).seed
     params, grads = [], []
     for li, layer in enumerate(layers):
         grads.append(LayerGrads())
@@ -371,7 +369,8 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
     optimizer = DenseOptimizer(config, params)
     step, epoch = 0, 0
     while step < config.total_steps:
-        for sel in batches(train_set, plan, epoch)[:config.total_steps - step]:
+        for sel in batches(train_set, config.batch_size, seed, epoch,
+                           config.drop_last)[:config.total_steps - step]:
             step += 1
             x, y = train_set.inputs[sel], train_set.labels[sel]
             logits, tape = stack_forward(layers, x, record=True)

@@ -12,7 +12,9 @@ package from its tree's `src/`. The matrix:
 - the benchmark's three workloads (`bench/workloads.py`) at seeds 0 and 1;
 - three variants of the rings workload: one-shot pruning, an Adam
   independent ensemble, and SET with soft-magnitude pruning;
-- cnn-idx-set at seed 0 again, resumed in place from its first checkpoint.
+- cnn-idx-set at seed 0 and the Adam independent ensemble again, each
+  resumed in place from its first checkpoint (rings' is mid-epoch, so every
+  member's epoch order is drawn again at the resumed step).
 
 Every run writes a checkpoint at every evaluation and dumps its last
 disagreements. `sparsetrails eval` then reads back the final checkpoint of
@@ -45,9 +47,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402  (bench/workloads.py)
 from sparsetrails.checkpoint import CheckpointError, load_checkpoint  # noqa: E402
 
-RESUMED = "cnn-idx-set-s0-resumed"
+# runs trained again, resumed in place from their first checkpoint, by the
+# run whose directory they copy
+RESUMED = {"cnn-idx-set-s0-resumed": "cnn-idx-set-s0",
+           "rings-adam-independent-resumed": "rings-adam-independent"}
 # runs whose final checkpoint `sparsetrails eval` evaluates
-EVALUATED = ("rings-prune-oneshot", RESUMED)
+EVALUATED = ("rings-prune-oneshot", "cnn-idx-set-s0-resumed")
 # runs `sparsetrails` from the tree whose src/ is the first argument
 LAUNCH = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsetrails.cli as cli; "
           "sys.exit(cli.main(sys.argv[2:]) if cli.__file__.startswith(sys.argv[1]) "
@@ -74,7 +79,7 @@ def matrix(data_dir: Path, steps: int | None) -> dict[str, dict]:
         for key, value in changes.items():
             cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
         runs[name] = cfg
-    runs[RESUMED] = runs["cnn-idx-set-s0"]
+    runs.update({name: runs[source] for name, source in RESUMED.items()})
     for cfg in runs.values():
         if steps is not None:
             cfg["train"]["total_steps"] = steps
@@ -105,13 +110,14 @@ def sparsetrails(tree: Path, command: str, config: Path, out: Path, *extra: str)
 
 def run_matrix(tree: Path, configs: dict[str, Path], out: Path) -> None:
     for name, config in configs.items():
-        if name != RESUMED:
+        if name not in RESUMED:
             sparsetrails(tree, "train", config, out / name, "--dump-disagreements")
-    # the finished run again, resumed in place from its first checkpoint
-    first = json.loads(configs[RESUMED].read_text())["checkpoint_every"]
-    shutil.copytree(out / "cnn-idx-set-s0", out / RESUMED)
-    sparsetrails(tree, "train", configs[RESUMED], out / RESUMED, "--dump-disagreements",
-                 "--resume", str(out / RESUMED / f"checkpoint_{first:06d}.bin"))
+    # the finished runs again, resumed in place from their first checkpoint
+    for name, source in RESUMED.items():
+        first = json.loads(configs[name].read_text())["checkpoint_every"]
+        shutil.copytree(out / source, out / name)
+        sparsetrails(tree, "train", configs[name], out / name, "--dump-disagreements",
+                     "--resume", str(out / name / f"checkpoint_{first:06d}.bin"))
     for name in EVALUATED:
         sparsetrails(tree, "eval", configs[name], out / name,
                      "--resume", str(out / name / "checkpoint.bin"))

@@ -173,7 +173,7 @@ def test_criterion_4_er_allocation_oracle():
         plan = allocate(specs, 0.5, "er")
         assert abs(plan.densities[0] - 5.0 / 6.0) < 1e-4
         assert abs(plan.densities[1] - 5.0 / 12.0) < 1e-4
-        assert plan.total_active() == 40
+        assert sum(plan.budgets) == 40
 
         stream = Stream(77)
         for _ in range(100):
@@ -184,7 +184,7 @@ def test_criterion_4_er_allocation_oracle():
             sparsity = stream.random() * 0.99
             plan = allocate(specs, sparsity, "er")
             total = sum(plan.layer_sizes)
-            assert plan.total_active() == round_half_up((1.0 - sparsity) * total)
+            assert sum(plan.budgets) == round_half_up((1.0 - sparsity) * total)
             # monotonicity among square layers
             squares = [(s.in_dim, d) for s, d in
                        zip([specs[i] for i in plan.layer_indices], plan.densities)

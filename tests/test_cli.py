@@ -44,6 +44,28 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def write_idx_pair(tmp_path, name: str, classes: int) -> dict:
+    """20 random 1x4x4 images labelled 0, 1, ..., classes - 1 in turn, as an
+    IDX pair; returns the pair's dataset config keys under `name`."""
+    labels = np.arange(20) % classes
+    images = np.random.default_rng(classes).random((20, 1, 4, 4)).astype(np.float32)
+    keys = ("images", "labels") if name == "train" else ("test_images", "test_labels")
+    paths = {key: str(tmp_path / f"{key}-{classes}.idx") for key in keys}
+    write_idx(Dataset(images, labels, classes), *paths.values())
+    return paths
+
+
+def five_class_cnn(tmp_path, train_classes: int, test_classes: int, **overrides):
+    """A config of a 5-class conv net on IDX pairs with these label counts."""
+    return write_config(tmp_path, dataset={"kind": "idx",
+                                           **write_idx_pair(tmp_path, "train", train_classes),
+                                           **write_idx_pair(tmp_path, "test", test_classes)},
+                        network={"kind": "cnn", "input_shape": [1, 4, 4], "channels": 2,
+                                 "blocks": 1, "classes": 5},
+                        train={"total_steps": 10}, eval_interval=5, checkpoint_every=5,
+                        **overrides)
+
+
 class FailingOpen:
     """Stands in for `open` in the checkpoint module: from the fail_on-th
     file opened for writing whose name starts with `prefix` on, a file
@@ -238,6 +260,19 @@ class TestTrainCommand:
         assert "different config" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_labels_the_network_cannot_output_are_rejected_before_any_write(
+            self, tmp_path, capsys, split):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        cfg = five_class_cnn(tmp_path, 10 if split == "train" else 5,
+                             10 if split == "test" else 5)
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        assert (f"invalid run: {split} labels out of range [0, 5) of the network's "
+                "logits: min=0, max=9") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"notes.txt": b"kept\n"}
+
     def test_resume_hash_mismatch_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
@@ -284,6 +319,32 @@ class TestEvalCommand:
         payload = json.loads((tmp_path / "ev" / "eval.json").read_text())
         for key in ("accuracy", "nll", "ece", "pd", "perplexity", "flops_cumulative"):
             assert payload[key] == last[key], key
+
+    def test_test_labels_the_network_cannot_output_are_rejected_before_any_write(
+            self, tmp_path, capsys):
+        assert main(["train", "--config", str(five_class_cnn(tmp_path, 5, 5)),
+                     "--quiet"]) == 0
+        wider = five_class_cnn(tmp_path, 5, 10)
+        assert main(["eval", "--config", str(wider), "--quiet", "--force",
+                     "--out", str(tmp_path / "ev"),
+                     "--resume", str(tmp_path / "run" / "checkpoint.bin")]) == 1
+        assert ("invalid run: test labels out of range [0, 5) of the network's logits: "
+                "min=0, max=9") in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    def test_normalized_run_evaluates_to_its_last_history_record(self, tmp_path):
+        cfg = write_config(tmp_path, dataset={"normalize": True})
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["eval", "--config", str(cfg), "--quiet", "--out", str(tmp_path / "ev"),
+                     "--resume", str(tmp_path / "run" / "checkpoint.bin")]) == 0
+        last = json.loads((tmp_path / "run" / "history.jsonl").read_text()
+                          .splitlines()[-1])["metrics"]
+        payload = json.loads((tmp_path / "ev" / "eval.json").read_text())
+        # eval trains nothing, so only the training fields are left empty
+        assert {key for key, value in payload.items() if value is None} == \
+            {"train_loss", "lr", "drop_fraction"}
+        assert {key: value for key, value in payload.items() if value is not None} == \
+            {key: last[key] for key, value in payload.items() if value is not None}
 
     def test_version_1_checkpoint_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -194,7 +194,7 @@ class TestBuilders:
         cfg = minimal()
         cfg["topology"] = {"strategy": "prune_oneshot"}
         model = make_model(resolve(cfg))
-        for layer in model.component(0):
+        for layer in model.components()[0]:
             if layer.weight is not None:
                 assert layer.weight.mask.all()
 

@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from sparsetrails.data import (BatchPlan, apply_normalization, batches,
-                               gen_synthetic, load_idx, normalize, split, write_idx)
+from sparsetrails.data import (batches, gen_synthetic, load_idx, normalize, split,
+                               write_idx)
 
 
 def write_pair(tmp_path, images: bytes, labels: bytes):
@@ -101,42 +101,50 @@ class TestSplitAndNormalize:
         assert a_test.inputs.tobytes() == b_test.inputs.tobytes()
 
     def test_normalize_centers_training_features(self):
-        ds = gen_synthetic("rings", 400, 0.1, seed=10)
-        normed = normalize(ds)
-        flat = normed.inputs.reshape(len(ds), -1)
+        train, test = split(gen_synthetic("rings", 400, 0.1, seed=10), 0.2, seed=0)
+        normed, _ = normalize(train, test)
+        flat = normed.inputs.reshape(len(train), -1)
         assert np.all(np.abs(flat.mean(axis=0)) < 1e-3)
         assert np.all(np.abs(flat.std(axis=0) - 1.0) < 1e-3)
 
-    def test_apply_normalization_reuses_stats(self):
-        train, test = split(gen_synthetic("rings", 100, 0.1, seed=11), 0.2, seed=1)
-        train_n = normalize(train)
-        test_n = apply_normalization(test, train_n)
-        manual = (test.inputs - train_n.norm_mean) / train_n.norm_std
-        np.testing.assert_allclose(test_n.inputs, manual, rtol=1e-5)
+    def test_both_splits_take_the_train_splits_float64_transform(self):
+        train, test = split(gen_synthetic("rings", 2000, 0.1, seed=3), 0.2, seed=3)
+        # a constant feature keeps std 1 instead of dividing by zero
+        train.inputs[:, 1], test.inputs[:, 1] = 0.5, 0.25
+        flat = train.inputs.astype(np.float64)
+        mean, std = flat.mean(axis=0), flat.std(axis=0)
+        std[std < 1e-12] = 1.0
+        got = normalize(train, test)
+        for part, out in zip((train, test), got):
+            want = ((part.inputs.astype(np.float64) - mean) / std).astype(np.float32)
+            assert out.inputs.tobytes() == want.tobytes()
+            assert out.labels is part.labels and out.num_classes == 2
+        # the float32-rounded stats would move the train split's entries
+        rounded = ((flat - mean.astype(np.float32)) / std.astype(np.float32)).astype(np.float32)
+        assert rounded.tobytes() != got[0].inputs.tobytes()
 
 
 class TestBatches:
     def test_partition_covers_all_indices_once(self):
         ds = gen_synthetic("two_clusters", 4, 0.1, seed=0)
-        got = batches(ds, BatchPlan(batch_size=2, shuffle_seed=1), epoch=0)
+        got = batches(ds, batch_size=2, seed=1, epoch=0)
         assert len(got) == 2
         assert sorted(np.concatenate(got).tolist()) == [0, 1, 2, 3]
 
     def test_drop_last(self):
         ds = gen_synthetic("two_clusters", 5, 0.1, seed=0)
-        got = batches(ds, BatchPlan(batch_size=2, shuffle_seed=1, drop_last=True), 0)
+        got = batches(ds, 2, 1, 0, drop_last=True)
         assert len(got) == 2 and all(len(b) == 2 for b in got)
 
     def test_oversized_batch_with_drop_last_rejected(self):
         ds = gen_synthetic("two_clusters", 3, 0.1, seed=0)
         with pytest.raises(ValueError, match="batch size"):
-            batches(ds, BatchPlan(batch_size=4, shuffle_seed=0, drop_last=True), 0)
+            batches(ds, 4, 0, 0, drop_last=True)
 
     def test_epochs_permute_but_cover_same_multiset(self):
         ds = gen_synthetic("two_clusters", 64, 0.1, seed=0)
-        plan = BatchPlan(batch_size=16, shuffle_seed=3)
-        e0 = np.concatenate(batches(ds, plan, 0))
-        e1 = np.concatenate(batches(ds, plan, 1))
+        e0 = np.concatenate(batches(ds, 16, 3, 0))
+        e1 = np.concatenate(batches(ds, 16, 3, 1))
         assert sorted(e0.tolist()) == sorted(e1.tolist())
         assert e0.tolist() != e1.tolist()
 

@@ -76,7 +76,7 @@ class TestBuildTrails:
             if plan is None:
                 continue
             for pos, li in enumerate(plan.layer_indices):
-                mt = model.component(comp_idx)[li].weight
+                mt = model.components()[comp_idx][li].weight
                 assert mt.active_count() == plan.budgets[pos]
 
     def test_conv_base_builds_and_runs(self):

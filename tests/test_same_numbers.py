@@ -14,13 +14,14 @@ def test_two_step_matrix_matches_a_copy_of_the_tree(tmp_path, capsys):
     assert same_numbers.main(["--against", str(copy), "--steps", "2",
                               "--work", str(work)]) == 0
     out = capsys.readouterr().out
-    assert "same numbers: 10 runs, 2 evals, 72 files" in out
+    assert "same numbers: 11 runs, 2 evals, 79 files" in out
     lines = same_numbers.src_lines(ROOT)
     assert f"src lines: {lines} -> {lines}\n" in out
-    # the resumed run rewrote the run's artifacts after its first checkpoint
-    resumed = work / "this" / same_numbers.RESUMED
-    assert [json.loads(line)["step"]
-            for line in (resumed / "history.jsonl").read_text().splitlines()] == [1, 2]
+    # each resumed run rewrote the run's artifacts after its first checkpoint
+    for name in same_numbers.RESUMED:
+        assert [json.loads(line)["step"] for line in
+                (work / "this" / name / "history.jsonl").read_text().splitlines()] == [1, 2]
+    resumed = work / "this" / "cnn-idx-set-s0-resumed"
     # eval read the final checkpoint back: the last evaluation's metrics again
     evaluated = json.loads((resumed / "eval.json").read_text())
     final = json.loads((resumed / "history.jsonl").read_text().splitlines()[-1])["metrics"]

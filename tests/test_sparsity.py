@@ -34,7 +34,7 @@ class TestAllocate:
         plan = allocate(specs, 0.5, "er")
         assert plan.densities[0] == pytest.approx(5.0 / 6.0, abs=1e-4)
         assert plan.densities[1] == pytest.approx(5.0 / 12.0, abs=1e-4)
-        assert plan.total_active() == 40
+        assert sum(plan.budgets) == 40
 
     def test_uniform_sets_every_density(self):
         specs = [LayerSpec.linear(3, 5), LayerSpec.linear(5, 2),
@@ -61,7 +61,7 @@ class TestAllocate:
         plan = allocate(specs, 0.5, "er")
         assert plan.densities[0] == 1.0
         assert plan.budgets[0] == 1
-        assert plan.total_active() == round_half_up(0.5 * 10001)
+        assert sum(plan.budgets) == round_half_up(0.5 * 10001)
 
     @given(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=10**6),
            st.floats(min_value=0.0, max_value=0.99))
@@ -81,7 +81,7 @@ class TestAllocate:
         mode = ("uniform", "er", "erk")[stream.randbelow(3)]
         plan = allocate(specs, sparsity, mode)
         total = sum(plan.layer_sizes)
-        assert plan.total_active() == round_half_up((1.0 - sparsity) * total)
+        assert sum(plan.budgets) == round_half_up((1.0 - sparsity) * total)
         assert all(0 <= b <= s for b, s in zip(plan.budgets, plan.layer_sizes))
         assert all(d <= 1.0 + 1e-12 for d in plan.densities)
 

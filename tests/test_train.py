@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsetrails.model as model_module
+import sparsetrails.train as train_module
 from sparsetrails.checkpoint import capture, restore
 from sparsetrails.config import network_spec, resolve
 from sparsetrails.data import Dataset, gen_synthetic
@@ -16,8 +17,8 @@ from sparsetrails.model import (build_independent_ensemble, build_trails, mlp_sp
 from sparsetrails.nn import LayerSpec, ParamStore
 from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
-                                _post_prune_forward_bound, count_flops, evaluate,
-                                extension_cap, fit, lr_at, validate_run)
+                                _post_prune_forward_bound, check_labels, count_flops,
+                                evaluate, extension_cap, fit, lr_at, validate_run)
 
 import oracles
 from oracles import DenseOptimizer, LayerCost, layer_costs, train_member_alone
@@ -295,9 +296,30 @@ class TestExtensionCap:
         data = Dataset(np.zeros((32, 10), np.float32), np.zeros(32, np.int64), 2)
         ledger = count_flops(model)
         assert 10 * ledger.forward_sparse == 3 * ledger.forward_dense
-        validate_run(model, data, small_config(total_steps=10, base_steps=3), ledger)
+        validate_run(model, data, data, small_config(total_steps=10, base_steps=3), ledger)
         with pytest.raises(ValueError, match="extension cap 10 "):
-            validate_run(model, data, small_config(total_steps=11, base_steps=3), ledger)
+            validate_run(model, data, data, small_config(total_steps=11, base_steps=3), ledger)
+
+
+class TestLabelCheck:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_labels_the_logits_cannot_hold_are_rejected_before_a_step(self, split):
+        model = toy_model(heads=2)  # two classes
+        inside = gen_synthetic("two_clusters", 20, 0.1, seed=0)
+        outside = Dataset(inside.inputs, inside.labels * 2, num_classes=3)
+        before = [ref.array.copy() for ref in model.named_parameters()]
+        sets = {"train": inside, "test": inside, split: outside}
+        with pytest.raises(ValueError, match=rf"{split} labels out of range \[0, 2\) "
+                                             r"of the network's logits: min=0, max=2"):
+            fit(model, sets["train"], sets["test"], small_config(total_steps=4))
+        for ref, old in zip(model.named_parameters(), before):
+            assert ref.array.tobytes() == old.tobytes()
+
+    def test_negative_labels_are_rejected(self):
+        data = gen_synthetic("two_clusters", 20, 0.1, seed=0)
+        negative = Dataset(data.inputs, data.labels - 1, num_classes=2)
+        with pytest.raises(ValueError, match="min=-1, max=0"):
+            check_labels(toy_model(), test=negative)
 
 
 class TestCountFlops:
@@ -578,6 +600,47 @@ class TestFit:
             train_member_alone(layers, member, data, config)
         for got, want in zip(model.named_parameters(), alone.named_parameters()):
             assert got.array.tobytes() == want.array.tobytes(), got.name
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_batches_runs_once_per_member_per_epoch_touched(self, independent,
+                                                            monkeypatch):
+        # 40 samples in batches of 16: 3 steps an epoch, so steps 1-7 touch
+        # epochs 0-2, and a resume at step 4 (mid epoch 1) touches epochs 1-2
+        data = gen_synthetic("rings", 40, noise=0.2, seed=12)
+        config = small_config(total_steps=7, eval_interval=7, optimizer="adam", lr=0.01)
+        calls = []
+        original = train_module.batches
+
+        def counted(dataset, batch_size, seed, epoch, drop_last=False):
+            calls.append((seed, epoch))
+            return original(dataset, batch_size, seed, epoch, drop_last)
+
+        monkeypatch.setattr(train_module, "batches", counted)
+
+        def model():
+            spec = mlp_spec(2, 6, 2, 2)
+            return build_independent_ensemble(spec, 3, sparsity=0.5, seed=13) \
+                if independent else build_trails(spec, 1, 3, 0.5, seed=13)
+
+        straight, kept = model(), []
+        optimizer, ledger = Optimizer(config, straight.named_parameters()), count_flops(straight)
+        fit(straight, data, data, config, optimizer=optimizer, ledger=ledger,
+            on_checkpoint=lambda step, *state: kept.append(  # capture holds views
+                copy.deepcopy(capture(*state, step, "00" * 32))) if step == 4 else None)
+        members = 3 if independent else 1
+        assert len(calls) == len(set(calls)) == members * 3
+        assert {epoch for _, epoch in calls} == {0, 1, 2}
+
+        calls.clear()
+        resumed = model()
+        optimizer, ledger = Optimizer(config, resumed.named_parameters()), count_flops(resumed)
+        start = restore(kept[0], resumed, optimizer, ledger)
+        fit(resumed, data, data, config, start_step=start, optimizer=optimizer,
+            ledger=ledger)
+        assert len(calls) == len(set(calls)) == members * 2
+        assert {epoch for _, epoch in calls} == {1, 2}
+        for a, b in zip(straight.named_parameters(), resumed.named_parameters()):
+            assert a.array.tobytes() == b.array.tobytes(), a.name
 
     def test_fit_leaves_the_callers_schedule_alone(self):
         data = gen_synthetic("two_clusters", 32, noise=0.3, seed=8)
