@@ -78,6 +78,10 @@ def _slot_key(name: str, slot: str) -> str:
 
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
+    """The run's state at `step`. Its `params`, `masks` and `opt_state` are
+    views of the live parameter store and optimizer slots, not copies: a
+    capture is valid until the next step, so save it at once or
+    `copy.deepcopy` it to keep it."""
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
                       optimizer_kind=optimizer.kind, adam_t=optimizer.adam_t,
                       cumulative_flops=ledger.cumulative_train)

@@ -12,9 +12,11 @@ AXIS is blocks_in_head or a config key, dotted if nested (train.lr).
 Artifacts per run: config.resolved.json, history.jsonl (one record per
 evaluation), summary.csv, checkpoint.bin; sweeps add sweep.csv with
 mean/std aggregates per grid value. A run rejected by its checks (among
-them, labels the network cannot output in either split; `eval` checks the
-test split's) writes nothing. Exit codes: 0 success, 1 validation error,
-2 training divergence, 3 I/O or checkpoint error.
+them, an empty split, samples of a shape the network cannot read, or
+labels it cannot output, in either split; `eval` checks the test split)
+writes nothing, and a sweep runs every grid point's checks before its
+first run. Exit codes: 0 success, 1 validation error, 2 training
+divergence, 3 I/O or checkpoint error.
 """
 
 import argparse
@@ -33,7 +35,7 @@ from .checkpoint import (CheckpointError, capture, load_checkpoint, restore,
 from .config import (DEFAULTS, ConfigError, config_hash, load_config, make_dataset,
                      make_model, make_train_config, network_spec, resolve)
 from .metrics import disagreement_breakdown
-from .train import (Optimizer, TrainingDiverged, check_labels, count_flops, evaluate,
+from .train import (Optimizer, TrainingDiverged, check_data, count_flops, evaluate,
                     fit, validate_run)
 
 SUMMARY_COLUMNS = ["step", "train_loss", "lr", "drop_fraction", "accuracy", "nll",
@@ -113,15 +115,22 @@ def _restored(cfg: dict, resume: str | None, force: bool):
     return train_set, test_set, model, tconf, optimizer, ledger, step
 
 
+def _validated(cfg: dict, resume: str | None = None, force: bool = False):
+    """`_restored`'s run and its one-shot prune target (None unless the
+    strategy is prune_oneshot), once `validate_run` has accepted them."""
+    train_set, test_set, model, tconf, optimizer, ledger, step = _restored(cfg, resume, force)
+    oneshot_target = cfg["sparsity"] \
+        if cfg["topology"]["strategy"] == "prune_oneshot" else None
+    validate_run(model, train_set, test_set, tconf, ledger, oneshot_target, step)
+    return train_set, test_set, model, tconf, optimizer, ledger, step, oneshot_target
+
+
 def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
                    dump_disagreements: bool = False, quiet: bool = False):
     """Train per config and write all artifacts; returns (out_dir, history).
     A run that fails a check raises before it writes anything."""
-    train_set, test_set, model, tconf, optimizer, ledger, start_step = \
-        _restored(cfg, resume, force)
-    oneshot_target = cfg["sparsity"] \
-        if cfg["topology"]["strategy"] == "prune_oneshot" else None
-    validate_run(model, train_set, test_set, tconf, ledger, oneshot_target, start_step)
+    train_set, test_set, model, tconf, optimizer, ledger, start_step, oneshot_target = \
+        _validated(cfg, resume, force)
 
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -184,7 +193,7 @@ def run_experiment(cfg: dict, resume: str | None = None, force: bool = False,
 def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
              dump_disagreements: bool = False, quiet: bool = False) -> dict:
     _, test_set, model, tconf, _, ledger, step = _restored(cfg, checkpoint_path, force)
-    check_labels(model, test=test_set)
+    check_data(model, test=test_set)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     # fit evaluates at the training batch size; so does eval, to reproduce its numbers
@@ -261,8 +270,8 @@ def read_summary_final_row(path: Path) -> dict:
 def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
               out_dir: str, quiet: bool = False) -> Path:
     out_root = Path(out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    # validate the whole grid before any training starts
+    # check the whole grid, each point as its run checks itself, before
+    # anything is written
     grid = [(value, seed, sweep_config(base, axis, value, seed, out_root))
             for value in values for seed in seeds]
     for key, points in (("sweep.values", [json.dumps(_swept(axis, v)) for v in values]),
@@ -271,6 +280,9 @@ def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
         if repeat is not None:
             raise ConfigError(key, f"{repeat} is repeated: it would train one run "
                                    "directory twice")
+    for _, _, cfg in grid:
+        _validated(cfg)
+    out_root.mkdir(parents=True, exist_ok=True)
     results: dict = {value: [] for value in values}
     for value, seed, cfg in grid:
         if not quiet:

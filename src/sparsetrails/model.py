@@ -179,17 +179,16 @@ class TrailsModel:
 
 def _build_component(layers: list[Layer], sparsity: float, allocation: str,
                      master: Stream, comp_idx: int) -> SparsityPlan | None:
-    """Initialise a component's zeroed layers in place."""
+    """Initialise a component's zeroed layers in place: its masks, then its
+    weights and biases."""
     specs = [layer.spec for layer in layers]
-    maskable = [i for i, s in enumerate(specs) if s.weight_size > 0]
     plan = None
-    masks: dict[int, np.ndarray] = {}
-    if maskable:
+    if any(spec.weight_size for spec in specs):
         plan = allocate(specs, sparsity, allocation)
-        streams = [master.child("mask", comp_idx, i) for i in plan.layer_indices]
-        masks = init_masks(plan, specs, streams)
-    for i, spec in enumerate(specs):
-        nn.init_layer(spec, master.child("init", comp_idx, i), mask=masks.get(i), out=layers[i])
+        init_masks(plan, [layers[i].weight.mask for i in plan.layer_indices],
+                   [master.child("mask", comp_idx, i) for i in plan.layer_indices])
+    for i, layer in enumerate(layers):
+        nn.init_layer(layer, master.child("init", comp_idx, i))
     return plan
 
 

@@ -232,33 +232,22 @@ def active_indices(mask: np.ndarray) -> np.ndarray:
     return mask.view(bool).ravel().nonzero()[0]
 
 
-def init_layer(spec: LayerSpec, stream: Stream, mask: np.ndarray | None = None,
-               out: Layer | None = None) -> Layer:
-    """Kaiming-uniform fan-in init (drawn dense), then the mask zeroes inactive
-    slots. With `out`, a layer of zeroed arrays such as a head's slice of a
-    stacked layer, the weights are written into it and it is returned."""
+def init_layer(layer: Layer, stream: Stream) -> None:
+    """Kaiming-uniform fan-in init of a layer's zeroed store views: its
+    weights are drawn dense and written where its mask is set, then its
+    bias is drawn. A relu layer draws nothing."""
+    spec = layer.spec
     if spec.kind == "relu":
-        return Layer(spec=spec)
-    shape = spec.weight_shape
-    bound = math.sqrt(6.0 / spec.fan_in)
-    flat = stream.uniforms(int(np.prod(shape)))
-    flat *= 2.0                      # (u * 2 - 1) * bound, in place in float64
-    flat -= 1.0
-    flat *= bound
-    values = flat.astype(np.float32).reshape(shape)
-    mask = np.ones(shape, dtype=np.uint8) if mask is None else mask.reshape(shape)
-    bias = None
+        return
+    values, mask = layer.weight.values, layer.weight.mask
+    draws = stream.uniforms(values.size).reshape(values.shape)
+    draws *= 2.0                     # (u * 2 - 1) * bound, in place in float64
+    draws -= 1.0
+    draws *= math.sqrt(6.0 / spec.fan_in)
+    np.copyto(values, draws, casting="same_kind", where=mask.view(bool))
     if spec.has_bias:
-        out_dim = spec.out_dim if spec.kind == "linear" else spec.out_channels
-        b_bound = 1.0 / math.sqrt(spec.fan_in)
-        bias = ((stream.uniforms(out_dim) * 2.0 - 1.0) * b_bound).astype(np.float32)
-    if out is None:
-        return Layer(spec=spec, weight=MaskedTensor(values=values, mask=mask), bias=bias)
-    np.copyto(out.weight.values, values, where=mask != 0)
-    out.weight.mask[...] = mask
-    if bias is not None:
-        out.bias[...] = bias
-    return out
+        layer.bias[...] = (stream.uniforms(layer.bias.size) * 2.0 - 1.0) \
+            * (1.0 / math.sqrt(spec.fan_in))
 
 
 # ---------------------------------------------------------------------------

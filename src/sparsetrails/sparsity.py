@@ -128,22 +128,13 @@ def allocate(specs: list[LayerSpec], sparsity: float, mode: str) -> SparsityPlan
                         layer_sizes=sizes, densities=densities, budgets=budgets)
 
 
-def init_mask(shape: tuple[int, ...], budget: int, stream: Stream) -> np.ndarray:
-    """Exactly `budget` active positions, chosen uniformly without replacement."""
-    size = int(np.prod(shape))
-    if not 0 <= budget <= size:
-        raise ValueError(f"budget {budget} out of range for layer of size {size}")
-    mask = np.zeros(size, dtype=np.uint8)
-    mask[stream.choice_without_replacement(size, budget)] = 1
-    return mask.reshape(shape)
-
-
-def init_masks(plan: SparsityPlan, specs: list[LayerSpec],
-               streams: list[Stream]) -> dict[int, np.ndarray]:
-    """Masks for each maskable layer index, drawn from per-layer streams."""
+def init_masks(plan: SparsityPlan, masks: list[np.ndarray], streams: list[Stream]) -> None:
+    """Set each maskable layer's budget of positions to 1 in its zeroed mask,
+    chosen uniformly without replacement from the layer's own stream; `masks`
+    and `streams` follow `plan.layer_indices`."""
     if len(streams) != len(plan.layer_indices):
         raise ValueError("one stream per maskable layer required")
-    masks = {}
-    for pos, (idx, budget) in enumerate(zip(plan.layer_indices, plan.budgets)):
-        masks[idx] = init_mask(specs[idx].weight_shape, budget, streams[pos])
-    return masks
+    for mask, budget, stream in zip(masks, plan.budgets, streams, strict=True):
+        if not 0 <= budget <= mask.size:
+            raise ValueError(f"budget {budget} out of range for layer of size {mask.size}")
+        mask.reshape(-1)[stream.choice_without_replacement(mask.size, budget)] = 1

@@ -9,7 +9,7 @@ stay within 3 * f_dense * base_steps * batch.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -306,34 +306,37 @@ def _post_prune_forward_bound(model: TrailsModel, sparsity: float) -> int:
     return model.fixed_flops + 2 * keep * max(model.flops_multipliers.values(), default=0)
 
 
-def check_labels(model: TrailsModel, **splits: Dataset) -> None:
-    """Raise ValueError unless every label of each named split is a class
-    the model's logits have."""
-    classes = model.spec.validate()[-1][0]
+def check_data(model: TrailsModel, **splits: Dataset) -> None:
+    """Raise ValueError unless each named split has samples, of a shape the
+    network's shape walk accepts, whose labels are classes of its logits."""
     for name, dataset in splits.items():
-        if len(dataset):
-            low, high = int(dataset.labels.min()), int(dataset.labels.max())
-            if low < 0 or high >= classes:
-                raise ValueError(f"{name} labels out of range [0, {classes}) of the "
-                                 f"network's logits: min={low}, max={high}")
+        if not len(dataset):
+            raise ValueError(f"{name} split is empty")
+        shape = dataset.inputs.shape[1:]
+        try:
+            classes = replace(model.spec, input_shape=shape).validate()[-1][0]
+        except ValueError as exc:
+            raise ValueError(f"{name} samples of shape {shape} do not fit the "
+                             f"network: {exc}") from exc
+        low, high = int(dataset.labels.min()), int(dataset.labels.max())
+        if low < 0 or high >= classes:
+            raise ValueError(f"{name} labels out of range [0, {classes}) of the "
+                             f"network's logits: min={low}, max={high}")
 
 
 def validate_run(model: TrailsModel, train_set: Dataset, test_set: Dataset,
                  config: TrainConfig, ledger: FlopsLedger,
                  sparsity_target: float | None = None, start_step: int = 0) -> int:
     """Raise ValueError unless `fit` can run these arguments, changing
-    nothing; returns the steps per epoch. Both splits' labels must be
-    classes of the model. The projected cost must fit the dense budget:
+    nothing; returns the steps per epoch. Both splits must pass
+    `check_data`. The projected cost must fit the dense budget:
     exactly for static/set/rigl (density is conserved), by an upper bound
     for prune_oneshot (re-checked exactly at the prune step)."""
     config.validate()
     if not 0 <= start_step <= config.total_steps:
         raise ValueError(
             f"start step {start_step} outside [0, total_steps={config.total_steps}]")
-    n = len(train_set)
-    if n == 0:
-        raise ValueError("training dataset is empty")
-    check_labels(model, train=train_set, test=test_set)
+    check_data(model, train=train_set, test=test_set)
     base = config.dense_base_steps
     cap_sparsity = model.sparsity
     prune_step = None
@@ -359,6 +362,7 @@ def validate_run(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         raise ValueError(
             f"projected training FLOPs {projected} exceed the dense budget {budget} "
             f"({base} base steps)")
+    n = len(train_set)
     steps_per_epoch = n // config.batch_size if config.drop_last \
         else -(-n // config.batch_size)
     if steps_per_epoch == 0:

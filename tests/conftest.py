@@ -3,7 +3,7 @@ import ctypes
 import numpy as np
 import pytest
 
-from sparsetrails.nn import Layer, LayerSpec, MaskedTensor, init_layer
+from sparsetrails.nn import Layer, LayerSpec, MaskedTensor, ParamStore, init_layer
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import allocate, init_masks
 from sparsetrails.train import Optimizer
@@ -36,6 +36,16 @@ def make_linear(values, mask=None, bias=None) -> Layer:
     return layer
 
 
+def standalone_layer(spec: LayerSpec, stream: Stream, mask=None) -> Layer:
+    """One layer initialised the model's way: the zeroed views of a one-layer
+    parameter store, its mask set (all ones, or `mask`), then `init_layer`."""
+    layer = ParamStore({"layer": ([spec], None)}).layers["layer"][0]
+    if layer.weight is not None:
+        layer.weight.mask[...] = 1 if mask is None else mask
+    init_layer(layer, stream)
+    return layer
+
+
 def random_stack(stream: Stream, kind: str = "mlp", sparsity: float = 0.0):
     """Small random layer stack + matching input, for gradient checks."""
     if kind == "mlp":
@@ -61,9 +71,10 @@ def random_stack(stream: Stream, kind: str = "mlp", sparsity: float = 0.0):
     plan = allocate(specs, sparsity, "uniform") if sparsity > 0 else None
     masks = {}
     if plan is not None:
-        masks = init_masks(plan, specs, [stream.child("m", i)
-                                         for i in plan.layer_indices])
-    layers = [init_layer(s, stream.child("w", i), mask=masks.get(i))
+        masks = {i: np.zeros(specs[i].weight_shape, np.uint8) for i in plan.layer_indices}
+        init_masks(plan, list(masks.values()), [stream.child("m", i)
+                                                for i in plan.layer_indices])
+    layers = [standalone_layer(s, stream.child("w", i), masks.get(i))
               for i, s in enumerate(specs)]
     batch = 1 + stream.randbelow(3)
     x = np.asarray([[stream.normal() for _ in range(int(np.prod(in_shape)))]

@@ -10,8 +10,10 @@ run is the `sparsetrails train` command in a subprocess that imports the
 package from its tree's `src/`. The matrix:
 
 - the benchmark's three workloads (`bench/workloads.py`) at seeds 0 and 1;
-- three variants of the rings workload: one-shot pruning, an Adam
-  independent ensemble, and SET with soft-magnitude pruning;
+- four variants of the rings workload: one-shot pruning, an Adam
+  independent ensemble, SET with soft-magnitude pruning, and the same
+  network given as explicit layers, one of its head linears bias-free,
+  under uniform allocation and a vote on mean logits;
 - cnn-idx-set at seed 0 and the Adam independent ensemble again, each
   resumed in place from its first checkpoint (rings' is mid-epoch, so every
   member's epoch order is drawn again at the resumed step).
@@ -53,6 +55,14 @@ RESUMED = {"cnn-idx-set-s0-resumed": "cnn-idx-set-s0",
            "rings-adam-independent-resumed": "rings-adam-independent"}
 # runs whose final checkpoint `sparsetrails eval` evaluates
 EVALUATED = ("rings-prune-oneshot", "cnn-idx-set-s0-resumed")
+# the rings network (2 -> 16, six blocks, 2 classes) as explicit layers, the
+# linear of block 4, in the heads at split index 3, without a bias
+RINGS_LAYERS = {
+    "kind": "layers", "input_shape": [2],
+    "stem": [{"kind": "linear", "in": 2, "out": 16}, {"kind": "relu"}],
+    "blocks": [[{"kind": "linear", "in": 16, "out": 16, "bias": block != 4}, {"kind": "relu"}]
+               for block in range(6)],
+    "classifier": [{"kind": "linear", "in": 16, "out": 2}]}
 # runs `sparsetrails` from the tree whose src/ is the first argument
 LAUNCH = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsetrails.cli as cli; "
           "sys.exit(cli.main(sys.argv[2:]) if cli.__file__.startswith(sys.argv[1]) "
@@ -74,7 +84,9 @@ def matrix(data_dir: Path, steps: int | None) -> dict[str, dict]:
                                         "train": {"optimizer": "adam", "lr": 0.01,
                                                   "weight_decay": 0.0}}),
             ("rings-set-soft-magnitude", {"topology": {"strategy": "set",
-                                                       "prune_method": "soft_magnitude"}})):
+                                                       "prune_method": "soft_magnitude"}}),
+            ("rings-layers-uniform-logits", {"network": RINGS_LAYERS, "allocation": "uniform",
+                                             "vote": "logits"})):
         cfg = json.loads(json.dumps(rings))
         for key, value in changes.items():
             cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value

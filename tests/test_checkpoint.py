@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from pathlib import Path
 
@@ -98,6 +99,29 @@ class TestRoundTrip:
         assert [e.nll for e in tail_a] == [e.nll for e in hist_c.evals]
         for a, b in zip(straight.named_parameters(), resumed.named_parameters()):
             assert a.array.tobytes() == b.array.tobytes()
+
+    def test_a_deep_copy_of_a_capture_outlives_the_steps_after_it(self):
+        # a capture holds views of the live store and optimizer slots, so a
+        # kept one must be copied before the run steps on
+        data = gen_synthetic("rings", 48, noise=0.2, seed=1)
+        spec = mlp_spec(2, 6, 2, 2)
+        config = TrainConfig(total_steps=7, batch_size=16, eval_interval=7, lr=0.05, seed=3,
+                             topology=TopologySchedule(strategy="rigl", delta_t=2))
+        kept = []
+
+        def snapshot(step, mdl, opt, ledg):
+            if step == 4:
+                kept.append(copy.deepcopy(capture(mdl, opt, ledg, step, "00" * 32)))
+
+        straight = build_trails(spec, 1, 2, 0.5, seed=3)
+        fit(straight, data, data, config, on_checkpoint=snapshot)
+        resumed = build_trails(spec, 1, 2, 0.5, seed=3)
+        optimizer, ledger = Optimizer(config, resumed.named_parameters()), count_flops(resumed)
+        start = restore(kept[0], resumed, optimizer, ledger)
+        assert start == 4
+        fit(resumed, data, data, config, start_step=start, optimizer=optimizer, ledger=ledger)
+        for a, b in zip(straight.named_parameters(), resumed.named_parameters()):
+            assert a.array.tobytes() == b.array.tobytes(), a.name
 
     def test_rigl_resume_into_a_differently_seeded_model_is_bit_exact(self, tmp_path):
         # the fresh model's masks differ from the checkpoint's, so restore

@@ -44,13 +44,14 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def write_idx_pair(tmp_path, name: str, classes: int) -> dict:
-    """20 random 1x4x4 images labelled 0, 1, ..., classes - 1 in turn, as an
-    IDX pair; returns the pair's dataset config keys under `name`."""
-    labels = np.arange(20) % classes
-    images = np.random.default_rng(classes).random((20, 1, 4, 4)).astype(np.float32)
+def write_idx_pair(tmp_path, name: str, classes: int, count: int = 20, side: int = 4) -> dict:
+    """`count` random 1 x side x side images labelled 0, 1, ..., classes - 1
+    in turn, as an IDX pair; returns the pair's dataset config keys under
+    `name`."""
+    labels = np.arange(count) % classes
+    images = np.random.default_rng(classes).random((count, 1, side, side)).astype(np.float32)
     keys = ("images", "labels") if name == "train" else ("test_images", "test_labels")
-    paths = {key: str(tmp_path / f"{key}-{classes}.idx") for key in keys}
+    paths = {key: str(tmp_path / f"{key}-{classes}-{count}x{side}.idx") for key in keys}
     write_idx(Dataset(images, labels, classes), *paths.values())
     return paths
 
@@ -64,6 +65,24 @@ def five_class_cnn(tmp_path, train_classes: int, test_classes: int, **overrides)
                                  "blocks": 1, "classes": 5},
                         train={"total_steps": 10}, eval_interval=5, checkpoint_every=5,
                         **overrides)
+
+
+def image_mlp(tmp_path, input_dim: int = 16, test_count: int = 20, test_side: int = 4):
+    """A config of a 2-class MLP on 4x4 IDX train images and a test pair of
+    `test_count` images of side `test_side`; 16 inputs read a 4x4 image."""
+    return write_config(tmp_path, dataset={"kind": "idx",
+                                           **write_idx_pair(tmp_path, "train", 2),
+                                           **write_idx_pair(tmp_path, "test", 2, test_count,
+                                                            test_side)},
+                        network={"input_dim": input_dim},
+                        train={"total_steps": 4}, eval_interval=2, checkpoint_every=1)
+
+
+# test splits the 16-input MLP cannot run on, and the error each gets
+BAD_TEST_SPLITS = {
+    "empty": ((0, 4), "test split is empty"),
+    "5x5": ((20, 5), "test samples of shape (1, 5, 5) do not fit the network: "
+                     "layer 0: linear expects 16 features, gets (1, 5, 5)")}
 
 
 class FailingOpen:
@@ -273,6 +292,23 @@ class TestTrainCommand:
                 "logits: min=0, max=9") in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {"notes.txt": b"kept\n"}
 
+    @pytest.mark.parametrize("case", [*BAD_TEST_SPLITS, "15-input-train"])
+    def test_data_the_network_cannot_run_on_is_rejected_before_any_write(
+            self, tmp_path, capsys, case):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+        if case in BAD_TEST_SPLITS:
+            (count, side), message = BAD_TEST_SPLITS[case]
+            cfg = image_mlp(tmp_path, test_count=count, test_side=side)
+        else:
+            cfg = image_mlp(tmp_path, input_dim=15)
+            message = ("train samples of shape (1, 4, 4) do not fit the network: "
+                       "layer 0: linear expects 15 features, gets (1, 4, 4)")
+        assert main(["train", "--config", str(cfg), "--quiet"]) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"notes.txt": b"kept\n"}
+
     def test_resume_hash_mismatch_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path, out_dir=str(tmp_path / "x"))
         assert main(["train", "--config", str(cfg), "--quiet"]) == 0
@@ -330,6 +366,19 @@ class TestEvalCommand:
                      "--resume", str(tmp_path / "run" / "checkpoint.bin")]) == 1
         assert ("invalid run: test labels out of range [0, 5) of the network's logits: "
                 "min=0, max=9") in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("case", BAD_TEST_SPLITS)
+    def test_a_test_split_the_network_cannot_run_on_is_rejected_before_any_write(
+            self, tmp_path, capsys, case):
+        # an MLP whose inputs are the image's pixels trains on 4x4 images
+        assert main(["train", "--config", str(image_mlp(tmp_path)), "--quiet"]) == 0
+        (count, side), message = BAD_TEST_SPLITS[case]
+        bad = image_mlp(tmp_path, test_count=count, test_side=side)
+        assert main(["eval", "--config", str(bad), "--quiet", "--force",
+                     "--out", str(tmp_path / "ev"),
+                     "--resume", str(tmp_path / "run" / "checkpoint.bin")]) == 1
+        assert f"invalid run: {message}\n" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
     def test_normalized_run_evaluates_to_its_last_history_record(self, tmp_path):
@@ -396,6 +445,18 @@ class TestSweepCommand:
                      "--out", str(out)]) == 1
         assert "blocks_in_head" in capsys.readouterr().err
         assert not list(out.rglob("summary.csv"))  # nothing ran
+
+    def test_a_grid_point_its_run_would_reject_is_rejected_before_any_run(
+            self, tmp_path, capsys):
+        # 20 steps are within 1/(1-S) of 12 dense steps at sparsity 0.5, not at 0.0
+        cfg = write_config(tmp_path, train={"total_steps": 20, "base_steps": 12},
+                           eval_interval=10, topology={"delta_t": 10})
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet", "--axis", "sparsity",
+                     "--values", "0.5,0.0", "--out", str(out)]) == 1
+        assert ("invalid run: total_steps 20 exceeds the 1/(1-S) extension cap 12 for "
+                "sparsity 0.0\n") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_blocks_in_head_rejected_for_an_independent_ensemble(self, tmp_path, capsys):
         # an independent ensemble ignores split_index: every grid point would

@@ -11,7 +11,7 @@ from sparsetrails.nn import stack_forward
 from sparsetrails.rng import Stream
 from sparsetrails.train import Optimizer, TrainConfig
 
-from conftest import max_relative_error
+from conftest import max_relative_error, standalone_layer
 from oracles import model_astype, model_finite_difference, per_head_pass
 
 
@@ -252,11 +252,11 @@ class TestIndependentEnsemble:
             for i in weighted:
                 assert model.topo_streams[f"head{m}/{i}"].get_state() == \
                     Stream(3).child("topo", m + 1, i).get_state()
-                values = model.heads[m][i].weight.values.reshape(-1)
-                want = nn.init_layer(spec.flat_layers()[i], Stream(3).child("init", m + 1, i))
-                active = model.heads[m][i].weight.mask.reshape(-1) != 0
-                assert values[active].tobytes() == \
-                    want.weight.values.reshape(-1)[active].tobytes()
+                layer = model.heads[m][i]
+                want = standalone_layer(spec.flat_layers()[i], Stream(3).child("init", m + 1, i),
+                                        mask=layer.weight.mask)
+                assert layer.weight.values.tobytes() == want.weight.values.tobytes()
+                assert layer.bias.tobytes() == want.bias.tobytes()
 
     def test_each_member_reads_its_own_batch(self):
         model = build_independent_ensemble(toy_spec(), 2, 0.5, seed=4)

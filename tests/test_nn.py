@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetrails import nn
-from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, init_layer,
-                             layer_forward, loss_forward, stack_backward,
-                             stack_forward)
+from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, layer_forward, loss_forward,
+                             stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 
-from conftest import gradcheck_stack, make_linear, max_relative_error, random_stack
+from conftest import (gradcheck_stack, make_linear, max_relative_error, random_stack,
+                      standalone_layer)
 from oracles import (axis_loss_forward, conv2d_backward, conv2d_forward,
                      finite_difference_gradient, helper_loss_backward, helper_loss_forward,
                      stack_finite_difference)
@@ -48,7 +48,7 @@ class TestLayerForward:
 
     def test_conv2d_matches_direct_cross_correlation(self, stream):
         spec = LayerSpec.conv2d(2, 3, 3, 2, padding="valid")
-        layer = init_layer(spec, stream)
+        layer = standalone_layer(spec, stream)
         x = stream.normals(2 * 2 * 5 * 6).astype(np.float32).reshape(2, 2, 5, 6)
         got = layer_forward(layer, x)
         kernel = layer.weight.values
@@ -63,12 +63,12 @@ class TestLayerForward:
 
     def test_conv2d_same_padding_preserves_spatial_dims(self, stream):
         spec = LayerSpec.conv2d(1, 2, 3, 3, padding="same")
-        layer = init_layer(spec, stream)
+        layer = standalone_layer(spec, stream)
         out = layer_forward(layer, np.zeros((1, 1, 7, 5), dtype=np.float32))
         assert out.shape == (1, 2, 7, 5)
 
     def test_conv2d_rejects_wrong_channels(self, stream):
-        layer = init_layer(LayerSpec.conv2d(2, 2, 3, 3), stream)
+        layer = standalone_layer(LayerSpec.conv2d(2, 2, 3, 3), stream)
         with pytest.raises(ValueError, match=r"\(B, 2, H, W\)"):
             layer_forward(layer, np.zeros((1, 3, 5, 5), dtype=np.float32))
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sparsetrails.nn import LayerSpec
 from sparsetrails.rng import Stream
-from sparsetrails.sparsity import (allocate, density_factor, init_mask, init_masks,
+from sparsetrails.sparsity import (SparsityPlan, allocate, density_factor, init_masks,
                                    round_half_up, sparsity_ratio)
 
 
@@ -95,37 +95,59 @@ class TestAllocate:
         assert plan.densities[1] <= plan.densities[0] + 1e-12
 
 
+def drawn_mask(shape: tuple[int, ...], budget: int, stream: Stream) -> np.ndarray:
+    """One layer's mask, drawn by `init_masks` into a zeroed array."""
+    mask = np.zeros(shape, np.uint8)
+    plan = SparsityPlan(global_sparsity=1 - budget / mask.size, mode="uniform",
+                        layer_indices=[0], layer_sizes=[mask.size],
+                        densities=[budget / mask.size], budgets=[budget])
+    init_masks(plan, [mask], [stream])
+    return mask
+
+
+def zeroed_masks(plan: SparsityPlan, specs: list[LayerSpec]) -> list[np.ndarray]:
+    return [np.zeros(specs[i].weight_shape, np.uint8) for i in plan.layer_indices]
+
+
 class TestInitMasks:
     def test_full_budget_gives_all_ones(self):
-        mask = init_mask((3, 4), 12, Stream(0))
+        mask = drawn_mask((3, 4), 12, Stream(0))
         np.testing.assert_array_equal(mask, 1)
 
     def test_zero_budget_gives_all_zeros(self):
-        mask = init_mask((3, 4), 0, Stream(0))
+        mask = drawn_mask((3, 4), 0, Stream(0))
         np.testing.assert_array_equal(mask, 0)
 
     def test_deterministic_given_seed(self):
-        a = init_mask((2, 2), 2, Stream(123).child("mask", 0, 0))
-        b = init_mask((2, 2), 2, Stream(123).child("mask", 0, 0))
+        a = drawn_mask((2, 2), 2, Stream(123).child("mask", 0, 0))
+        b = drawn_mask((2, 2), 2, Stream(123).child("mask", 0, 0))
         assert a.tobytes() == b.tobytes()
 
     def test_budget_exceeding_size_rejected(self):
         with pytest.raises(ValueError, match="budget"):
-            init_mask((2, 2), 5, Stream(0))
+            drawn_mask((2, 2), 5, Stream(0))
+
+    def test_one_stream_per_maskable_layer(self):
+        specs = [LayerSpec.linear(3, 3), LayerSpec.linear(3, 3)]
+        plan = allocate(specs, 0.5, "uniform")
+        with pytest.raises(ValueError, match="one stream per maskable layer"):
+            init_masks(plan, zeroed_masks(plan, specs), [Stream(0)])
 
     def test_per_layer_ratio_matches_density_within_rounding(self):
         specs = [LayerSpec.linear(10, 10), LayerSpec.linear(20, 20)]
         plan = allocate(specs, 0.7, "er")
         streams = [Stream(5).child("mask", i) for i in range(2)]
-        masks = init_masks(plan, specs, streams)
-        for pos, idx in enumerate(plan.layer_indices):
-            got = sparsity_ratio(masks[idx])
+        masks = zeroed_masks(plan, specs)
+        init_masks(plan, masks, streams)
+        for pos, mask in enumerate(masks):
+            got = sparsity_ratio(mask)
             want = 1.0 - plan.densities[pos]
             assert abs(got - want) <= 1.0 / plan.layer_sizes[pos] + 1e-12
 
     def test_exact_budget_realized(self):
         specs = [LayerSpec.linear(7, 9), LayerSpec.conv2d(2, 3, 3, 3)]
         plan = allocate(specs, 0.62, "erk")
-        masks = init_masks(plan, specs, [Stream(1), Stream(2)])
-        for pos, idx in enumerate(plan.layer_indices):
-            assert int(masks[idx].sum()) == plan.budgets[pos]
+        masks = zeroed_masks(plan, specs)
+        init_masks(plan, masks, [Stream(1), Stream(2)])
+        for pos, mask in enumerate(masks):
+            assert int(mask.sum()) == plan.budgets[pos]

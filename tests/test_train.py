@@ -17,7 +17,7 @@ from sparsetrails.model import (build_independent_ensemble, build_trails, mlp_sp
 from sparsetrails.nn import LayerSpec, ParamStore
 from sparsetrails.topology import TopologySchedule
 from sparsetrails.train import (Optimizer, TrainConfig, TrainingDiverged,
-                                _post_prune_forward_bound, check_labels, count_flops,
+                                _post_prune_forward_bound, check_data, count_flops,
                                 evaluate, extension_cap, fit, lr_at, validate_run)
 
 import oracles
@@ -319,7 +319,7 @@ class TestLabelCheck:
         data = gen_synthetic("two_clusters", 20, 0.1, seed=0)
         negative = Dataset(data.inputs, data.labels - 1, num_classes=2)
         with pytest.raises(ValueError, match="min=-1, max=0"):
-            check_labels(toy_model(), test=negative)
+            check_data(toy_model(), test=negative)
 
 
 class TestCountFlops:
