@@ -4,7 +4,7 @@ from .nn import LayerSpec, MaskedTensor
 from .model import (NetworkSpec, TrailsModel, build_independent_ensemble,
                     build_trails, composite_loss, forward_heads, mlp_spec,
                     small_cnn_spec, soft_vote)
-from .sparsity import SparsityPlan, allocate, init_masks, sparsity_ratio
+from .sparsity import SparsityPlan, allocate, init_masks
 from .topology import TopologySchedule, UpdateRecord, drop_fraction, \
     one_shot_global_prune, select_grow, select_prune, topology_update
 from .train import (FlopsLedger, Optimizer, TrainConfig, TrainingDiverged,
@@ -18,7 +18,7 @@ __all__ = [
     "LayerSpec", "MaskedTensor", "NetworkSpec", "TrailsModel",
     "build_trails", "build_independent_ensemble", "forward_heads",
     "composite_loss", "soft_vote", "mlp_spec", "small_cnn_spec",
-    "SparsityPlan", "allocate", "init_masks", "sparsity_ratio",
+    "SparsityPlan", "allocate", "init_masks",
     "TopologySchedule", "UpdateRecord", "drop_fraction", "select_prune",
     "select_grow", "topology_update", "one_shot_global_prune",
     "TrainConfig", "TrainingDiverged", "Optimizer", "FlopsLedger",

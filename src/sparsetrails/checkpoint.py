@@ -46,8 +46,8 @@ _OPT_KINDS = {"sgd_momentum": 0, "adam": 1}
 _OPT_NAMES = {v: k for k, v in _OPT_KINDS.items()}
 
 
-# a checkpoint goes to its file in pieces of up to this many bytes, not
-# record by record: every write is a system call, on some file systems a slow one
+# the write buffer of `write_atomic`: small records reach the file in pieces
+# of this size, not one by one, as every write is a system call
 _WRITE_SIZE = 1 << 16
 _BLOCK = 1 << 16  # store entries per pass of the zero-where-masked check in restore
 
@@ -112,7 +112,7 @@ def write_atomic(path, chunks) -> None:
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as f:
+        with open(tmp, "wb", buffering=_WRITE_SIZE) as f:
             for chunk in chunks:
                 f.write(chunk)
         os.replace(tmp, path)
@@ -156,18 +156,14 @@ def _sections(ckpt: Checkpoint):
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
-    """Write `ckpt` to path in pieces of up to _WRITE_SIZE bytes (or one
-    longer record), with a running CRC: the file is never all in memory."""
+    """Write `ckpt` to path section by section through `write_atomic`'s
+    buffer, with a running CRC: the file is never all in memory."""
     def pieces():
-        crc, batch, held = 0, [], 0
+        crc = 0
         for chunk in _sections(ckpt):
-            if batch and held + len(chunk) > _WRITE_SIZE:
-                yield b"".join(batch)
-                batch, held = [], 0
             crc = zlib.crc32(chunk, crc)
-            batch.append(chunk)
-            held += len(chunk)
-        yield b"".join(batch + [struct.pack("<I", crc)])
+            yield chunk
+        yield struct.pack("<I", crc)
 
     write_atomic(path, pieces())
     return path

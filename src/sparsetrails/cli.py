@@ -16,7 +16,8 @@ them, an empty split, samples of a shape the network cannot read, or
 labels it cannot output, in either split; `eval` checks the test split)
 writes nothing, and a sweep runs every grid point's checks before its
 first run. Exit codes: 0 success, 1 validation error, 2 training
-divergence, 3 I/O or checkpoint error.
+divergence (a non-finite loss, gradient or prediction), 3 I/O or
+checkpoint error.
 """
 
 import argparse
@@ -194,11 +195,13 @@ def run_eval(cfg: dict, checkpoint_path: str, force: bool = False,
              dump_disagreements: bool = False, quiet: bool = False) -> dict:
     _, test_set, model, tconf, _, ledger, step = _restored(cfg, checkpoint_path, force)
     check_data(model, test=test_set)
+    # fit evaluates at the training batch size; so does eval, to reproduce its
+    # numbers, and under fit's errstate: evaluate itself reports non-finite ones
+    with np.errstate(over="ignore", invalid="ignore"):
+        report, heads, ens = evaluate(model, test_set, step=step, ledger=ledger,
+                                      batch_size=tconf.batch_size)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
-    # fit evaluates at the training batch size; so does eval, to reproduce its numbers
-    report, heads, ens = evaluate(model, test_set, step=step, ledger=ledger,
-                                  batch_size=tconf.batch_size)
     payload = report.to_json()
     _write_json(out / "eval.json", payload)
     if dump_disagreements:
@@ -270,6 +273,10 @@ def read_summary_final_row(path: Path) -> dict:
 def run_sweep(base: dict, axis: str, values: list, seeds: list[int],
               out_dir: str, quiet: bool = False) -> Path:
     out_root = Path(out_dir)
+    if not values:
+        raise ConfigError("sweep.values", "no grid values given")
+    if not seeds or any(type(seed) is not int for seed in seeds):
+        raise ConfigError("sweep.seeds", f"integer seeds required, got {json.dumps(seeds)}")
     # check the whole grid, each point as its run checks itself, before
     # anything is written
     grid = [(value, seed, sweep_config(base, axis, value, seed, out_root))
@@ -387,8 +394,7 @@ def main(argv=None) -> int:
                      dump_disagreements=args.dump_disagreements, quiet=args.quiet)
         else:
             values = _parse_values(args.values)
-            seeds = ([int(s) for s in args.seeds.split(",")]
-                     if args.seeds else [cfg["seed"]])
+            seeds = _parse_values(args.seeds) if args.seeds is not None else [cfg["seed"]]
             run_sweep(cfg, args.axis, values, seeds, cfg["out_dir"],
                       quiet=args.quiet)
     except ConfigError as exc:

@@ -85,33 +85,17 @@ class LayerSpec:
 
 @dataclass
 class MaskedTensor:
-    """A weight array paired with a same-shape binary mask.
+    """A weight's two views in its `ParamStore`: `values` and a 0/1 uint8 `mask`.
 
-    `values` is +0.0 wherever `mask` is 0: the constructor enforces it and
-    the optimizer and topology updates keep it, so layers compute with
-    `values` directly, and a checkpoint that stores only the active
-    entries rebuilds the rest bit for bit (`values * mask` would leave
-    -0.0 at masked negative values).
+    `values` is +0.0 wherever `mask` is 0: the store starts both at zero,
+    and the init, the optimizer and the topology updates keep it so. Layers
+    compute with `values` directly, and a checkpoint that stores only the
+    active entries rebuilds the rest bit for bit (`values * mask` would
+    leave -0.0 at masked negative values).
     """
 
     values: np.ndarray
     mask: np.ndarray
-
-    def __post_init__(self):
-        if self.values.shape != self.mask.shape:
-            raise ValueError(
-                f"mask shape {self.mask.shape} != values shape {self.values.shape}")
-        if not np.isin(self.mask, (0, 1)).all():
-            raise ValueError("mask entries must be 0 or 1")
-        self.mask = self.mask.astype(np.uint8)
-        self.values = np.where(self.mask, self.values, 0)
-
-    @classmethod
-    def view(cls, values: np.ndarray, mask: np.ndarray) -> "MaskedTensor":
-        """Wrap valid arrays unchecked and uncopied: writes go through to them."""
-        tensor = cls.__new__(cls)
-        tensor.values, tensor.mask = values, mask
-        return tensor
 
     def active_count(self) -> int:
         return int(self.mask.sum())
@@ -185,7 +169,7 @@ class ParamStore:
             if kind == "weight":
                 mask = self.mask[offset:end].reshape(shape)
                 mask[...] = 0
-                layer.weight = MaskedTensor.view(values, mask)
+                layer.weight = MaskedTensor(values, mask)
             else:
                 layer.bias = values
             setattr(self.grads[group][li], kind, grad)
@@ -202,7 +186,7 @@ class ParamStore:
             for m, name in enumerate(names):
                 self.components[name] = [
                     Layer(layer.spec, None if layer.weight is None else
-                          MaskedTensor.view(layer.weight.values[m], layer.weight.mask[m]),
+                          MaskedTensor(layer.weight.values[m], layer.weight.mask[m]),
                           None if layer.bias is None else layer.bias[m])
                     for layer in self.layers[group]]
                 self.records += [
@@ -306,8 +290,7 @@ def _flat_features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _one_head(layer: Layer) -> Layer:
     """A plain layer as a stacked layer of one head."""
-    return Layer(layer.spec, MaskedTensor.view(layer.weight.values[None],
-                                               layer.weight.mask[None]),
+    return Layer(layer.spec, MaskedTensor(layer.weight.values[None], layer.weight.mask[None]),
                  None if layer.bias is None else layer.bias[None])
 
 

@@ -28,13 +28,6 @@ def round_half_up(x: float) -> int:
     return int(np.floor(x + 0.5))
 
 
-def sparsity_ratio(mask: np.ndarray) -> float:
-    """Fraction of positions currently inactive."""
-    if mask.size == 0:
-        raise ValueError("sparsity ratio of an empty mask is undefined")
-    return 1.0 - float(np.count_nonzero(mask)) / mask.size
-
-
 def density_factor(spec: LayerSpec, mode: str) -> float:
     """Relative density factor for one layer under er/erk allocation."""
     if spec.kind == "linear":

@@ -191,7 +191,7 @@ def topology_update(records: list[ParamRef], schedule: TopologySchedule, t: int,
 
     for ref in records:
         key = ref.name.removesuffix("/weight")
-        mt = MaskedTensor.view(ref.array, ref.mask)
+        mt = MaskedTensor(ref.array, ref.mask)
         before = mt.active_count()
         k = round_half_up(p_t * before)
         stream = streams.get(key) if streams else None

@@ -27,7 +27,7 @@ from .topology import TopologySchedule, UpdateRecord, one_shot_global_prune, \
 
 
 class TrainingDiverged(RuntimeError):
-    """A non-finite gradient or loss at `step`. The CLI sets
+    """A non-finite gradient, loss or prediction at `step`. The CLI sets
     `last_checkpoint` to the newest file the run can resume from."""
 
     def __init__(self, message: str, step: int):
@@ -267,7 +267,8 @@ class TrainHistory:
 def evaluate(model: TrailsModel, dataset: Dataset, step: int,
              ledger: FlopsLedger | None = None,
              batch_size: int = 512) -> tuple[MetricsReport, np.ndarray, np.ndarray]:
-    """Soft-voted test metrics; returns (report, per-head preds, ensemble preds)."""
+    """Soft-voted test metrics; returns (report, per-head preds, ensemble
+    preds). Non-finite ensemble probabilities raise TrainingDiverged."""
     probs_parts, head_parts = [], []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.inputs[start:start + batch_size]
@@ -276,6 +277,8 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
         probs_parts.append(ens_probs)
         head_parts.append(head_predictions(outputs))
     ens_probs = np.concatenate(probs_parts)
+    if not np.isfinite(np.add.reduce(ens_probs, axis=None)):
+        raise TrainingDiverged(f"non-finite predictions at step {step}", step=step)
     heads = np.concatenate(head_parts, axis=1)
     ens_preds = np.argmax(ens_probs, axis=1)
     labels = dataset.labels

@@ -14,13 +14,24 @@ from oracles import dense_state
 Optimizer.state = property(dense_state)
 
 
-def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-2) -> float:
+def relative_errors(a: np.ndarray, b: np.ndarray, floor: float = 1e-2) -> np.ndarray:
     """Elementwise |a - b| / max(|a|, |b|, floor); the floor turns the
     comparison into an absolute tolerance for near-zero gradients."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+
+
+def max_relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-2) -> float:
+    errors = relative_errors(a, b, floor)
+    return float(errors.max()) if errors.size else 0.0
+
+
+def masked(values: np.ndarray, mask) -> MaskedTensor:
+    """A weight as a parameter store keeps it: a uint8 mask, and values
+    that are +0.0 wherever the mask is 0."""
+    mask = np.array(mask, dtype=np.uint8)
+    return MaskedTensor(values=np.where(mask, values, 0), mask=mask)
 
 
 def make_linear(values, mask=None, bias=None) -> Layer:
@@ -28,9 +39,8 @@ def make_linear(values, mask=None, bias=None) -> Layer:
     out_dim, in_dim = values.shape
     spec = LayerSpec.linear(in_dim, out_dim, has_bias=bias is not None)
     if mask is None:
-        mask = np.ones_like(values, dtype=np.uint8)
-    layer = Layer(spec=spec, weight=MaskedTensor(values=values,
-                                                 mask=np.asarray(mask, dtype=np.uint8)))
+        mask = np.ones_like(values)
+    layer = Layer(spec=spec, weight=masked(values, mask))
     if bias is not None:
         layer.bias = np.asarray(bias, dtype=np.float32)
     return layer

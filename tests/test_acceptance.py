@@ -20,14 +20,13 @@ from sparsetrails.data import gen_synthetic, split
 from sparsetrails.metrics import ece, nll, prediction_disagreement
 from sparsetrails.model import (NetworkSpec, build_independent_ensemble,
                                 build_trails, mlp_spec)
-from sparsetrails.nn import (LayerSpec, MaskedTensor, loss_forward,
-                             stack_backward, stack_forward)
+from sparsetrails.nn import LayerSpec, loss_forward, stack_backward, stack_forward
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import allocate, round_half_up
 from sparsetrails.topology import TopologySchedule, select_grow, select_prune
 from sparsetrails.train import (Optimizer, TrainConfig, count_flops, fit)
 
-from conftest import gradcheck_stack, max_relative_error
+from conftest import gradcheck_stack, masked, max_relative_error
 from oracles import stack_finite_difference
 
 
@@ -205,7 +204,7 @@ def test_criterion_5_selection_oracles():
             mask = (stream.uniforms(n) < 0.6).astype(np.uint8)
             if mask.sum() == 0:
                 mask[stream.randbelow(n)] = 1
-            weights = MaskedTensor(values=values.copy(), mask=mask.copy())
+            weights = masked(values, mask)
 
             active = [i for i in range(n) if mask[i] == 1]
             inactive = [i for i in range(n) if mask[i] == 0]

@@ -44,6 +44,17 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def diverging_rings(tmp_path, **overrides) -> Path:
+    """The rings config at learning rate 30, which blows up at step 4 and
+    gives a non-finite loss at step 5, saving a checkpoint every step."""
+    cfg = json.loads(RINGS_CONFIG.read_text())
+    cfg["train"]["lr"] = 30
+    cfg.update(checkpoint_every=1, out_dir=str(tmp_path / "run"), **overrides)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def write_idx_pair(tmp_path, name: str, classes: int, count: int = 20, side: int = 4) -> dict:
     """`count` random 1 x side x side images labelled 0, 1, ..., classes - 1
     in turn, as an IDX pair; returns the pair's dataset config keys under
@@ -95,8 +106,8 @@ class FailingOpen:
         self.prefix = prefix
         self.calls = 0
 
-    def __call__(self, path, mode="r"):
-        f = builtins.open(path, mode)
+    def __call__(self, path, mode="r", **kwargs):
+        f = builtins.open(path, mode, **kwargs)
         if "w" not in mode or not Path(path).name.startswith(self.prefix):
             return f
         self.calls += 1
@@ -197,11 +208,7 @@ class TestTrainCommand:
             (out / "disagreements.csv").read_bytes()
 
     def test_divergence_exits_two_naming_the_newest_checkpoint(self, tmp_path, capsys):
-        cfg = json.loads(RINGS_CONFIG.read_text())
-        cfg["train"]["lr"] = 30
-        cfg.update(checkpoint_every=1, out_dir=str(tmp_path / "run"))
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg))
+        path = diverging_rings(tmp_path)
         newest = tmp_path / "run" / "checkpoint_000004.bin"
         assert main(["train", "--config", str(path), "--quiet"]) == 2
         err = capsys.readouterr().err
@@ -213,6 +220,15 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "again"), "--resume", str(newest)]) == 2
         assert f"last checkpoint retained at {newest}" in capsys.readouterr().err
         assert not list((tmp_path / "again").glob("checkpoint*"))
+
+    def test_divergence_first_seen_by_an_evaluation_exits_two(self, tmp_path, capsys):
+        path = diverging_rings(tmp_path, eval_interval=1)
+        assert main(["train", "--config", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "training diverged: non-finite predictions at step 4" in err
+        newest = tmp_path / "run" / "checkpoint_000003.bin"
+        assert f"last checkpoint retained at {newest}" in err
+        assert not (tmp_path / "run" / "checkpoint_000004.bin").exists()
 
     def test_resume_matches_uninterrupted_history(self, tmp_path):
         cfg = write_config(tmp_path, checkpoint_every=10, eval_interval=5,
@@ -355,6 +371,17 @@ class TestEvalCommand:
         payload = json.loads((tmp_path / "ev" / "eval.json").read_text())
         for key in ("accuracy", "nll", "ece", "pd", "perplexity", "flops_cumulative"):
             assert payload[key] == last[key], key
+
+    def test_a_diverged_checkpoint_exits_two_without_writing(self, tmp_path, capsys):
+        path = diverging_rings(tmp_path)
+        assert main(["train", "--config", str(path), "--quiet"]) == 2
+        capsys.readouterr()
+        out = tmp_path / "ev"
+        assert main(["eval", "--config", str(path), "--quiet", "--out", str(out),
+                     "--resume", str(tmp_path / "run" / "checkpoint_000004.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == "training diverged: non-finite predictions at step 4\n"
+        assert not out.exists()
 
     def test_test_labels_the_network_cannot_output_are_rejected_before_any_write(
             self, tmp_path, capsys):
@@ -528,6 +555,24 @@ class TestSweepCommand:
                      "--values", "1,2", "--seeds", "0,1,0", "--out", str(out)]) == 1
         assert "sweep.seeds: 0 is repeated" in capsys.readouterr().err
         assert not list(out.rglob("*.json"))
+
+    @pytest.mark.parametrize("values, seeds, named", [
+        ("", "0", "sweep.values"),
+        (",", "0", "sweep.values"),
+        ("1,2", ",", "sweep.seeds"),
+        ("1,2", "", "sweep.seeds"),
+        ("1,2", "0,x", "sweep.seeds"),
+        ("1,2", "0,1.5", "sweep.seeds"),
+        ("1,2", "true", "sweep.seeds"),
+    ])
+    def test_an_empty_grid_or_a_non_integer_seed_is_rejected_before_any_write(
+            self, tmp_path, capsys, values, seeds, named):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", str(cfg), "--quiet", "--axis", "heads",
+                     "--values", values, "--seeds", seeds, "--out", str(out)]) == 1
+        assert f"config error: {named}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis, values, named", [
         ("topology.strategyy", "set", "topology.strategyy"),

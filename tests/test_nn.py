@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetrails import nn
-from sparsetrails.nn import (Layer, LayerSpec, MaskedTensor, layer_forward, loss_forward,
-                             stack_backward, stack_forward)
+from sparsetrails.nn import (Layer, LayerSpec, layer_forward, loss_forward, stack_backward,
+                             stack_forward)
 from sparsetrails.rng import Stream
 
-from conftest import (gradcheck_stack, make_linear, max_relative_error, random_stack,
-                      standalone_layer)
+from conftest import (gradcheck_stack, make_linear, masked, max_relative_error,
+                      random_stack, relative_errors, standalone_layer)
 from oracles import (axis_loss_forward, conv2d_backward, conv2d_forward,
                      finite_difference_gradient, helper_loss_backward, helper_loss_forward,
                      stack_finite_difference)
@@ -87,8 +87,7 @@ class TestConvOracle:
         shape = (2, in_channels, kh, kw)
         mask = (rng.random(shape) < 0.7).astype(np.uint8)
         layer = Layer(spec=LayerSpec.conv2d(in_channels, 2, kh, kw, padding=padding),
-                      weight=MaskedTensor(values=rng.standard_normal(shape).astype(dtype),
-                                          mask=mask),
+                      weight=masked(rng.standard_normal(shape).astype(dtype), mask),
                       bias=rng.standard_normal(2).astype(dtype))
         x = rng.standard_normal((batch, in_channels, 5, 7)).astype(dtype)
         out, tape = stack_forward([layer], x, record=True)
@@ -102,24 +101,6 @@ class TestConvOracle:
             assert got.dtype == dtype and got.shape == want.shape
             # entries that cancel to near zero are held to rtol of the array's scale
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
-
-
-class TestMaskedTensor:
-    def test_mask_zero_forces_value_zero(self):
-        mt = MaskedTensor(values=np.array([[1.0, 2.0]], dtype=np.float32),
-                          mask=np.array([[1, 0]], dtype=np.uint8))
-        assert mt.values[0, 1] == 0.0
-        assert mt.active_count() == 1
-
-    def test_rejects_non_binary_mask(self):
-        with pytest.raises(ValueError, match="0 or 1"):
-            MaskedTensor(values=np.zeros((2,), dtype=np.float32),
-                         mask=np.array([2, 0], dtype=np.uint8))
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            MaskedTensor(values=np.zeros((2, 2), dtype=np.float32),
-                         mask=np.zeros((2,), dtype=np.uint8))
 
 
 class TestLossForward:
@@ -254,8 +235,8 @@ class TestBackward:
         rng = np.random.default_rng(5)
         shape = (512, 512)
         layer = Layer(spec=LayerSpec.linear(512, 512),
-                      weight=MaskedTensor(values=rng.standard_normal(shape, np.float32),
-                                          mask=(rng.random(shape) < 0.1).astype(np.uint8)),
+                      weight=masked(rng.standard_normal(shape, np.float32),
+                                    rng.random(shape) < 0.1),
                       bias=np.zeros(512, np.float32))
         x = rng.standard_normal((32, 512), np.float32)
         d_out = rng.standard_normal((32, 512), np.float32)
@@ -319,11 +300,17 @@ class TestFiniteDifferences:
             _, probs = loss_forward(out, targets)
             analytic, _ = stack_backward(layers, tape, nn.loss_backward(probs, targets))
             fd = stack_finite_difference(layers, x, targets, eps=1e-5)
-            for got, want in zip(analytic, fd):
-                if got.weight is not None:
-                    assert max_relative_error(got.weight, want.weight) < 1e-3
-                if got.bias is not None:
-                    assert max_relative_error(got.bias, want.bias) < 1e-3
+            for li, (got, want) in enumerate(zip(analytic, fd)):
+                for part in ("weight", "bias"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    if a is None:
+                        continue
+                    errors = relative_errors(a, b).reshape(-1)
+                    worst = int(errors.argmax())
+                    assert errors[worst] < 1e-3, (
+                        f"trial {trial}, layer {li} {part}: worst flat index {worst}, "
+                        f"analytic {float(a.flat[worst])}, "
+                        f"finite difference {float(b.flat[worst])}")
 
 
 class TestDeterminism:

@@ -6,24 +6,7 @@ from hypothesis import strategies as st
 from sparsetrails.nn import LayerSpec
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import (SparsityPlan, allocate, density_factor, init_masks,
-                                   round_half_up, sparsity_ratio)
-
-
-class TestSparsityRatio:
-    def test_counts(self):
-        mask = np.zeros(12, dtype=np.uint8)
-        mask[:3] = 1
-        assert sparsity_ratio(mask) == pytest.approx(0.75)
-
-    def test_all_active(self):
-        assert sparsity_ratio(np.ones((3, 4), dtype=np.uint8)) == 0.0
-
-    def test_none_active(self):
-        assert sparsity_ratio(np.zeros(5, dtype=np.uint8)) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            sparsity_ratio(np.zeros(0, dtype=np.uint8))
+                                   round_half_up)
 
 
 class TestAllocate:
@@ -140,7 +123,7 @@ class TestInitMasks:
         masks = zeroed_masks(plan, specs)
         init_masks(plan, masks, streams)
         for pos, mask in enumerate(masks):
-            got = sparsity_ratio(mask)
+            got = 1.0 - np.count_nonzero(mask) / mask.size
             want = 1.0 - plan.densities[pos]
             assert abs(got - want) <= 1.0 / plan.layer_sizes[pos] + 1e-12
 

@@ -4,20 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sparsetrails.nn import MaskedTensor, ParamRef
+from sparsetrails.nn import ParamRef
 from sparsetrails.rng import Stream
 from sparsetrails.topology import (TopologySchedule, _top_k, drop_fraction,
                                    one_shot_global_prune, select_grow,
                                    select_prune, topology_update)
 
 import oracles
+from conftest import masked
 
 
 def mt(values, mask=None):
     values = np.asarray(values, dtype=np.float32)
-    if mask is None:
-        mask = np.ones_like(values, dtype=np.uint8)
-    return MaskedTensor(values=values, mask=np.asarray(mask, dtype=np.uint8))
+    return masked(values, np.ones_like(values) if mask is None else mask)
 
 
 def record(weights, name="head0/0/weight", grad=None):
@@ -292,7 +291,7 @@ class TestOneShotGlobalPrune:
             shape = data.draw(st.sampled_from([(3,), (2, 5), (1, 2, 2, 3), (17,)]))
             values = data.draw(arrays(np.float32, shape, elements=self.VALUES))
             mask = data.draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
-            layers.append(record(MaskedTensor(values=values, mask=mask), f"l{i}"))
+            layers.append(record(masked(values, mask), f"l{i}"))
         want_layers = [ParamRef(ref.name, ref.array.copy(), ref.mask.copy())
                        for ref in layers]
         got = one_shot_global_prune(layers, sparsity)
