@@ -46,45 +46,52 @@ def accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError(
             f"need equal nonempty prediction/label arrays, got "
             f"{predictions.shape} vs {labels.shape}")
-    return float(np.mean(predictions == labels))
+    return float(np.add.reduce(predictions == labels, axis=None) / predictions.size)
 
 
 def nll(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log-probability of the true class, in nats."""
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    row_sums = probs.sum(axis=1)
-    if not np.all(np.abs(row_sums - 1.0) <= 1e-6):
+    if not np.logical_and.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0) <= 1e-6,
+                                 axis=None):
         raise ValueError("probability rows must sum to 1 within 1e-6")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise ValueError(f"label out of range [0, {probs.shape[1]})")
+    classes = probs.shape[1]
+    if (np.minimum.reduce(labels, axis=None) < 0
+            or np.maximum.reduce(labels, axis=None) >= classes):
+        raise ValueError(f"label out of range [0, {classes})")
     picked = probs[np.arange(len(labels)), labels]
-    return float(np.mean(-np.log(np.maximum(picked, 1e-12))))
+    return float(np.add.reduce(-np.log(np.maximum(picked, 1e-12))) / len(labels))
 
 
 def ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
     """Expected calibration error over equal-width right-closed confidence bins.
 
     Confidence c lands in bin ceil(c * bins); c = 0 maps to bin 1; empty
-    bins contribute nothing.
+    bins contribute nothing. Each bin's mean confidence is `add.reduce` over
+    its samples in sample order, as a boolean mask would gather them: a
+    stable sort by bin makes every bin one contiguous run. Its accuracy is
+    a count of hits, which any summation order gives exactly.
     """
     if bins < 1:
         raise ValueError(f"need at least one bin, got {bins}")
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels)
-    conf = probs.max(axis=1)
-    pred = probs.argmax(axis=1)
-    correct = (pred == labels).astype(np.float64)
-    idx = np.clip(np.ceil(conf * bins).astype(np.int64), 1, bins)
+    conf = np.maximum.reduce(probs, axis=1)
+    correct = probs.argmax(axis=1) == labels
+    idx = np.minimum(np.maximum(np.ceil(conf * bins).astype(np.int64), 1), bins)
+    counts = np.bincount(idx, minlength=bins + 1).tolist()
+    hits = np.bincount(idx[correct], minlength=bins + 1).tolist()
+    conf = conf[idx.argsort(kind="stable")]
     n = len(labels)
-    total = 0.0
-    for b in range(1, bins + 1):
-        members = idx == b
-        count = int(members.sum())
+    total, start = 0.0, 0
+    for count, hit in zip(counts, hits):
         if count == 0:
             continue
-        gap = abs(correct[members].mean() - conf[members].mean())
+        stop = start + count
+        gap = abs(hit / count - float(np.add.reduce(conf[start:stop])) / count)
         total += (count / n) * gap
+        start = stop
     return total
 
 
@@ -100,9 +107,10 @@ def prediction_disagreement(head_predictions: np.ndarray) -> float:
     m = head_predictions.shape[0]
     if m < 2:
         raise ValueError(f"prediction disagreement needs at least 2 heads, got {m}")
-    rates = [np.mean(head_predictions[i] != head_predictions[j])
-             for i, j in combinations(range(m), 2)]
-    return float(np.mean(rates))
+    first, second = np.array(list(combinations(range(m), 2))).T
+    flat = head_predictions.reshape(m, -1)
+    rates = np.add.reduce(flat[first] != flat[second], axis=1) / flat.shape[1]
+    return float(np.add.reduce(rates) / rates.size)
 
 
 def disagreement_breakdown(head_predictions: np.ndarray, ensemble_predictions: np.ndarray,

@@ -313,16 +313,19 @@ def model_backward(model: TrailsModel, outputs: HeadOutputs,
 
 
 def soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np.ndarray]:
-    """Ensemble probabilities and predicted classes (argmax, lowest index wins)."""
+    """Ensemble probabilities and predicted classes (argmax, lowest index wins).
+    The mean over heads is numpy's own: a sum over the head axis, then one
+    division by M."""
+    logits = outputs.logits
     if vote == "probs":
-        ens = nn.softmax(outputs.logits).mean(axis=0)
+        ens = np.add.reduce(nn.softmax(logits), axis=0) / len(logits)
     elif vote == "logits":
-        ens = nn.softmax(outputs.logits.mean(axis=0))
+        ens = nn.softmax(np.add.reduce(logits, axis=0) / len(logits))
     else:
         raise ValueError(f"vote must be 'probs' or 'logits', got {vote!r}")
-    return ens, np.argmax(ens, axis=1)
+    return ens, ens.argmax(axis=1)
 
 
 def head_predictions(outputs: HeadOutputs) -> np.ndarray:
     """Per-head argmax classes, shape (M, batch)."""
-    return np.argmax(outputs.logits, axis=-1)
+    return outputs.logits.argmax(axis=-1)

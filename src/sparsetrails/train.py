@@ -269,18 +269,19 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
              batch_size: int = 512) -> tuple[MetricsReport, np.ndarray, np.ndarray]:
     """Soft-voted test metrics; returns (report, per-head preds, ensemble
     preds). Non-finite ensemble probabilities raise TrainingDiverged."""
-    probs_parts, head_parts = [], []
+    probs_parts, pred_parts, head_parts = [], [], []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.inputs[start:start + batch_size]
         outputs = forward_heads(model, chunk)
-        ens_probs, _ = soft_vote(outputs, model.vote)
+        ens_probs, ens_preds = soft_vote(outputs, model.vote)
         probs_parts.append(ens_probs)
+        pred_parts.append(ens_preds)
         head_parts.append(head_predictions(outputs))
     ens_probs = np.concatenate(probs_parts)
     if not np.isfinite(np.add.reduce(ens_probs, axis=None)):
         raise TrainingDiverged(f"non-finite predictions at step {step}", step=step)
     heads = np.concatenate(head_parts, axis=1)
-    ens_preds = np.argmax(ens_probs, axis=1)
+    ens_preds = np.concatenate(pred_parts)
     labels = dataset.labels
     mean_nll = nll(ens_probs, labels)
     report = MetricsReport(

@@ -25,6 +25,10 @@
   the loss and its gradient by numpy's helpers (`broadcast_to`,
   `take_along_axis`, `mean`, a scaled copy), whose bits the lean
   `nn.loss_forward` and `nn.loss_backward` must keep.
+- The evaluation metrics and the soft vote through numpy's helpers
+  (`np.mean`, `ndarray.max`/`min`/`sum`, `np.all`, `np.clip`, `np.argmax`)
+  and ECE by one boolean mask per bin, whose bits the lean `metrics` and
+  `model.soft_vote` must keep.
 - The FLOPs ledger by a walk over every layer's activation shape, the
   backbone once and then every head on its output, with each layer's own
   active count: the numbers `train.count_flops` and the one-shot prune's
@@ -34,6 +38,7 @@
 import copy
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from sparsetrails.data import Dataset, batches
 from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
                                composite_loss, forward_heads)
 from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, _over_classes, loss_backward,
-                             loss_forward, stack_backward, stack_forward)
+                             loss_forward, softmax, stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import round_half_up
 from sparsetrails.train import Optimizer, TrainConfig, TrainingDiverged, lr_at
@@ -458,6 +463,79 @@ def helper_loss_backward(probs: np.ndarray, targets: np.ndarray,
     """`nn.loss_backward` with the scaling as a product into a new array."""
     d = probs - (np.asarray(targets)[..., None] == np.arange(probs.shape[-1]))
     return d * np.asarray(scale / probs.shape[-2], dtype=probs.dtype)
+
+
+# ---------------------------------------------------------------------------
+# evaluation metrics through numpy's helpers
+# ---------------------------------------------------------------------------
+
+
+def helper_accuracy(predictions: np.ndarray, labels: np.ndarray) -> float:
+    predictions = np.asarray(predictions)
+    labels = np.asarray(labels)
+    if predictions.shape != labels.shape or predictions.size == 0:
+        raise ValueError(
+            f"need equal nonempty prediction/label arrays, got "
+            f"{predictions.shape} vs {labels.shape}")
+    return float(np.mean(predictions == labels))
+
+
+def helper_nll(probs: np.ndarray, labels: np.ndarray) -> float:
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    row_sums = probs.sum(axis=1)
+    if not np.all(np.abs(row_sums - 1.0) <= 1e-6):
+        raise ValueError("probability rows must sum to 1 within 1e-6")
+    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+        raise ValueError(f"label out of range [0, {probs.shape[1]})")
+    picked = probs[np.arange(len(labels)), labels]
+    return float(np.mean(-np.log(np.maximum(picked, 1e-12))))
+
+
+def helper_ece(probs: np.ndarray, labels: np.ndarray, bins: int = 15) -> float:
+    """ECE with one boolean mask, and one `mean` of each gathered side, per bin."""
+    if bins < 1:
+        raise ValueError(f"need at least one bin, got {bins}")
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    conf = probs.max(axis=1)
+    pred = probs.argmax(axis=1)
+    correct = (pred == labels).astype(np.float64)
+    idx = np.clip(np.ceil(conf * bins).astype(np.int64), 1, bins)
+    n = len(labels)
+    total = 0.0
+    for b in range(1, bins + 1):
+        members = idx == b
+        count = int(members.sum())
+        if count == 0:
+            continue
+        gap = abs(correct[members].mean() - conf[members].mean())
+        total += (count / n) * gap
+    return total
+
+
+def helper_prediction_disagreement(head_predictions: np.ndarray) -> float:
+    head_predictions = np.asarray(head_predictions)
+    m = head_predictions.shape[0]
+    if m < 2:
+        raise ValueError(f"prediction disagreement needs at least 2 heads, got {m}")
+    rates = [np.mean(head_predictions[i] != head_predictions[j])
+             for i, j in combinations(range(m), 2)]
+    return float(np.mean(rates))
+
+
+def helper_soft_vote(outputs: HeadOutputs, vote: str = "probs") -> tuple[np.ndarray, np.ndarray]:
+    if vote == "probs":
+        ens = softmax(outputs.logits).mean(axis=0)
+    elif vote == "logits":
+        ens = softmax(outputs.logits.mean(axis=0))
+    else:
+        raise ValueError(f"vote must be 'probs' or 'logits', got {vote!r}")
+    return ens, np.argmax(ens, axis=1)
+
+
+def helper_head_predictions(outputs: HeadOutputs) -> np.ndarray:
+    return np.argmax(outputs.logits, axis=-1)
 
 
 # ---------------------------------------------------------------------------

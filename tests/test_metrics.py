@@ -8,7 +8,11 @@ from hypothesis import strategies as st
 
 from sparsetrails.metrics import (accuracy, disagreement_breakdown, ece, nll,
                                   perplexity, prediction_disagreement)
+from sparsetrails.model import HeadOutputs, head_predictions, soft_vote
 from sparsetrails.rng import Stream
+
+from oracles import (helper_accuracy, helper_ece, helper_head_predictions, helper_nll,
+                     helper_prediction_disagreement, helper_soft_vote)
 
 
 class TestAccuracy:
@@ -178,3 +182,66 @@ class TestBruteForceRecomputation:
         assert [r.sample for r in records] == conflicted
         # conflicted fraction dominates pairwise PD
         assert len(records) / n >= prediction_disagreement(head_preds) - 1e-12
+
+
+class TestLeanMatchesHelperOracles:
+    """The lean metrics and vote against the `np.mean`-based oracles, by `==`.
+
+    Sample counts run from 1 past 256, so sums cross numpy's 8-element
+    unrolled blocks and its 128-element pairwise blocks, in every metric and
+    inside single ECE bins. The logit scale sweeps from all-uniform (every
+    confidence in one bin) to nearly one-hot; 40 bins leave most bins
+    empty, and one bin holds every sample.
+    """
+
+    @given(st.sampled_from([np.float32, np.float64]),
+           st.integers(1, 40) | st.sampled_from([127, 128, 129, 255, 256, 257, 600]),
+           st.integers(2, 12), st.integers(2, 5), st.sampled_from(["probs", "logits"]),
+           st.sampled_from([0.0, 1e-3, 0.3, 1.0, 4.0, 1e3]), st.sampled_from([1, 2, 15, 40]),
+           st.sampled_from([np.int64, np.int32, np.uint8, np.uint64]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, dtype, n, classes, heads, vote, scale, bins, label_dtype, seed):
+        rng = np.random.default_rng(seed)
+        logits = (rng.standard_normal((heads, n, classes)) * scale).astype(dtype)
+        outputs = HeadOutputs(logits=logits)
+        ens, preds = soft_vote(outputs, vote)
+        want_ens, want_preds = helper_soft_vote(outputs, vote)
+        assert ens.dtype == want_ens.dtype and ens.tobytes() == want_ens.tobytes()
+        assert preds.dtype == want_preds.dtype and preds.tobytes() == want_preds.tobytes()
+        head_preds = head_predictions(outputs)
+        want_heads = helper_head_predictions(outputs)
+        assert head_preds.tobytes() == want_heads.tobytes()
+
+        # labels agree with the vote about as often as `scale` makes it confident
+        labels = np.where(rng.random(n) < 0.7, preds,
+                          rng.integers(0, classes, n)).astype(label_dtype)
+        got = {"accuracy": accuracy(preds, labels), "nll": nll(ens, labels),
+               "ece": ece(ens, labels, bins), "pd": prediction_disagreement(head_preds)}
+        want = {"accuracy": helper_accuracy(preds, labels), "nll": helper_nll(ens, labels),
+                "ece": helper_ece(ens, labels, bins),
+                "pd": helper_prediction_disagreement(head_preds)}
+        assert got == want
+        assert all(type(value) is float for value in got.values())
+
+    LEAN = {"accuracy": accuracy, "nll": nll, "ece": ece,
+            "prediction_disagreement": prediction_disagreement, "soft_vote": soft_vote}
+    HELPERS = {"accuracy": helper_accuracy, "nll": helper_nll, "ece": helper_ece,
+               "prediction_disagreement": helper_prediction_disagreement,
+               "soft_vote": helper_soft_vote}
+
+    @pytest.mark.parametrize("name, args", [
+        ("accuracy", (np.array([]), np.array([]))),
+        ("accuracy", (np.array([1, 2]), np.array([1]))),
+        ("nll", (np.array([[0.5, 0.5]]), np.array([2]))),
+        ("nll", (np.array([[0.5, 0.5]]), np.array([-1]))),
+        ("nll", (np.array([[0.6, 0.6]]), np.array([0]))),
+        ("ece", (np.array([[1.0, 0.0]]), np.array([0]), 0)),
+        ("prediction_disagreement", (np.array([[1, 2]]),)),
+        ("soft_vote", (HeadOutputs(logits=np.zeros((2, 1, 2))), "median")),
+    ])
+    def test_the_same_errors(self, name, args):
+        with pytest.raises(ValueError) as want:
+            self.HELPERS[name](*args)
+        with pytest.raises(ValueError) as got:
+            self.LEAN[name](*args)
+        assert str(got.value) == str(want.value)
