@@ -238,6 +238,17 @@ def init_layer(layer: Layer, stream: Stream) -> None:
 # forward
 # ---------------------------------------------------------------------------
 
+# Bytes of im2col columns the conv forward builds at a time. One block of
+# images' columns and GEMM output then stay in a core's L2 cache; a whole
+# test set's do not, and cost about half again as much per image.
+COLUMN_BUDGET = 1 << 20
+# Each forward GEMM runs on a multiple of this many columns, zero-padded, so
+# no output falls to the BLAS kernel's remainder path, which can sum a dot
+# product in another order than its main path (OpenBLAS's small-matrix
+# kernels do). How the images are blocked then changes no output bit.
+GEMM_COLUMN_UNIT = 64
+
+
 def _conv_padding(spec: LayerSpec) -> tuple[int, int, int, int]:
     if spec.padding == "valid":
         return 0, 0, 0, 0
@@ -255,7 +266,8 @@ def conv_output_hw(spec: LayerSpec, h: int, w: int) -> tuple[int, int]:
     return oh, ow
 
 
-def _conv_columns(spec: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _conv_columns(spec: LayerSpec, x: np.ndarray,
+                  unit: int = 1) -> tuple[np.ndarray, tuple[int, ...]]:
     """Columns `(C*kh*kw, N)` of x over a channel-major zero-padded grid.
 
     x is laid out as `(C, B, Hp, Wp)` and flattened to `(C, B*Hp*Wp)`, so
@@ -263,6 +275,7 @@ def _conv_columns(spec: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, tuple[int
     `flat[:, q + i*Wp + j]` and each offset's row block is one contiguous
     slice. Positions q whose window wraps past a row or image edge are
     junk; outputs keep only the `[:oh, :ow]` corner of each image's grid.
+    N is rounded up to a multiple of `unit` with zero columns.
     Returns the columns and `(Hp, Wp, oh, ow, N)`.
     """
     b, c, h, w = x.shape
@@ -274,11 +287,13 @@ def _conv_columns(spec: LayerSpec, x: np.ndarray) -> tuple[np.ndarray, tuple[int
     grid[:, :, top:top + h, left:left + w] = x.transpose(1, 0, 2, 3)
     flat = grid.reshape(c, -1)
     n = flat.shape[1] - (kh - 1) * wp - (kw - 1)
-    cols = np.empty((c, kh, kw, n), dtype=x.dtype)
+    width = -(-n // unit) * unit
+    cols = np.empty((c, kh, kw, width), dtype=x.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, i, j] = flat[:, i * wp + j:i * wp + j + n]
-    return cols.reshape(c * kh * kw, n), (hp, wp, oh, ow, n)
+            cols[:, i, j, :n] = flat[:, i * wp + j:i * wp + j + n]
+    cols[..., n:] = 0
+    return cols.reshape(c * kh * kw, width), (hp, wp, oh, ow, width)
 
 
 def _flat_features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -295,25 +310,38 @@ def _one_head(layer: Layer) -> Layer:
 
 
 def _conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """Stacked conv2d on x (M or 1, B, C, H, W). Columns are built once per
-    input and shared by the heads that read it; each head's GEMM runs on its
-    own, as one GEMM over the concatenated heads can round differently."""
+    """Stacked conv2d on x (M or 1, B, C, H, W), one block of images at a
+    time: a block holds as many images as `COLUMN_BUDGET` bytes of columns
+    fit, so its columns and GEMM output stay in cache. Columns are built
+    once per block and input and shared by the heads that read that input;
+    each head's GEMM runs on its own, as one GEMM over the concatenated
+    heads can round differently."""
     spec, w, bias = layer.spec, layer.weight.values, layer.bias
     heads, o = w.shape[:2]
-    b = x.shape[1]
-    oh, ow = conv_output_hw(spec, *x.shape[-2:])
+    b, _, h, wd = x.shape[1:]
+    oh, ow = conv_output_hw(spec, h, wd)
+    top, bottom, left, right = _conv_padding(spec)
+    hp, wp = h + top + bottom, wd + left + right
+    fit = COLUMN_BUDGET // (w[0, 0].size * x.itemsize) // GEMM_COLUMN_UNIT * GEMM_COLUMN_UNIT
+    block = max(1, min(b, fit // (hp * wp)))  # padded columns of `block` images fit too
+    kernels = w.reshape(heads, o, -1)
+    if o == 1:  # numpy runs a one-row product as gemv, whose sum order can change with its width
+        kernels = np.concatenate([kernels, np.zeros_like(kernels)], axis=1)
     out = np.empty((heads, b, o, oh, ow), dtype=x.dtype)
-    for m in range(heads):
-        if m < len(x):
-            cols = None  # frees the previous input's columns before the next build
-            cols, (hp, wp, _, _, n) = _conv_columns(spec, x[m])
-            y = np.empty((o, b * hp * wp), dtype=x.dtype)
-        np.matmul(w[m].reshape(o, -1), cols, out=y[:, :n])
-        grid = y.reshape(o, b, hp, wp)[:, :, :oh, :ow].transpose(1, 0, 2, 3)
-        if bias is None:
-            out[m] = grid
-        else:
-            np.add(grid, bias[m, :, None, None], out=out[m])
+    y = np.empty((kernels.shape[1], block * hp * wp + GEMM_COLUMN_UNIT), dtype=x.dtype)
+    for s in range(0, b, block):
+        e = min(s + block, b)
+        for m in range(heads):
+            if m < len(x):
+                cols = None  # frees the previous input's columns before the next build
+                cols, (_, _, _, _, n) = _conv_columns(spec, x[m, s:e], GEMM_COLUMN_UNIT)
+            np.matmul(kernels[m], cols, out=y[:, :n])
+            grid = y[:o, :(e - s) * hp * wp].reshape(o, e - s, hp, wp)[:, :, :oh, :ow] \
+                .transpose(1, 0, 2, 3)
+            if bias is None:
+                out[m, s:e] = grid
+            else:
+                np.add(grid, bias[m, :, None, None], out=out[m, s:e])
     return out
 
 

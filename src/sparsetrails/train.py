@@ -268,7 +268,14 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
              ledger: FlopsLedger | None = None,
              batch_size: int = 512) -> tuple[MetricsReport, np.ndarray, np.ndarray]:
     """Soft-voted test metrics; returns (report, per-head preds, ensemble
-    preds). Non-finite ensemble probabilities raise TrainingDiverged."""
+    preds). Non-finite ensemble probabilities raise TrainingDiverged.
+
+    The batch size can change the logits only through the linear layers'
+    BLAS GEMM, whose sum over a row may take another order at another row
+    count (the conv forward is blocked so its bits stay put): a cnn-idx-set
+    NLL read 1.12325920076 at batch 400 against 1.12325920545 in chunks of
+    32. So `fit` and `sparsetrails eval` both evaluate at the training
+    batch size, which keeps their numbers equal."""
     probs_parts, pred_parts, head_parts = [], [], []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.inputs[start:start + batch_size]
@@ -283,12 +290,13 @@ def evaluate(model: TrailsModel, dataset: Dataset, step: int,
     heads = np.concatenate(head_parts, axis=1)
     ens_preds = np.concatenate(pred_parts)
     labels = dataset.labels
-    mean_nll = nll(ens_probs, labels)
+    probs64 = ens_probs.astype(np.float64)  # nll and ece read it without a copy
+    mean_nll = nll(probs64, labels)
     report = MetricsReport(
         step=step,
         accuracy=accuracy(ens_preds, labels),
         nll=mean_nll,
-        ece=ece(ens_probs, labels),
+        ece=ece(probs64, labels),
         perplexity=perplexity(mean_nll),
         pd=prediction_disagreement(heads) if model.num_heads >= 2 else None,
         flops_cumulative=ledger.cumulative_train if ledger else 0,

@@ -103,6 +103,61 @@ class TestConvOracle:
             np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
+class TestConvBlocking:
+    """The conv forward builds columns for one block of images at a time,
+    under `nn.COLUMN_BUDGET` bytes; the block size changes no output bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("has_bias", [True, False])
+    @pytest.mark.parametrize("padding", ["valid", "same"])
+    @pytest.mark.parametrize("heads,inputs", [(None, None), (3, 1), (3, 3)],
+                             ids=["plain", "shared-input", "per-head-input"])
+    # one output channel makes a one-row product, which numpy would run as
+    # gemv; 131 images make one default block of ~19k columns, past the
+    # width where float32 OpenBLAS gemv changes its sum order
+    @pytest.mark.parametrize("c,o,kh,kw,batch", [(3, 5, 3, 2, 11), (1, 1, 3, 3, 131)],
+                             ids=["five-outputs", "one-output"])
+    def test_blocks_change_no_bit(self, monkeypatch, c, o, kh, kw, batch, heads, inputs,
+                                  padding, has_bias, dtype):
+        h = w = 12
+        rng = np.random.default_rng([c, o, batch, padding == "same", has_bias, heads or 0,
+                                     inputs or 0, np.dtype(dtype).itemsize])
+        spec = LayerSpec.conv2d(c, o, kh, kw, padding=padding, has_bias=has_bias)
+        lead = () if heads is None else (heads,)
+        shape = lead + spec.weight_shape
+        mask = (rng.random(shape) < 0.7).astype(np.uint8)
+        layer = Layer(spec, masked(rng.standard_normal(shape).astype(dtype), mask),
+                      rng.standard_normal(lead + (o,)).astype(dtype) if has_bias else None)
+        x = rng.standard_normal(((inputs,) if inputs else ()) + (batch, c, h, w)).astype(dtype)
+        want = layer_forward(layer, x).tobytes()
+
+        top, bottom, left, right = nn._conv_padding(spec)
+        image = c * kh * kw * (h + top + bottom) * (w + left + right) * x.itemsize
+        built = []  # (images, bytes) of each columns array the forward builds
+        build = nn._conv_columns
+
+        def recorded(spec, x, *args):
+            cols, shape = build(spec, x, *args)
+            built.append((len(x), cols.nbytes))
+            return cols, shape
+
+        monkeypatch.setattr(nn, "_conv_columns", recorded)
+        for budget in (batch * image * 2, 3 * image, image // 2):
+            monkeypatch.setattr(nn, "COLUMN_BUDGET", budget)
+            built.clear()
+            assert layer_forward(layer, x).tobytes() == want
+            images = [n for n, _ in built]
+            assert sum(images) == batch * (inputs or 1)
+            if budget > batch * image:  # one block of every image
+                assert images == [batch] * (inputs or 1)
+            elif budget > image:  # several blocks of a few images, the last one short
+                assert 1 < max(images) and min(images) < max(images)
+            else:  # each image its own block
+                assert images == [1] * len(images)
+            for n, nbytes in built:
+                assert nbytes <= budget or n == 1, (n, nbytes, budget)
+
+
 class TestLossForward:
     def test_symmetric_logits_give_ln2(self):
         loss, probs = loss_forward(np.zeros((1, 2), dtype=np.float32), np.array([0]))
