@@ -5,6 +5,10 @@
   at every weight position, masked ones included.
 - Direct-loop conv2d forward and backward, one output position at a time
   over an explicitly zero-padded float64 input.
+- A stacked conv2d forward with one GEMM per head, and its backward with
+  dx from one whole-batch (C*kh*kw, N) column-gradient product per head
+  folded back by col2im: the bytes the stacked GEMM of heads that share
+  an input and the tap-by-tap dx must keep.
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
   `random`, `open_unit` or `randbelow` call per value, exactly as the
   bulk helpers must reproduce them; and the partial Fisher-Yates shuffle
@@ -45,8 +49,10 @@ import numpy as np
 from sparsetrails.data import Dataset, batches
 from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
                                composite_loss, forward_heads)
-from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, _over_classes, loss_backward,
-                             loss_forward, softmax, stack_backward, stack_forward)
+from sparsetrails import nn
+from sparsetrails.nn import (Layer, LayerGrads, MaskedTensor, _conv_padding, _over_classes,
+                             conv_output_hw, loss_backward, loss_forward, softmax,
+                             stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 from sparsetrails.sparsity import round_half_up
 from sparsetrails.train import Optimizer, TrainConfig, TrainingDiverged, lr_at
@@ -197,6 +203,81 @@ def conv2d_backward(x: np.ndarray, weight: np.ndarray, d_out: np.ndarray,
     db = np.asarray(d_out, dtype=np.float64).sum(axis=(0, 2, 3))
     h, w = x.shape[2:]
     return dw, db, dxp[:, :, top:top + h, left:left + w]
+
+
+# ---------------------------------------------------------------------------
+# stacked conv2d, one head at a time and by whole-kernel columns
+# ---------------------------------------------------------------------------
+
+
+def per_head_conv_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """A stacked conv2d forward on x (M or 1, B, C, H, W) with one GEMM per
+    head over each block's shared columns, a zero second kernel row at one
+    output channel: the bytes `nn._conv_forward`'s one GEMM over the stacked
+    kernels of heads that share an input must keep."""
+    spec, w, bias = layer.spec, layer.weight.values, layer.bias
+    heads, o = w.shape[:2]
+    b, _, h, wd = x.shape[1:]
+    oh, ow = conv_output_hw(spec, h, wd)
+    top, bottom, left, right = _conv_padding(spec)
+    hp, wp = h + top + bottom, wd + left + right
+    unit = nn.GEMM_COLUMN_UNIT
+    fit = nn.COLUMN_BUDGET // (w[0, 0].size * x.itemsize) // unit * unit
+    block = max(1, min(b, fit // (hp * wp)))
+    kernels = w.reshape(heads, o, -1)
+    if o == 1:
+        kernels = np.concatenate([kernels, np.zeros_like(kernels)], axis=1)
+    out = np.empty((heads, b, o, oh, ow), dtype=x.dtype)
+    y = np.empty((kernels.shape[1], block * hp * wp + unit), dtype=x.dtype)
+    for s in range(0, b, block):
+        e = min(s + block, b)
+        for m in range(heads):
+            if m < len(x):
+                cols, (_, _, _, _, n) = nn._conv_columns(spec, x[m, s:e], unit)
+            np.matmul(kernels[m], cols, out=y[:, :n])
+            grid = y[:o, :(e - s) * hp * wp].reshape(o, e - s, hp, wp)[:, :, :oh, :ow] \
+                .transpose(1, 0, 2, 3)
+            out[m, s:e] = grid if bias is None else grid + bias[m, :, None, None]
+    return out
+
+
+def col2im_conv_backward(layer: Layer, x: np.ndarray,
+                         d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(dW, db, dx) of a stacked conv2d on x (M or 1, B, C, H, W), dx by one
+    whole-batch product per head of the transposed kernel and the output
+    gradient, a (C*kh*kw, N) array of column gradients that col2im folds
+    back by one shifted add per kernel offset; heads that share an input
+    sum their dx in head order. The float32 bytes `nn._conv_backward`,
+    which builds dx one kernel offset at a time, must keep."""
+    spec, w = layer.spec, layer.weight.values
+    heads, o, c, kh, kw = w.shape
+    b, _, h, wd = x.shape[1:]
+    top, _, left, _ = _conv_padding(spec)
+    dw = np.empty(w.shape, d_out.dtype)
+    db = None if layer.bias is None else np.empty(layer.bias.shape, d_out.dtype)
+    dx = np.empty((heads, b, c, h, wd), dtype=d_out.dtype)
+    for m in range(heads):
+        if m < len(x):
+            cols, (hp, wp, oh, ow, n) = nn._conv_columns(spec, x[m])
+        d_grid = np.zeros((o, b, hp, wp), dtype=d_out.dtype)
+        d_grid[:, :, :oh, :ow] = d_out[m].transpose(1, 0, 2, 3)
+        d2 = d_grid.reshape(o, -1)[:, :n]
+        dw[m] = (cols @ d2.T).T.reshape(w.shape[1:])
+        if db is not None:
+            db[m] = np.add.reduce(d_out[m].reshape(b, o, -1), axis=(0, 2))
+        dcols = (w[m].reshape(o, -1).T @ d2).reshape(c, kh * kw, n)
+        d_flat = np.zeros((c, b * hp * wp), dtype=d_out.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                d_flat[:, i * wp + j:i * wp + j + n] += dcols[:, i * kw + j]
+        dx[m] = d_flat.reshape(c, b, hp, wp)[:, :, top:top + h, left:left + wd] \
+            .transpose(1, 0, 2, 3)
+    if len(x) == 1:
+        total = dx[0]
+        for part in dx[1:]:
+            total = total + part
+        dx = total[None]
+    return dw, db, dx
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,12 @@ package from its tree's `src/`. The matrix:
   independent ensemble, SET with soft-magnitude pruning, and the same
   network given as explicit layers, one of its head linears bias-free,
   under uniform allocation and a vote on mean logits;
+- one IDX run of a conv network given as explicit layers: the heads'
+  first conv reads the shared backbone output and is valid-padded with a
+  3x2 kernel, a one-output-channel conv follows, and a conv on its one
+  channel after that, so the one-row guards of the conv forward and of
+  its input gradient run (cnn-idx-set's convs are all 3x3 "same" with
+  eight outputs, and its one-channel stem computes no input gradient);
 - cnn-idx-set at seed 0 and the Adam independent ensemble again, each
   resumed in place from its first checkpoint (rings' is mid-epoch, so every
   member's epoch order is drawn again at the resumed step).
@@ -63,6 +69,16 @@ RINGS_LAYERS = {
     "blocks": [[{"kind": "linear", "in": 16, "out": 16, "bias": block != 4}, {"kind": "relu"}]
                for block in range(6)],
     "classifier": [{"kind": "linear", "in": 16, "out": 2}]}
+# a conv network on the 1x14x14 IDX images, its heads from the first block on
+IDX_CONV_LAYERS = {
+    "kind": "layers", "input_shape": [1, 14, 14],
+    "stem": [{"kind": "conv2d", "in_channels": 1, "out_channels": 4, "kernel_h": 3,
+              "kernel_w": 3, "padding": "same"}, {"kind": "relu"}],
+    "blocks": [[{"kind": "conv2d", "in_channels": in_c, "out_channels": out_c, "kernel_h": kh,
+                 "kernel_w": kw, "padding": padding}, {"kind": "relu"}]
+               for in_c, out_c, kh, kw, padding in [(4, 6, 3, 2, "valid"), (6, 1, 3, 3, "same"),
+                                                    (1, 3, 2, 3, "valid")]],
+    "classifier": [{"kind": "linear", "in": 3 * 11 * 11, "out": 10}]}
 # runs `sparsetrails` from the tree whose src/ is the first argument
 LAUNCH = ("import sys; sys.path.insert(0, sys.argv[1]); import sparsetrails.cli as cli; "
           "sys.exit(cli.main(sys.argv[2:]) if cli.__file__.startswith(sys.argv[1]) "
@@ -91,6 +107,8 @@ def matrix(data_dir: Path, steps: int | None) -> dict[str, dict]:
         for key, value in changes.items():
             cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
         runs[name] = cfg
+    runs["idx-conv-layers"] = {**json.loads(json.dumps(runs["cnn-idx-set-s0"])),
+                               "network": IDX_CONV_LAYERS, "split_index": 0}
     runs.update({name: runs[source] for name, source in RESUMED.items()})
     for cfg in runs.values():
         if steps is not None:

@@ -12,11 +12,11 @@ from sparsetrails.nn import (Layer, LayerSpec, layer_forward, loss_forward, stac
                              stack_forward)
 from sparsetrails.rng import Stream
 
-from conftest import (gradcheck_stack, make_linear, masked, max_relative_error,
+from conftest import (BLAS_THREADS, gradcheck_stack, make_linear, masked, max_relative_error,
                       random_stack, relative_errors, standalone_layer)
-from oracles import (axis_loss_forward, conv2d_backward, conv2d_forward,
+from oracles import (axis_loss_forward, col2im_conv_backward, conv2d_backward, conv2d_forward,
                      finite_difference_gradient, helper_loss_backward, helper_loss_forward,
-                     stack_finite_difference)
+                     per_head_conv_forward, stack_finite_difference)
 
 
 class TestLayerForward:
@@ -156,6 +156,88 @@ class TestConvBlocking:
                 assert images == [1] * len(images)
             for n, nbytes in built:
                 assert nbytes <= budget or n == 1, (n, nbytes, budget)
+
+
+def stacked_conv_cases() -> list[tuple]:
+    """(c, o, kh, kw, h, w, batch, heads, inputs, padding, has_bias) of a
+    stacked conv layer: TestConvBlocking's shapes, edge shapes, then a
+    seeded random sweep."""
+    cases = [(c, o, kh, kw, 12, 12, batch, heads, inputs, padding, has_bias)
+             for c, o, kh, kw, batch in [(3, 5, 3, 2, 11), (1, 1, 3, 3, 131)]
+             for heads, inputs in [(1, 1), (3, 1), (3, 3)]
+             for padding in ("valid", "same") for has_bias in (True, False)]
+    cases += [
+        (8, 8, 3, 3, 14, 14, 32, 3, 1, "same", True),   # cnn-idx-set: blocks of 14, 14, 4
+        (1, 4, 3, 3, 9, 10, 20, 3, 1, "same", True),    # one input channel: one-row taps
+        (1, 6, 2, 3, 9, 10, 7, 2, 2, "valid", False),
+        (4, 1, 2, 3, 9, 10, 40, 3, 3, "valid", True),   # one output channel, per-head inputs
+        (1, 1, 1, 1, 6, 7, 5, 1, 1, "same", True),      # a 1x1 kernel on one channel
+        (1, 3, 1, 1, 8, 8, 9, 3, 1, "valid", False),
+        (4, 16, 5, 5, 14, 14, 9, 2, 1, "same", True),   # blocks of 7 and 2 images
+    ]
+    rng = np.random.default_rng(2024)
+    for _ in range(24):
+        c = 1 if rng.random() < 0.25 else int(rng.integers(2, 17))
+        o = 1 if rng.random() < 0.25 else int(rng.integers(2, 17))
+        kh, kw = (int(k) for k in rng.integers(1, 6, 2))
+        heads = int(rng.integers(1, 5))
+        cases.append((c, o, kh, kw, int(rng.integers(max(kh, 3), 16)),
+                      int(rng.integers(max(kw, 3), 16)), int(rng.integers(1, 80)), heads,
+                      heads if rng.random() < 0.5 else 1,
+                      "same" if rng.random() < 0.5 else "valid", bool(rng.random() < 0.8)))
+    return cases
+
+
+class TestStackedConv:
+    """Heads that read one input run one forward GEMM over their stacked
+    kernels, and dx is built one kernel offset at a time. In float32 both
+    keep every byte of one GEMM per head (`oracles.per_head_conv_forward`,
+    and each head run alone) and of dx by whole-kernel column gradients
+    folded back by col2im (`oracles.col2im_conv_backward`); dW and db are
+    each head's own. In float64, which only the finite-difference oracle
+    runs, dx may differ in its last bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", stacked_conv_cases(),
+                             ids=lambda case: "-".join(map(str, case)))
+    def test_keeps_the_bytes_of_one_gemm_per_head_and_of_col2im(self, case, threads, dtype):
+        _, put = BLAS_THREADS
+        if put:
+            put(threads)
+        elif threads > 1:
+            pytest.skip("numpy's bundled OpenBLAS is not loaded")
+        c, o, kh, kw, h, w, batch, heads, inputs, padding, has_bias = case
+        rng = np.random.default_rng([c, o, kh, kw, h, w, batch, heads, inputs,
+                                     padding == "same", has_bias])
+        spec = LayerSpec.conv2d(c, o, kh, kw, padding=padding, has_bias=has_bias)
+        shape = (heads,) + spec.weight_shape
+        weight = masked(rng.standard_normal(shape).astype(dtype), rng.random(shape) < 0.7)
+        layer = Layer(spec, weight,
+                      rng.standard_normal((heads, o)).astype(dtype) if has_bias else None)
+        x = rng.standard_normal((inputs, batch, c, h, w)).astype(dtype)
+        out = layer_forward(layer, x)
+        d_out = rng.standard_normal(out.shape).astype(dtype)
+        grads, dx = nn._layer_backward(layer, x, d_out, None)
+
+        assert out.tobytes() == per_head_conv_forward(layer, x).tobytes()
+        want_dw, want_db, want_dx = col2im_conv_backward(layer, x, d_out)
+        assert grads.weight.tobytes() == want_dw.tobytes()
+        assert not has_bias or grads.bias.tobytes() == want_db.tobytes()
+        assert dx.shape == want_dx.shape == x.shape
+        if dtype == np.float32:
+            assert dx.tobytes() == want_dx.tobytes()
+        else:  # far inside the finite-difference oracle's 1e-3
+            np.testing.assert_allclose(dx, want_dx, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_dx).max())
+        for m in range(heads):  # each head alone, a plain layer on its own input
+            alone = Layer(spec, nn.MaskedTensor(weight.values[m], weight.mask[m]),
+                          layer.bias[m] if has_bias else None)
+            xm = x[m if inputs > 1 else 0]
+            assert layer_forward(alone, xm).tobytes() == out[m].tobytes()
+            head_grads, _ = nn._layer_backward(alone, xm, d_out[m], None, input_grad=False)
+            assert head_grads.weight.tobytes() == grads.weight[m].tobytes()
+            assert not has_bias or head_grads.bias.tobytes() == grads.bias[m].tobytes()
 
 
 class TestLossForward:

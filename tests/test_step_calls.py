@@ -9,17 +9,19 @@ and three heads of 16-wide linear layers, SGD with momentum) under
 calls instead of timing them, so a wrapper that creeps back into the
 forward pass, the loss, the backward pass or the optimizer fails on any host.
 An evaluation of the same model (soft vote, head predictions and every
-metric) is held to the same rule.
+metric) is held to the same rule, and so are a cnn-shaped step (a conv
+backbone and three conv heads, Adam) and its evaluation.
 """
 
 import cProfile
 import pstats
 
 import numpy as np
+import pytest
 
 from sparsetrails.data import Dataset
 from sparsetrails.model import (build_trails, composite_loss, forward_heads, mlp_spec,
-                                model_backward)
+                                model_backward, small_cnn_spec)
 from sparsetrails.train import Optimizer, TrainConfig, evaluate
 
 HELPER_MODULES = ("numpy/_core/_methods.py", "numpy/_core/fromnumeric.py",
@@ -29,6 +31,12 @@ HELPER_MODULES = ("numpy/_core/_methods.py", "numpy/_core/fromnumeric.py",
 def rings_model():
     """A shared backbone and three heads of 16-wide linear layers."""
     return build_trails(mlp_spec(2, 16, 6, 2), 3, 3, 0.5, seed=0)
+
+
+def cnn_model():
+    """cnn-idx-set's network: a conv stem and block in the backbone, two conv
+    blocks and the linear classifier in each of three heads."""
+    return build_trails(small_cnn_spec((1, 14, 14), 8, 3, 10), 1, 3, 0.8, "erk", seed=0)
 
 
 def functions_run(fn) -> list[tuple[str, str]]:
@@ -45,13 +53,18 @@ def helpers(ran: list[tuple[str, str]]) -> list[str]:
             if path.replace("\\", "/").endswith(HELPER_MODULES)]
 
 
-def test_a_training_step_calls_no_numpy_helper():
-    model = rings_model()
-    optimizer = Optimizer(TrainConfig(total_steps=2, weight_decay=5e-4),
-                          model.named_parameters())
+def steps():
+    """(model, optimizer config, a batch's inputs and labels) of each shape."""
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((128, 2), np.float32)
-    y = rng.integers(0, 2, 128)
+    yield (rings_model(), TrainConfig(total_steps=2, weight_decay=5e-4),
+           rng.standard_normal((128, 2), np.float32), rng.integers(0, 2, 128))
+    yield (cnn_model(), TrainConfig(total_steps=2, optimizer="adam", lr=0.01, weight_decay=0.0),
+           rng.standard_normal((32, 1, 14, 14), np.float32), rng.integers(0, 10, 32))
+
+
+@pytest.mark.parametrize("model,config,x,y", steps(), ids=["rings", "cnn"])
+def test_a_training_step_calls_no_numpy_helper(model, config, x, y):
+    optimizer = Optimizer(config, model.named_parameters())
 
     def step():
         outputs = forward_heads(model, x, record=True)
@@ -64,10 +77,13 @@ def test_a_training_step_calls_no_numpy_helper():
     assert helpers(ran) == []
 
 
-def test_an_evaluation_calls_no_numpy_helper():
-    model = rings_model()
+@pytest.mark.parametrize("model,shape,classes", [(rings_model(), (2,), 2),
+                                                  (cnn_model(), (1, 14, 14), 10)],
+                         ids=["rings", "cnn"])
+def test_an_evaluation_calls_no_numpy_helper(model, shape, classes):
     rng = np.random.default_rng(0)
-    test_set = Dataset(rng.standard_normal((400, 2), np.float32), rng.integers(0, 2, 400), 2)
+    test_set = Dataset(rng.standard_normal((400, *shape), np.float32),
+                       rng.integers(0, classes, 400), classes)
     ran = functions_run(lambda: evaluate(model, test_set, 0, batch_size=400))
     names = {name for _, name in ran}
     assert {"soft_vote", "head_predictions", "accuracy", "nll", "ece",
