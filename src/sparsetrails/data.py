@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream
+from .rng import Stream, permutations
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -176,14 +176,15 @@ def normalize(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
     return standardized(train), standardized(test)
 
 
-def batches(dataset: Dataset, batch_size: int, seed: int, epoch: int,
-            drop_last: bool = False) -> list[np.ndarray]:
-    """Index slices for one epoch; permutation derived from (seed, epoch)."""
+def batches(dataset: Dataset, batch_size: int, seed: int, epochs: range,
+            drop_last: bool = False) -> list[list[np.ndarray]]:
+    """Index slices for each epoch in `epochs`, one list per epoch: epoch e's
+    permutation is derived from (seed, e), and all of them are drawn in one
+    `rng.permutations` call."""
     n = len(dataset)
     if drop_last and batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n} with drop_last")
-    perm = Stream(seed).child("epoch", epoch).permutation(n)
-    out = [perm[i:i + batch_size] for i in range(0, n, batch_size)]
-    if drop_last and out and len(out[-1]) < batch_size:
-        out.pop()
-    return out
+    shuffles = Stream(seed).child("epoch")   # its child(e) is Stream(seed).child("epoch", e)
+    orders = permutations([shuffles.child(epoch) for epoch in epochs], n)
+    end = n - n % batch_size if drop_last else n
+    return [[order[i:i + batch_size] for i in range(0, end, batch_size)] for order in orders]

@@ -106,14 +106,14 @@ class Stream:
     # `open_unit`, `randbelow`); the draws are only computed in bulk.
 
     def uniforms(self, n: int) -> np.ndarray:
-        draws = _bulk_u64(self, n)
+        draws, = _bulk_u64([self], n)
         draws >>= 11
         out = draws.astype(np.float64)
         out *= _DOUBLE_SCALE
         return out
 
     def gumbels(self, n: int) -> np.ndarray:
-        opens = ((_bulk_u64(self, n) >> 11).astype(np.float64) + 0.5) * _DOUBLE_SCALE
+        opens = ((_bulk_u64([self], n)[0] >> 11).astype(np.float64) + 0.5) * _DOUBLE_SCALE
         # math.log, not np.log: the two may differ in the last bit, and a
         # Gumbel-top-k ranking is sensitive to that
         return np.array([-math.log(-math.log(x)) for x in opens.tolist()],
@@ -135,22 +135,14 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        # step i swaps position n-1-i with j = randbelow(n-i). Read position
-        # p as n-1-p, and that is a partial shuffle of n-1 steps with targets
-        # n-1-j >= i, whose pool entry q stands for the value n-1-q; the
-        # last position keeps the one entry never picked
-        draws = _bulk_below(self, np.arange(n, 1, -1, dtype=np.uint64))
-        picks = _shuffled_prefix((n - 1) - draws.astype(np.int64))
-        mirrored = np.empty(n, dtype=np.int64)
-        mirrored[:n - 1] = picks
-        mirrored[n - 1:] = n * (n - 1) // 2 - picks.sum()
-        return (n - 1) - mirrored[::-1]
+        return permutations([self], n)[0]
 
     def choice_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from range(n), via partial Fisher-Yates."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from range({n})")
-        swaps = _bulk_below(self, np.arange(n, n - k, -1, dtype=np.uint64)).astype(np.int64)
+        draws, = _bulk_below([self], np.arange(n, n - k, -1, dtype=np.uint64))
+        swaps = draws.astype(np.int64)
         swaps += np.arange(k)
         return _shuffled_prefix(swaps)
 
@@ -174,28 +166,35 @@ class Stream:
 # column vector v (bit i of word w at row 64*w + i), one step is v -> A v
 # for a fixed 256x256 bit matrix A. So the state k steps ahead is A^k v, and
 # n draws can be split into lanes of B consecutive steps whose start states
-# A^(l*B) v come from a few matrix products; all lanes then step together as
-# uint64 arrays. Blackman & Vigna, "Scrambled Linear Pseudorandom Number
-# Generators" (arXiv:1805.01407); Haramoto et al., "Efficient Jump Ahead
-# for F2-Linear Random Number Generators" (INFORMS J. Computing, 2008).
+# A^(l*B) v come from a few matrix products. S streams that each draw n
+# values share those products, one column per (lane, stream), and all their
+# lanes then step together as uint64 arrays; one stream is the case S = 1.
+# Blackman & Vigna, "Scrambled Linear Pseudorandom Number Generators"
+# (arXiv:1805.01407); Haramoto et al., "Efficient Jump Ahead for F2-Linear
+# Random Number Generators" (INFORMS J. Computing, 2008).
 
 _LANE_CUTOFF = 512   # below this many draws, lane set-up costs more than it saves
+# lane columns that one group of streams steps at most: a column's start bits
+# take 1 KB as a float32 jump operand, so a group's set-up stays a few hundred
+# KB for any S
+_GROUP_COLUMNS = 256
 _powers: list[np.ndarray] = []   # _powers[k] = A^(2^k) as 0/1 uint8, filled lazily
 
 
 def _state_bits(words) -> np.ndarray:
-    """(4, L) uint64 state words -> (256, L) 0/1 float32 columns."""
+    """(4, L) uint64 state words -> (256, L) 0/1 uint8 columns."""
     raw = np.ascontiguousarray(np.asarray(words, dtype="<u8").T).view(np.uint8)
     bits = np.unpackbits(raw.reshape(-1, 4, 8), axis=2, bitorder="little")
-    return bits.reshape(-1, 256).T.astype(np.float32)
+    return bits.reshape(-1, 256).T
 
 
 def _bits_state(bits: np.ndarray) -> np.ndarray:
     """(256, L) 0/1 columns -> (4, L) uint64 state words."""
     lanes = bits.shape[1]
-    packed = np.packbits(bits.T.astype(np.uint8).reshape(lanes, 4, 64), axis=2,
-                         bitorder="little")
-    words = np.ascontiguousarray(packed).view("<u8").reshape(lanes, 4)
+    # one contiguous (L, 256) transpose first, or packbits walks strided rows
+    packed = np.packbits(np.ascontiguousarray(bits.T, dtype=np.uint8).reshape(lanes, 4, 64),
+                         axis=2, bitorder="little")
+    words = packed.view("<u8").reshape(lanes, 4)
     return np.ascontiguousarray(words.T, dtype=np.uint64)
 
 
@@ -210,7 +209,7 @@ def _jump(k: int) -> np.ndarray:
             probe.set_state(words)
             probe.next_u64()
             columns.append(probe.get_state())
-        _powers.append(_state_bits(np.array(columns, dtype=np.uint64).T).astype(np.uint8))
+        _powers.append(np.ascontiguousarray(_state_bits(np.array(columns, dtype=np.uint64).T)))
     while len(_powers) <= k:
         # entries of a 0/1 product are at most 256, exact in float32
         a = _powers[-1].astype(np.float32)
@@ -218,35 +217,53 @@ def _jump(k: int) -> np.ndarray:
     return _powers[k].astype(np.float32)
 
 
-def _bulk_u64(stream: Stream, n: int) -> np.ndarray:
-    """The next n outputs of `stream.next_u64()` as uint64, advancing it n steps."""
+def _lane_shape(n: int) -> tuple[int, int]:
+    """(B, lanes) for n draws: lanes of B ~ sqrt(n) steps, B a power of two,
+    up to and including the lane that the n-th draw leaves the stream in."""
+    steps = 1 << (n.bit_length() // 2)
+    return steps, n // steps + 1
+
+
+def _group_size(n: int) -> int:
+    """How many streams of n draws each one group steps: as many as fit in
+    `_GROUP_COLUMNS` lane columns, and at least one."""
+    return max(1, _GROUP_COLUMNS // _lane_shape(n)[1])
+
+
+def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
+    """The next n outputs of each stream's `next_u64()`, as the rows of an
+    (S, n) uint64 array, advancing every stream n steps."""
+    count = len(streams)
     if n < _LANE_CUTOFF:
-        return np.array([stream.next_u64() for _ in range(n)], dtype=np.uint64)
-    b = n.bit_length() // 2
-    steps = 1 << b                        # B ~ sqrt(n) steps per lane
-    # after the n-th draw the stream is in lane `last`'s state after
-    # `remainder` of its steps; that lane is stepped too, even when no
-    # draw of it is kept
+        return np.array([[stream.next_u64() for _ in range(n)] for stream in streams],
+                        dtype=np.uint64).reshape(count, n)
+    steps, lanes = _lane_shape(n)
+    # after the n-th draw a stream is in lane `last`'s state after
+    # `remainder` of its steps; that lane is stepped too, even when no draw
+    # of it is kept
     last, remainder = divmod(n, steps)
-    lanes = last + 1
-    starts = np.empty((256, lanes), dtype=np.float32)   # [V, A^B V, A^(2B) V, ...]
-    starts[:, :1] = _state_bits(np.array([stream.get_state()], dtype=np.uint64).T)
-    filled, j = 1, b
+    # column lane * count + s starts stream s's lane: [V, A^B V, A^(2B) V, ...]
+    starts = np.empty((256, lanes, count), dtype=np.uint8)
+    starts[:, 0] = _state_bits(np.array([stream.get_state() for stream in streams],
+                                        dtype=np.uint64).T)
+    filled, j = 1, steps.bit_length() - 1
     while filled < lanes:                 # lanes [filled, 2 filled) are A^(B 2^j) ahead
         ahead = min(filled, lanes - filled)
         # entries of a 0/1 product are at most 256
-        product = (_jump(j) @ starts[:, :ahead]).astype(np.int16)
-        starts[:, filled:filled + ahead] = product & 1
+        product = (_jump(j) @ starts[:, :ahead].reshape(256, -1).astype(np.float32)
+                   ).astype(np.int16)
+        starts[:, filled:filled + ahead] = (product & 1).reshape(256, ahead, count)
         filled += ahead
         j += 1
-    state = _bits_state(starts)
+    state = _bits_state(starts.reshape(256, -1))
     s0, s1, s2, s3 = state                # rows of `state`, stepped in place
-    seen = np.empty((steps, lanes), dtype=np.uint64)   # s1 before each step
-    t = np.empty(lanes, dtype=np.uint64)
+    columns = lanes * count
+    seen = np.empty((steps, columns), dtype=np.uint64)   # s1 before each step
+    t = np.empty(columns, dtype=np.uint64)
     xor, or_, shl, shr = np.bitwise_xor, np.bitwise_or, np.left_shift, np.right_shift
     for i in range(steps):
         if i == remainder:
-            final = tuple(int(w) for w in state[:, last])
+            final = state[:, last * count:].T.tolist()
         seen[i] = s1
         shl(s1, 17, out=t)
         xor(s2, s0, out=s2)
@@ -257,18 +274,20 @@ def _bulk_u64(stream: Stream, n: int) -> np.ndarray:
         shr(s3, 19, out=t)                # s3 = rotl(s3, 45)
         shl(s3, 45, out=s3)
         or_(s3, t, out=s3)
-    stream.set_state(final)
+    for stream, words in zip(streams, final):
+        stream.set_state(words)
     # output = rotl(s1 * 5, 7) * 9, scrambled in place; the output block
-    # serves as scratch until the transposed copy overwrites it
-    out = np.empty((lanes, steps), dtype=np.uint64)
-    high = out.reshape(steps, lanes)
+    # serves as scratch until the transposed copy overwrites it with each
+    # stream's lanes one after another
+    out = np.empty((count, lanes * steps), dtype=np.uint64)
+    high = out.reshape(steps, columns)
     seen *= 5
     np.right_shift(seen, 57, out=high)
     seen <<= 7
     seen |= high
     seen *= 9
-    out[...] = seen.T
-    return out.reshape(-1)[:n]
+    out.reshape(count, lanes, steps)[...] = seen.reshape(steps, lanes, count).T
+    return out[:, :n]
 
 
 def _shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
@@ -284,22 +303,29 @@ def _shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
     """
     k = swaps.size
     n = int(swaps.max()) + 1 if k else 0
-    if n * k > 1 << 63:
+    shift = k.bit_length()
+    if n > (1 << 63) >> shift:
         raise ValueError(f"sort keys of {k} swaps over range({n}) overflow int64")
     # the steps ordered by (target, step), as one int64 key each
-    target, step = np.divmod(np.sort(swaps * k + np.arange(k)), max(k, 1))
-    again = target[1:] == target[:-1]
+    keys = swaps << shift
+    keys |= np.arange(k)
+    keys.sort()
+    target = keys >> shift
+    keys &= (1 << shift) - 1
+    step = keys
+    again = np.zeros(k, dtype=bool)            # entries i and i + 1 share a target
+    np.equal(target[1:], target[:-1], out=again[:-1])
+    shared = np.flatnonzero(again)
     before = np.full(k, -1, dtype=np.int64)    # the last earlier step with the same target
-    before[step[1:][again]] = step[:-1][again]
+    before[step[shared + 1]] = step[shared]
     # link w -> the last step that targeted position w, which comes before
     # step w; if it is step w itself, no later step reads position w. A
     # position no step targeted is a root and links to itself. (Only group
     # ends are written: numpy keeps no promised value for a repeated index.)
-    group_end = np.ones(k, dtype=bool)
-    group_end[:-1] = ~again
-    group_end &= target < k
+    ends = np.flatnonzero(~again)
+    ends = ends[target[ends] < k]
     link = np.arange(k, dtype=np.int64)
-    link[target[group_end]] = step[group_end]
+    link[target[ends]] = step[ends]
     while True:                                # link -> the root of each chain
         jumped = link[link]
         if np.array_equal(jumped, link):
@@ -308,23 +334,58 @@ def _shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
     return np.where(before >= 0, link[before], swaps)
 
 
-def _bulk_below(stream: Stream, bounds: np.ndarray) -> np.ndarray:
-    """`stream.randbelow(m)` for each m in bounds (uint64, all >= 1), in order.
+def _bulk_below(streams: list[Stream], bounds: np.ndarray) -> np.ndarray:
+    """`stream.randbelow(m)` for each m in bounds (uint64, all >= 1), in
+    order, for each stream: the rows of an (S, bounds.size) uint64 array.
 
     A draw u is rejected when u >= 2^64 - (2^64 mod m), and the next draw is
-    tried for the same bound, so the stream moves exactly as under the
-    scalar calls.
+    tried for the same bound, so every stream moves exactly as under the
+    scalar calls. The streams draw one value per bound together; a stream
+    that rejected one goes on alone from its first rejection.
     """
-    out = np.empty(bounds.size, dtype=np.uint64)
     ceiling = ~((0 - bounds) % bounds)    # largest accepted draw per bound
-    done = 0
-    while done < bounds.size:
-        draws = _bulk_u64(stream, bounds.size - done)   # at least one per bound left
-        while draws.size:
-            end = done + draws.size
-            rejected = np.flatnonzero(draws > ceiling[done:end])
-            take = int(rejected[0]) if rejected.size else draws.size
-            out[done:done + take] = draws[:take] % bounds[done:done + take]
+    draws = _bulk_u64(streams, bounds.size)
+    rejecting = np.flatnonzero((draws > ceiling).any(axis=1))
+    kept = [draws[row].copy() for row in rejecting]
+    draws %= bounds
+    for row, left in zip(rejecting.tolist(), kept):
+        done = 0
+        while True:
+            rejected = np.flatnonzero(left > ceiling[done:done + left.size])
+            take = int(rejected[0]) if rejected.size else left.size
+            draws[row, done:done + take] = left[:take] % bounds[done:done + take]
             done += take
-            draws = draws[take + 1:]
+            if done == bounds.size:
+                break
+            left = left[take + 1:]
+            if not left.size:             # at least one draw per bound left
+                left = _bulk_u64([streams[row]], bounds.size - done)[0]
+    return draws
+
+
+def permutations(streams: list[Stream], n: int) -> np.ndarray:
+    """`stream.permutation(n)` for each stream, as the rows of an (S, n)
+    int64 array. The streams draw in groups of at most `_GROUP_COLUMNS`
+    lane columns, and each group's shuffles are resolved in one call."""
+    out = np.empty((len(streams), n), dtype=np.int64)
+    if n < 2:                             # no draws: range(n) itself
+        out[...] = np.arange(n)
+        return out
+    # step i swaps position n-1-i with j = randbelow(n-i). Read position p
+    # as n-1-p, and that is a shuffle whose step i targets n-1-j >= i, pool
+    # entry q standing for the value n-1-q, with a last step n-1 on itself.
+    # Stream s of a group shuffles the block [s*n, s*n + n) of one pool, so
+    # one resolve serves the group: with its block's end e = s*n + n-1, its
+    # step i targets e - j, and its pick q at position p is the value e - q
+    # at position n-1-p
+    bounds = np.arange(n, 1, -1, dtype=np.uint64)
+    size = _group_size(n - 1)
+    for first in range(0, len(streams), size):
+        group = streams[first:first + size]
+        targets = np.zeros((len(group), n), dtype=np.int64)
+        targets[:, :-1] = _bulk_below(group, bounds)
+        ends = np.arange(n - 1, len(group) * n, n, dtype=np.int64)[:, None]
+        np.subtract(ends, targets, out=targets)
+        picks = _shuffled_prefix(targets.reshape(-1)).reshape(len(group), n)
+        np.subtract(ends, picks[:, ::-1], out=out[first:first + len(group)])
     return out

@@ -26,6 +26,11 @@ from .topology import TopologySchedule, UpdateRecord, one_shot_global_prune, \
     drop_fraction, topology_update
 
 
+# order entries that `fit` holds ahead, over all members (64 KB): it draws a
+# group of epochs at a time, each member's orders for the group in one call
+_ORDERS_AHEAD = 1 << 13
+
+
 class TrainingDiverged(RuntimeError):
     """A non-finite gradient, loss or prediction at `step`. The CLI sets
     `last_checkpoint` to the newest file the run can resume from."""
@@ -420,6 +425,8 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
     # one shuffle seed per independent member, else one for the whole model
     seeds = [Stream(config.seed).child("data", m).seed
              for m in range(model.num_heads if model.independent else 1)]
+    ahead = max(1, _ORDERS_AHEAD // (len(seeds) * len(train_set)))
+    end_epoch = -(-config.total_steps // steps_per_epoch)   # past the last epoch touched
     prune_step = round_half_up(schedule.prune_at_fraction * config.total_steps) \
         if schedule.strategy == "prune_oneshot" else None
     evaluated_updates = evaluated_events = 0  # history entries on_eval has seen
@@ -439,11 +446,12 @@ def fit(model: TrailsModel, train_set: Dataset, test_set: Dataset,
         update = schedule.is_update_step(t, config.total_steps)
 
         epoch, idx = divmod(t - 1, steps_per_epoch)
-        if idx == 0 or t == start_step + 1:  # every member's order for this epoch
-            orders = [batches(train_set, config.batch_size, seed, epoch, config.drop_last)
+        if t == start_step + 1 or epoch == group.stop:  # the next epochs' orders
+            group = range(epoch, min(epoch + ahead, end_epoch))
+            orders = [batches(train_set, config.batch_size, seed, group, config.drop_last)
                       for seed in seeds]
-        drawn = [(train_set.inputs[order[idx]], train_set.labels[order[idx]])
-                 for order in orders]
+        picked = [order[epoch - group.start][idx] for order in orders]
+        drawn = [(train_set.inputs[sel], train_set.labels[sel]) for sel in picked]
         # an independent ensemble passes its members' inputs and labels as lists
         x, y = map(list, zip(*drawn)) if model.independent else drawn[0]
         outputs = forward_heads(model, x, record=True)

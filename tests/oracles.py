@@ -11,9 +11,11 @@
   an input and the tap-by-tap dx must keep.
 - The scalar xoshiro256** loops behind `Stream`'s bulk helpers: one
   `random`, `open_unit` or `randbelow` call per value, exactly as the
-  bulk helpers must reproduce them; and the partial Fisher-Yates shuffle
-  walked one swap at a time over a dict of moved positions, which
-  `rng._shuffled_prefix` must reproduce from the swap targets alone.
+  bulk helpers must reproduce them; one epoch's batches from its own
+  scalar permutation, which `data.batches` must reproduce for every epoch
+  it draws at once; and the partial Fisher-Yates shuffle walked one swap
+  at a time over a dict of moved positions, which `rng._shuffled_prefix`
+  must reproduce from the swap targets alone.
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries; and the compact
@@ -46,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from sparsetrails.data import Dataset, batches
+from sparsetrails.data import Dataset
 from sparsetrails.model import (HeadOutputs, ParamRef, TrailsModel, activation_shape,
                                composite_loss, forward_heads)
 from sparsetrails import nn
@@ -305,6 +307,20 @@ def permutation(stream: Stream, n: int) -> np.ndarray:
     return perm
 
 
+def epoch_batches(dataset: Dataset, batch_size: int, seed: int, epoch: int,
+                  drop_last: bool = False) -> list[np.ndarray]:
+    """One epoch's index slices from its own scalar permutation, derived
+    from (seed, epoch): what `data.batches` gives for each epoch of a range."""
+    n = len(dataset)
+    if drop_last and batch_size > n:
+        raise ValueError(f"batch size {batch_size} exceeds dataset size {n} with drop_last")
+    perm = permutation(Stream(seed).child("epoch", epoch), n)
+    out = [perm[i:i + batch_size] for i in range(0, n, batch_size)]
+    if drop_last and out and len(out[-1]) < batch_size:
+        out.pop()
+    return out
+
+
 def choice_without_replacement(stream: Stream, n: int, k: int) -> np.ndarray:
     """k distinct integers from range(n), via partial Fisher-Yates."""
     if not 0 <= k <= n:
@@ -455,8 +471,8 @@ def train_member_alone(layers: list[Layer], member: int, train_set: Dataset,
     optimizer = DenseOptimizer(config, params)
     step, epoch = 0, 0
     while step < config.total_steps:
-        for sel in batches(train_set, config.batch_size, seed, epoch,
-                           config.drop_last)[:config.total_steps - step]:
+        for sel in epoch_batches(train_set, config.batch_size, seed, epoch,
+                                 config.drop_last)[:config.total_steps - step]:
             step += 1
             x, y = train_set.inputs[sel], train_set.labels[sel]
             logits, tape = stack_forward(layers, x, record=True)

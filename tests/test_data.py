@@ -3,8 +3,10 @@ import struct
 import numpy as np
 import pytest
 
-from sparsetrails.data import (batches, gen_synthetic, load_idx, normalize, split,
+from sparsetrails.data import (Dataset, batches, gen_synthetic, load_idx, normalize, split,
                                write_idx)
+
+import oracles
 
 
 def write_pair(tmp_path, images: bytes, labels: bytes):
@@ -127,24 +129,39 @@ class TestSplitAndNormalize:
 class TestBatches:
     def test_partition_covers_all_indices_once(self):
         ds = gen_synthetic("two_clusters", 4, 0.1, seed=0)
-        got = batches(ds, batch_size=2, seed=1, epoch=0)
+        got, = batches(ds, batch_size=2, seed=1, epochs=range(1))
         assert len(got) == 2
         assert sorted(np.concatenate(got).tolist()) == [0, 1, 2, 3]
 
     def test_drop_last(self):
         ds = gen_synthetic("two_clusters", 5, 0.1, seed=0)
-        got = batches(ds, 2, 1, 0, drop_last=True)
+        got, = batches(ds, 2, 1, range(1), drop_last=True)
         assert len(got) == 2 and all(len(b) == 2 for b in got)
 
     def test_oversized_batch_with_drop_last_rejected(self):
         ds = gen_synthetic("two_clusters", 3, 0.1, seed=0)
         with pytest.raises(ValueError, match="batch size"):
-            batches(ds, 4, 0, 0, drop_last=True)
+            batches(ds, 4, 0, range(1), drop_last=True)
 
     def test_epochs_permute_but_cover_same_multiset(self):
         ds = gen_synthetic("two_clusters", 64, 0.1, seed=0)
-        e0 = np.concatenate(batches(ds, 16, 3, 0))
-        e1 = np.concatenate(batches(ds, 16, 3, 1))
+        e0, e1 = (np.concatenate(order) for order in batches(ds, 16, 3, range(2)))
         assert sorted(e0.tolist()) == sorted(e1.tolist())
         assert e0.tolist() != e1.tolist()
 
+    @pytest.mark.parametrize("n, batch_size, epochs", [
+        (2, 1, range(3)), (40, 16, range(0, 10)), (40, 16, range(4, 7)), (40, 16, range(5, 5)),
+        (1600, 128, range(47)),     # configs/rings.json's whole run: 13 steps an epoch
+        (1600, 128, range(40, 47)),
+        (5000, 512, range(2, 9)),
+    ])
+    @pytest.mark.parametrize("drop_last", [False, True])
+    def test_every_epoch_equals_its_own_draw(self, n, batch_size, epochs, drop_last):
+        ds = Dataset(inputs=np.zeros((n, 2), np.float32), labels=np.zeros(n, np.int64),
+                     num_classes=1)
+        got = batches(ds, batch_size, 21, epochs, drop_last)
+        assert len(got) == len(epochs)
+        for epoch, slices in zip(epochs, got):
+            want = oracles.epoch_batches(ds, batch_size, 21, epoch, drop_last)
+            assert [sel.dtype for sel in slices] == [sel.dtype for sel in want]
+            assert [sel.tobytes() for sel in slices] == [sel.tobytes() for sel in want]

@@ -145,22 +145,28 @@ def test_bulk_known_outputs_from_state_1_2_3_4():
     bulk.set_state((1, 2, 3, 4))
     scalar.set_state((1, 2, 3, 4))
     n = 2 * CUTOFF + 3
-    got = rng._bulk_u64(bulk, n)
+    got, = rng._bulk_u64([bulk], n)
     assert got[:3].tolist() == [11520, 0, 1509978240]
     assert got.tolist() == [scalar.next_u64() for _ in range(n)]
     assert bulk.get_state() == scalar.get_state()
 
 
 def test_bulk_bounded_draws_follow_randbelow_rejections():
-    # randbelow(2^63 + 1) rejects every draw >= 2^63 + 1, about half of them
+    # randbelow(2^63 + 1) rejects every draw >= 2^63 + 1, about half of them,
+    # so five streams drawing together reject at different positions
     bound = 2**63 + 1
     n = 2 * CUTOFF
-    bulk, scalar, plain = Stream(77), Stream(77), Stream(77)
+    bulk, scalar, plain = ([Stream(77 + s) for s in range(5)] for _ in range(3))
     got = rng._bulk_below(bulk, np.full(n, bound, dtype=np.uint64))
-    assert got.tolist() == [scalar.randbelow(bound) for _ in range(n)]
-    assert bulk.get_state() == scalar.get_state()
-    rng._bulk_u64(plain, n)
-    assert plain.get_state() != scalar.get_state()  # rejections did happen
+    assert got.shape == (5, n) and got.dtype == np.uint64
+    firsts = set()
+    for row, b, s, p in zip(got, bulk, scalar, plain):
+        assert row.tolist() == [s.randbelow(bound) for _ in range(n)]
+        assert b.get_state() == s.get_state()
+        draws, = rng._bulk_u64([p], n)
+        assert p.get_state() != s.get_state()  # rejections did happen
+        firsts.add(int(np.argmax(draws >= bound)))
+    assert len(firsts) > 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 511, 1600, 5000])
@@ -180,6 +186,57 @@ def test_wide_layer_draws_equal_scalar_loops(helper, args):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
     assert bulk.get_state() == scalar.get_state()
+
+
+# -- many streams drawing together against each stream alone ----------------
+
+MANY_SIZES = [0, 1, 2, CUTOFF - 1, CUTOFF, CUTOFF + 1, 1600, 5000]
+# 47 is configs/rings.json's epochs; "group" is how many streams of n - 1
+# draws (a permutation of n) one group of lane columns steps
+STREAM_COUNTS = [1, 2, 5, 47, "group-1", "group", "group+1"]
+
+
+def streams(count, n: int, seed: int) -> list:
+    if isinstance(count, str):
+        count = rng._group_size(max(n - 1, 0)) + int(count[len("group"):] or 0)
+    return [Stream(seed).child("epoch", s) for s in range(count)]
+
+
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+@pytest.mark.parametrize("n", MANY_SIZES)
+def test_many_streams_draw_as_each_alone(n, count):
+    together, alone, scalar = (streams(count, n, 5 + n) for _ in range(3))
+    got = rng._bulk_u64(together, n)
+    assert got.shape == (len(together), n) and got.dtype == np.uint64
+    for row, t, a, s in zip(got, together, alone, scalar):
+        assert row.tobytes() == rng._bulk_u64([a], n)[0].tobytes()
+        assert row.tolist() == [s.next_u64() for _ in range(n)]
+        assert t.get_state() == a.get_state() == s.get_state()
+
+
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+@pytest.mark.parametrize("n", MANY_SIZES)
+def test_many_streams_draw_below_bounds_as_each_alone(n, count):
+    # bounds up to 5,000 * 3^30 ~ 1e18, where about 1 draw in 20 is rejected
+    bounds = np.arange(n, 0, -1, dtype=np.uint64) * np.uint64(3**30)
+    together, scalar = (streams(count, n, 6 + n) for _ in range(2))
+    got = rng._bulk_below(together, bounds)
+    assert got.shape == (len(together), n) and got.dtype == np.uint64
+    for row, t, s in zip(got, together, scalar):
+        assert row.tolist() == [s.randbelow(int(m)) for m in bounds.tolist()]
+        assert t.get_state() == s.get_state()
+
+
+@pytest.mark.parametrize("count", STREAM_COUNTS)
+@pytest.mark.parametrize("n", MANY_SIZES)
+def test_many_streams_permute_as_each_alone(n, count):
+    together, alone, scalar = (streams(count, n, 7 + n) for _ in range(3))
+    got = rng.permutations(together, n)
+    assert got.shape == (len(together), n) and got.dtype == np.int64
+    for row, t, a, s in zip(got, together, alone, scalar):
+        assert row.tobytes() == a.permutation(n).tobytes()
+        assert row.tobytes() == oracles.permutation(s, n).tobytes()
+        assert t.get_state() == a.get_state() == s.get_state()
 
 
 # -- the partial Fisher-Yates resolver against the swap walk ------------------
@@ -230,7 +287,8 @@ def test_resolver_rejects_keys_past_int64():
 
 
 class TestDrawMemory:
-    """A wide layer's set-up draws hold a few copies of their output at most."""
+    """A wide layer's set-up draws, and a run's epoch orders, hold a few
+    copies of their output at most."""
 
     @staticmethod
     def peak_over_output(draw) -> float:
@@ -250,3 +308,9 @@ class TestDrawMemory:
     def test_mask_picks_peak_is_under_twelve_outputs(self):
         draw = lambda: Stream(1).choice_without_replacement(262_144, 26_214)  # noqa: E731
         assert self.peak_over_output(draw) < 12
+
+    def test_a_runs_epoch_orders_peak_is_under_four_outputs(self):
+        # configs/rings.json's 47 epochs of 1,600: the streams draw in groups,
+        # so the lane set-up of all 47 at once is never held
+        epochs = [Stream(3).child("epoch", e) for e in range(47)]
+        assert self.peak_over_output(lambda: rng.permutations(epochs, 1600)) < 4

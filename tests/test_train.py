@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsetrails.data as data_module
 import sparsetrails.model as model_module
 import sparsetrails.train as train_module
 from sparsetrails.checkpoint import capture, restore
@@ -601,19 +602,19 @@ class TestFit:
         for got, want in zip(model.named_parameters(), alone.named_parameters()):
             assert got.array.tobytes() == want.array.tobytes(), got.name
 
-    @pytest.mark.parametrize("independent", [False, True])
-    def test_batches_runs_once_per_member_per_epoch_touched(self, independent,
-                                                            monkeypatch):
-        # 40 samples in batches of 16: 3 steps an epoch, so steps 1-7 touch
-        # epochs 0-2, and a resume at step 4 (mid epoch 1) touches epochs 1-2
+    @staticmethod
+    def run_and_resume(independent: bool, monkeypatch):
+        """7 steps of 40 samples in batches of 16, 3 steps an epoch, so
+        epochs 0-2; then the same run again from its step-4 checkpoint, mid
+        epoch 1, so epochs 1-2. Returns each run's `batches` calls as
+        (seed, epochs) and each run's final parameter bytes."""
         data = gen_synthetic("rings", 40, noise=0.2, seed=12)
         config = small_config(total_steps=7, eval_interval=7, optimizer="adam", lr=0.01)
         calls = []
-        original = train_module.batches
 
-        def counted(dataset, batch_size, seed, epoch, drop_last=False):
-            calls.append((seed, epoch))
-            return original(dataset, batch_size, seed, epoch, drop_last)
+        def counted(dataset, batch_size, seed, epochs, drop_last=False):
+            calls[-1].append((seed, epochs))
+            return data_module.batches(dataset, batch_size, seed, epochs, drop_last)
 
         monkeypatch.setattr(train_module, "batches", counted)
 
@@ -622,25 +623,44 @@ class TestFit:
             return build_independent_ensemble(spec, 3, sparsity=0.5, seed=13) \
                 if independent else build_trails(spec, 1, 3, 0.5, seed=13)
 
+        calls.append([])
         straight, kept = model(), []
         optimizer, ledger = Optimizer(config, straight.named_parameters()), count_flops(straight)
         fit(straight, data, data, config, optimizer=optimizer, ledger=ledger,
             on_checkpoint=lambda step, *state: kept.append(  # capture holds views
                 copy.deepcopy(capture(*state, step, "00" * 32))) if step == 4 else None)
-        members = 3 if independent else 1
-        assert len(calls) == len(set(calls)) == members * 3
-        assert {epoch for _, epoch in calls} == {0, 1, 2}
-
-        calls.clear()
+        calls.append([])
         resumed = model()
         optimizer, ledger = Optimizer(config, resumed.named_parameters()), count_flops(resumed)
         start = restore(kept[0], resumed, optimizer, ledger)
         fit(resumed, data, data, config, start_step=start, optimizer=optimizer,
             ledger=ledger)
-        assert len(calls) == len(set(calls)) == members * 2
-        assert {epoch for _, epoch in calls} == {1, 2}
-        for a, b in zip(straight.named_parameters(), resumed.named_parameters()):
-            assert a.array.tobytes() == b.array.tobytes(), a.name
+        return calls, [[ref.array.tobytes() for ref in run.named_parameters()]
+                       for run in (straight, resumed)]
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_batches_runs_once_per_member_per_epoch_touched(self, independent,
+                                                            monkeypatch):
+        calls, (straight, resumed) = self.run_and_resume(independent, monkeypatch)
+        members = 3 if independent else 1
+        for run, touched in zip(calls, ({0, 1, 2}, {1, 2})):
+            drawn = [(seed, epoch) for seed, epochs in run for epoch in epochs]
+            assert len(drawn) == len(set(drawn)) == members * len(touched)
+            assert {epoch for _, epoch in drawn} == touched
+            assert len(run) == members    # one call per member draws all its epochs
+        assert straight == resumed
+
+    @pytest.mark.parametrize("independent", [False, True])
+    def test_a_small_order_budget_draws_the_epochs_in_groups(self, independent,
+                                                             monkeypatch):
+        _, want = self.run_and_resume(independent, monkeypatch)
+        members = 3 if independent else 1
+        monkeypatch.setattr(train_module, "_ORDERS_AHEAD", 2 * 40 * members)  # two epochs
+        (straight, resumed), got = self.run_and_resume(independent, monkeypatch)
+        assert [epochs for _, epochs in straight] == \
+            [range(0, 2)] * members + [range(2, 3)] * members
+        assert [epochs for _, epochs in resumed] == [range(1, 3)] * members
+        assert got == want
 
     def test_fit_leaves_the_callers_schedule_alone(self):
         data = gen_synthetic("two_clusters", 32, noise=0.3, seed=8)
