@@ -21,10 +21,13 @@ Layout (all integers little-endian):
     trailer   b"END!"
     crc       u32      zlib.crc32 of every earlier byte
 
-Masked entries are not stored: weights are exactly +0.0 there, loading
-rebuilds them so, and optimizer slots hold active entries only. A
-checkpoint restores parameters, masks, optimizer state and the live
-topology streams, so a resumed run replays the uninterrupted run exactly.
+Masked entries are not stored, in the file or in a `Checkpoint`: a masked
+weight's values, like its optimizer slots, are its active entries, 1-D in
+`active` order. A capture copies them and keeps views of the rest; a
+restore writes +0.0 over a masked weight's range, then its active entries,
+so masked weights are +0.0 without a scan of the store. A checkpoint
+restores parameters, masks, optimizer state and the live topology streams,
+so a resumed run replays the uninterrupted run exactly.
 Files are written whole or not at all (`write_atomic`).
 """
 
@@ -49,7 +52,6 @@ _OPT_NAMES = {v: k for k, v in _OPT_KINDS.items()}
 # the write buffer of `write_atomic`: small records reach the file in pieces
 # of this size, not one by one, as every write is a system call
 _WRITE_SIZE = 1 << 16
-_BLOCK = 1 << 16  # store entries per pass of the zero-where-masked check in restore
 
 
 class CheckpointError(ValueError):
@@ -58,13 +60,15 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
+    """A run's state. `params` holds a masked weight as its active entries,
+    1-D in `active` order, as `opt_state` holds every slot."""
     version: int
     config_hash: str
     step: int
     optimizer_kind: str
     adam_t: int
     cumulative_flops: int
-    params: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, np.ndarray] = field(default_factory=dict)  # masked: 1-D, active entries
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     opt_state: dict[str, np.ndarray] = field(default_factory=dict)  # 1-D, active entries
     rng_states: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
@@ -78,10 +82,11 @@ def _slot_key(name: str, slot: str) -> str:
 
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
-    """The run's state at `step`. Its `params`, `masks` and `opt_state` are
-    views of the live parameter store and optimizer slots, not copies: a
-    capture is valid until the next step, so save it at once or
-    `copy.deepcopy` it to keep it."""
+    """The run's state at `step`. A masked weight's `params` entry is a copy of
+    its active entries, 1-D in `active` order (one `take` gathers them all).
+    The rest of `params`, `masks` and `opt_state` are views of the live store
+    and optimizer slots, not copies: a capture is valid until the next step,
+    so save it at once or `copy.deepcopy` it to keep it."""
     ckpt = Checkpoint(version=VERSION, config_hash=config_hash, step=step,
                       optimizer_kind=optimizer.kind, adam_t=optimizer.adam_t,
                       cumulative_flops=ledger.cumulative_train)
@@ -90,9 +95,12 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
     # active positions: its entries in every slot
     cuts = optimizer.active.searchsorted(
         [end for ref in records for end in (ref.offset, ref.offset + ref.array.size)]).tolist()
+    active_values = model.store.values.take(optimizer.active)
     for ref, lo, hi in zip(records, cuts[::2], cuts[1::2]):
-        ckpt.params[ref.name] = ref.array
-        if ref.mask is not None:
+        if ref.mask is None:
+            ckpt.params[ref.name] = ref.array
+        else:
+            ckpt.params[ref.name] = active_values[lo:hi]
             ckpt.masks[ref.name] = ref.mask
             ckpt.active[ref.name] = optimizer.active[lo:hi] - ref.offset
         for slot, arr in slots:
@@ -139,11 +147,10 @@ def _sections(ckpt: Checkpoint):
     slots = Optimizer.SLOTS[ckpt.optimizer_kind]
     for name, values in ckpt.params.items():
         mask = ckpt.masks.get(name)
-        record = [_named(name, f"B{values.ndim}IB", values.ndim, *values.shape,
-                         mask is not None)]
+        shape = values.shape if mask is None else mask.shape
+        record = [_named(name, f"B{len(shape)}IB", len(shape), *shape, mask is not None)]
         if mask is not None:
             record.append(np.packbits(mask))
-            values = values.take(ckpt.active[name])
         for arr in [values] + [ckpt.opt_state[_slot_key(name, slot)] for slot in slots]:
             if arr.size != values.size:
                 raise CheckpointError(f"optimizer slots of {name} do not match its entries")
@@ -171,11 +178,11 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> str:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)  # its slices reach np.frombuffer uncopied
         self.pos = 0
         self.section = "header"
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise CheckpointError(
                 f"checkpoint truncated in section '{self.section}' "
@@ -189,11 +196,11 @@ class _Reader:
 
     def name(self) -> str:
         (n,) = self.unpack("<H")
-        return self.take(n).decode("utf-8")
+        return str(self.take(n), "utf-8")
 
     def expect_tag(self, tag: bytes, section: str) -> None:
         self.section = section
-        got = self.take(3)
+        got = bytes(self.take(3))
         if got != tag:
             raise CheckpointError(
                 f"corrupt checkpoint: expected section tag {tag!r} at offset "
@@ -232,23 +239,20 @@ def _parse(r: _Reader, path: str) -> Checkpoint:
         name = r.name()
         (ndim,) = r.unpack("<B")
         *shape, masked = r.unpack(f"<{ndim}IB")
-        size = math.prod(shape)
-        active = slice(None)
+        n = size = math.prod(shape)
         if masked:
             bits = np.unpackbits(np.frombuffer(r.take((size + 7) // 8), np.uint8),
                                  count=size)
             ckpt.masks[name] = bits.reshape(shape)
-            active = ckpt.active[name] = active_indices(bits)
+            ckpt.active[name] = active_indices(bits)
+            n = ckpt.active[name].size
         slots = Optimizer.SLOTS[ckpt.optimizer_kind]
-        n = active.size if masked else size
         # the record's bytes are read before any array is sized from its shape
         width = 1 + len(slots)
         rows = np.frombuffer(r.take(4 * n * width), "<f4").reshape(width, n)
-        dense = np.zeros(size, np.float32)
-        dense[active] = rows[0]
-        ckpt.params[name] = dense.reshape(shape)
+        ckpt.params[name] = rows[0] if masked else rows[0].reshape(shape)
         for slot, row in zip(slots, rows[1:]):
-            ckpt.opt_state[_slot_key(name, slot)] = row.copy()
+            ckpt.opt_state[_slot_key(name, slot)] = row
 
     r.expect_tag(b"RNG", "rng streams")
     (count,) = r.unpack("<I")
@@ -260,7 +264,7 @@ def _parse(r: _Reader, path: str) -> Checkpoint:
     if r.take(4) != b"END!":
         raise CheckpointError("corrupt checkpoint: missing trailer")
     (crc,) = r.unpack("<I")
-    if r.pos != len(r.data) or crc != zlib.crc32(memoryview(r.data)[:-4]):
+    if r.pos != len(r.data) or crc != zlib.crc32(r.data[:-4]):
         raise CheckpointError(f"{path}: corrupt checkpoint (CRC-32 mismatch or trailing bytes)")
     return ckpt
 
@@ -280,9 +284,11 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...] | No
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
     """Load a checkpoint into live objects; returns the step to resume from.
-    Each component's records fill its range of the model's parameter store,
-    each masked record's active list is checked against its own mask, and
-    the lists, in store order, become the optimizer's active positions."""
+    Each component's records fill its range of the model's parameter store.
+    A masked record's active list is checked against its own mask, its range
+    is written +0.0, then its active entries are scattered there, so masked
+    weights are +0.0 without a scan of the store. The lists, in store order,
+    become the optimizer's active positions."""
     records = model.component_parameters()
     keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
@@ -296,8 +302,8 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
     order = sorted(records, key=lambda ref: ref.offset)
     listed = []  # each record's active positions in the store, in store order
     for ref in order:
-        ref.array[...] = _entry(ckpt.params, ref.name, ref.array.shape, "parameter")
         if ref.mask is None:
+            ref.array[...] = _entry(ckpt.params, ref.name, ref.array.shape, "parameter")
             listed.append(np.arange(ref.offset, ref.offset + ref.array.size))
             continue
         ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
@@ -308,20 +314,13 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
                             and (np.diff(at) > 0).all() and ref.mask.reshape(-1)[at].all()):
             raise CheckpointError(f"checkpoint active indices {ref.name} disagree with its mask")
         listed.append(at + ref.offset)
-    store = model.store
-    # a block of the store at a time, so no temporary is the store's size
-    for lo in range(0, store.values.size, _BLOCK):
-        hi = lo + _BLOCK
-        wrong = np.logical_and(store.values[lo:hi], ~store.mask[lo:hi].view(bool))
-        if wrong.any():
-            bad = lo + int(wrong.argmax())
-            name = next(ref.name for ref in records if 0 <= bad - ref.offset < ref.array.size)
-            raise CheckpointError(f"checkpoint weight {name} is nonzero where its mask is 0")
+        ref.array[...] = 0.0
+        model.store.values[listed[-1]] = _entry(ckpt.params, ref.name, at.shape, "parameter")
     optimizer.active = np.concatenate(listed)
     for slot in Optimizer.SLOTS[optimizer.kind]:
         optimizer.slots[slot] = np.concatenate(
             [_entry(ckpt.opt_state, _slot_key(ref.name, slot), at.shape, "optimizer slot")
-             for ref, at in zip(order, listed)], dtype=store.values.dtype)
+             for ref, at in zip(order, listed)], dtype=model.store.values.dtype)
     optimizer.adam_t = ckpt.adam_t
     for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:

@@ -40,6 +40,13 @@ class TestRoundTrip:
             np.testing.assert_array_equal(loaded.params[name], arr)
         for name, mask in ckpt.masks.items():
             np.testing.assert_array_equal(loaded.masks[name], mask)
+        # a masked weight is held as its active entries, 1-D in `active` order
+        for ref in model.component_parameters():
+            if ref.mask is not None:
+                at = loaded.active[ref.name]
+                assert loaded.params[ref.name].shape == (int(np.count_nonzero(ref.mask)),)
+                assert loaded.params[ref.name].tobytes() \
+                    == ref.array.reshape(-1)[at].tobytes(), ref.name
         for name, arr in ckpt.opt_state.items():
             np.testing.assert_array_equal(loaded.opt_state[name], arr)
         assert loaded.rng_states == ckpt.rng_states
@@ -224,22 +231,43 @@ class TestCanonicalZero:
         ledger = count_flops(model)
         fit(model, data, data, config, sparsity_target=0.5 if oneshot else None,
             optimizer=optimizer, ledger=ledger)
+        masked = model.store.mask == 0
+        assert masked.any()
+        assert not np.signbit(model.store.values[masked]).any()
         ckpt = capture(model, optimizer, ledger, 20, "00" * 32)
-        masked_entries = 0
         for name, mask in ckpt.masks.items():
-            masked = mask == 0
-            masked_entries += int(masked.sum())
-            assert not np.signbit(ckpt.params[name][masked]).any(), name
             # the optimizer keeps state for the active entries only
             for slot in Optimizer.SLOTS[kind]:
                 assert ckpt.opt_state[f"{name}@{slot}"].shape == (int(mask.sum()),), name
-        assert masked_entries > 0
         path = tmp_path / "c.bin"
         save_checkpoint(ckpt, str(path))
         loaded = load_checkpoint(str(path))
         for part in ("params", "masks", "opt_state"):
             for key, arr in getattr(ckpt, part).items():
                 assert getattr(loaded, part)[key].tobytes() == arr.tobytes(), key
+
+
+class TestRestoreClosure:
+    def test_masked_positions_become_positive_zero_whatever_the_store_held(self, tmp_path):
+        # the fresh store holds 1.5 and -0.0 at positions the checkpoint
+        # masks: restore overwrites them without scanning for them
+        model, optimizer, ledger, config, _ = trained_state()
+        path = tmp_path / "c.bin"
+        save_checkpoint(capture(model, optimizer, ledger, 15, "00" * 32), str(path))
+        ckpt = load_checkpoint(str(path))
+        fresh = build_trails(mlp_spec(2, 6, 2, 2), 1, 2, 0.5, seed=99)
+        for ref in fresh.component_parameters():
+            if ref.mask is not None:
+                masked = np.flatnonzero(ckpt.masks[ref.name].reshape(-1) == 0)
+                ref.array.reshape(-1)[masked[::2]] = 1.5
+                ref.array.reshape(-1)[masked[1::2]] = -0.0
+        dirty = fresh.store.values[model.store.mask == 0]
+        assert (dirty == 1.5).any() and np.signbit(dirty).any()
+        restore(ckpt, fresh, Optimizer(config, fresh.named_parameters()), count_flops(fresh))
+        assert fresh.store.values.tobytes() == model.store.values.tobytes()
+        assert fresh.store.mask.tobytes() == model.store.mask.tobytes()
+        masked = fresh.store.values[fresh.store.mask == 0]
+        assert masked.size and (masked == 0).all() and not np.signbit(masked).any()
 
 
 class TestSaveMemory:
@@ -361,12 +389,12 @@ class TestRejection:
         with pytest.raises(CheckpointError, match="head1/0/weight disagree with its mask"):
             self._restore_into_fresh(tmp_path, corrupt)
 
-    def test_restore_rejects_nonzero_weight_at_masked_position(self, tmp_path):
-        def put(value):
-            def corrupt(ckpt):
-                name = next(n for n, m in ckpt.masks.items() if not m.all())
-                ckpt.params[name][ckpt.masks[name] == 0] = value
-            return corrupt
-        self._restore_into_fresh(tmp_path, put(-0.0))  # -0.0 is zero
-        with pytest.raises(CheckpointError, match="nonzero where its mask is 0"):
-            self._restore_into_fresh(tmp_path, put(1e-30))
+    @pytest.mark.parametrize("form", ["short", "dense"])
+    def test_restore_rejects_a_masked_weight_of_the_wrong_length(self, tmp_path, form):
+        def corrupt(ckpt):
+            name = "head1/0/weight"
+            values = ckpt.params[name]
+            ckpt.params[name] = values[:-1] if form == "short" \
+                else np.zeros(ckpt.masks[name].shape, np.float32)
+        with pytest.raises(CheckpointError, match=r"parameter head1/0/weight has shape"):
+            self._restore_into_fresh(tmp_path, corrupt)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -406,6 +407,34 @@ class TestBackward:
             stack_backward([layer], None, np.zeros((1, 1), dtype=np.float32))
 
 
+def forward_naming_warnings(trial: int, depth: int):
+    """`nn.layer_forward` for whole forwards of one `depth`-layer stack (or a
+    copy of it): a RuntimeWarning, an error under the pytest filter, becomes
+    an AssertionError naming the trial and the layer, the finiteness of the
+    layer's input, weights and product, and the BLAS thread count. Every
+    forward runs all of the stack's layers in order, so the count of calls
+    gives the layer."""
+    calls = itertools.count()
+
+    def checked(layer, x):
+        index = next(calls) % depth
+        try:
+            return layer_forward(layer, x)
+        except RuntimeWarning as warning:
+            with np.errstate(all="ignore"):  # the product again, without the flag
+                product = layer_forward(layer, x)
+            params = [p for p in (getattr(layer.weight, "values", None), layer.bias)
+                      if p is not None]
+            get = BLAS_THREADS[0]
+            raise AssertionError(
+                f"trial {trial}, layer {index} ({layer.spec.kind}, {x.dtype}): "
+                f"RuntimeWarning {warning}; input finite {bool(np.isfinite(x).all())}, "
+                f"weights finite {all(bool(np.isfinite(p).all()) for p in params)}, "
+                f"product finite {bool(np.isfinite(product).all())}; "
+                f"BLAS threads {get() if get else 'unknown'}") from warning
+    return checked
+
+
 class TestFiniteDifferences:
     def test_constant_output_model_gives_zero_estimates(self):
         first = make_linear([[0.5, -0.5], [1.0, 0.25]], bias=[0.1, 0.2])
@@ -429,10 +458,12 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed,kind,sparsity", [(11, "mlp", 0.0), (12, "mlp", 0.5),
                                                     (13, "conv", 0.0), (14, "conv", 0.4)])
-    def test_analytic_matches_fd_on_random_stacks(self, seed, kind, sparsity):
+    def test_analytic_matches_fd_on_random_stacks(self, seed, kind, sparsity, monkeypatch):
         stream = Stream(seed)
         for trial in range(3):
             layers, x, targets = gradcheck_stack(stream.child(trial), kind, sparsity)
+            # a warning in a forward below fails the test with what was not finite
+            monkeypatch.setattr(nn, "layer_forward", forward_naming_warnings(trial, len(layers)))
             out, tape = stack_forward(layers, x, record=True)
             _, probs = loss_forward(out, targets)
             analytic, _ = stack_backward(layers, tape, nn.loss_backward(probs, targets))
