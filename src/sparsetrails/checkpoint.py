@@ -288,7 +288,8 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
     A masked record's active list is checked against its own mask, its range
     is written +0.0, then its active entries are scattered there, so masked
     weights are +0.0 without a scan of the store. The lists, in store order,
-    become the optimizer's active positions."""
+    become the optimizer's active positions, and the ledger's sparse forward
+    FLOPs are counted from them, not from the masks again."""
     records = model.component_parameters()
     keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
@@ -327,5 +328,5 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             raise CheckpointError(f"checkpoint missing rng stream {key}")
         stream.set_state(ckpt.rng_states[key])
     ledger.cumulative_train = ckpt.cumulative_flops
-    ledger.forward_sparse = count_flops(model).forward_sparse
+    ledger.forward_sparse = count_flops(model, optimizer.active).forward_sparse
     return ckpt.step

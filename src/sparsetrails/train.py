@@ -29,6 +29,11 @@ from .topology import TopologySchedule, UpdateRecord, one_shot_global_prune, \
 # order entries that `fit` holds ahead, over all members (64 KB): it draws a
 # group of epochs at a time, each member's orders for the group in one call
 _ORDERS_AHEAD = 1 << 13
+# Bytes of the store a step checks, gathers and updates at a time (2^17
+# float32 entries). A block of the gradient or the weights then stays in a
+# core's L2 cache from its check to its gather, and from its gather to its
+# scatter; a pass over a whole wide store comes back from L3.
+STEP_BUDGET = 1 << 19
 
 
 class TrainingDiverged(RuntimeError):
@@ -151,16 +156,25 @@ class FlopsLedger:
         return 3 * self.forward_dense * base_steps * batch
 
 
-def count_flops(model: TrailsModel) -> FlopsLedger:
+def count_flops(model: TrailsModel, active: np.ndarray | None = None) -> FlopsLedger:
     """Per-sample forward FLOPs of the ensemble, backbone once plus every
     head, from the model's cost table: each weight array's active count (all
-    M heads' at once for a stacked one) at its position multiplier."""
+    M heads' at once for a stacked one) at its position multiplier. The
+    counts come from the masks, or, given the store's sorted active
+    positions (an optimizer's `active`), from where each array's range
+    starts and ends among them, without a scan of the masks."""
+    weights = [ref for ref in model.store.refs if ref.mask is not None]
+    if active is None:
+        counts = [int(np.count_nonzero(ref.mask)) for ref in weights]
+    else:
+        cuts = active.searchsorted(
+            [end for ref in weights for end in (ref.offset, ref.offset + ref.mask.size)]).tolist()
+        counts = [hi - lo for lo, hi in zip(cuts[::2], cuts[1::2])]
     sparse = dense = model.fixed_flops
-    for ref in model.store.refs:
-        if ref.mask is not None:
-            per_weight = 2 * model.flops_multipliers[ref.name]
-            sparse += per_weight * int(np.count_nonzero(ref.mask))
-            dense += per_weight * ref.mask.size
+    for ref, count in zip(weights, counts):
+        per_weight = 2 * model.flops_multipliers[ref.name]
+        sparse += per_weight * count
+        dense += per_weight * ref.mask.size
     return FlopsLedger(forward_sparse=sparse, forward_dense=dense)
 
 
@@ -174,10 +188,15 @@ class Optimizer:
     Takes every parameter of one `nn.ParamStore` (`model.named_parameters()`).
     State is kept at the store's sorted active positions (`active`: where the
     mask is 1, biases included) only, one compact array per slot. A step
-    checks the whole gradient buffer, gathers gradient and weight at the
-    active positions, updates them and scatters the weights back, so masked
-    positions stay +0.0. Whoever changes a mask calls `reset_positions`.
-    Weight decay is SGD-only, folded into the gradient.
+    goes over the store in blocks of `STEP_BUDGET` bytes, in two passes.
+    The first checks each block of the gradient buffer for non-finite
+    entries and gathers the block's active gradient while the block is in
+    cache. The second, once every block has passed, gathers each block's
+    weights, updates them with the block's slice of every slot and
+    scatters them back, so masked positions stay +0.0. Every entry gets
+    the same operations in the same order whatever the block size.
+    Whoever changes a mask calls `reset_positions`. Weight decay is
+    SGD-only, folded into the gradient.
     """
 
     SLOTS = {"sgd_momentum": ("momentum",), "adam": ("m", "v")}
@@ -192,40 +211,57 @@ class Optimizer:
         self.active = active_indices(self.store.mask)
         self.slots = {slot: np.zeros(self.active.size, self.store.values.dtype)
                       for slot in self.SLOTS[self.kind]}
+        # where the store's blocks start, and the edges between them: the
+        # store never changes size
+        self._block = STEP_BUDGET // self.store.grad.itemsize
+        self._starts = range(0, self.store.grad.size, self._block)
+        self._edges = np.asarray(self._starts[1:], np.int64)
 
     def step(self, lr: float, step: int = 0) -> None:
         """One update from the gradient in the store's `grad` buffer."""
-        store, grad = self.store, self.store.grad
-        # check the whole gradient first, so a diverged step changes nothing and
-        # no non-finite entry at a masked position reaches RigL growth's selection;
-        # min and max are NaN or infinite if any entry is, and allocate nothing
-        if not (np.isfinite(np.minimum.reduce(grad)) and np.isfinite(np.maximum.reduce(grad))):
-            bad = int(np.flatnonzero(~np.isfinite(grad))[0])
-            name = next(ref.name for ref in reversed(store.refs) if ref.offset <= bad)
-            kind = "NaN" if np.isnan(grad[bad]) else "inf"
-            raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
-        c = self.config
-        # the gather drops the gradient at masked positions (RigL growth reads it)
-        g, w = grad.take(self.active), store.values.take(self.active)
-        if self.kind == "sgd_momentum":
-            if c.weight_decay:
-                g += c.weight_decay * w
-            v = self.slots["momentum"]
-            v *= c.momentum
-            v += g
-            del g  # freed before the update's temporary
-            w -= lr * v
-        else:
+        store, grad, active, block = self.store, self.store.grad, self.active, self._block
+        # where each block's positions end in `active`
+        ends = [*active.searchsorted(self._edges).tolist(), active.size] \
+            if self._edges.size else [active.size]
+        # check the whole gradient before any update, so a diverged step changes
+        # nothing and no non-finite entry at a masked position reaches RigL
+        # growth's selection; min and max are NaN or infinite if any entry is,
+        # and allocate nothing (`math.isfinite` reads a numpy scalar without
+        # a ufunc call). The gather drops the masked positions. `active` is in
+        # range, so "wrap" gathers what "raise" does, without its index checks.
+        gathered, lo = [], 0
+        for start, hi in zip(self._starts, ends):
+            part = grad[start:start + block]
+            if not (math.isfinite(np.minimum.reduce(part))
+                    and math.isfinite(np.maximum.reduce(part))):
+                bad = start + int(np.flatnonzero(~np.isfinite(part))[0])
+                name = next(ref.name for ref in reversed(store.refs) if ref.offset <= bad)
+                kind = "NaN" if np.isnan(grad[bad]) else "inf"
+                raise TrainingDiverged(f"{kind} gradient in {name}", step=step)
+            at = active[lo:hi]
+            gathered.append((lo, hi, at, grad.take(at, mode="wrap")))
+            lo = hi
+        c, values, sgd = self.config, store.values, self.kind == "sgd_momentum"
+        if not sgd:
             self.adam_t += 1
             bias1, bias2 = 1.0 - c.beta1 ** self.adam_t, 1.0 - c.beta2 ** self.adam_t
-            m, v = self.slots["m"], self.slots["v"]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            del g
-            w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
-        store.values[self.active] = w
+        for lo, hi, at, g in gathered:
+            w = values.take(at, mode="wrap")
+            if sgd:
+                if c.weight_decay:
+                    g += c.weight_decay * w
+                v = self.slots["momentum"][lo:hi]
+                v *= c.momentum
+                v += g
+                w -= lr * v
+            else:
+                m, v = self.slots["m"][lo:hi], self.slots["v"][lo:hi]
+                m *= c.beta1
+                m += (1.0 - c.beta1) * g
+                v *= c.beta2
+                v += (1.0 - c.beta2) * g * g
+                w -= lr * (m / bias1) / (np.sqrt(v / bias2) + c.adam_eps)
+            values[at] = w
 
     def reset_positions(self, positions) -> None:
         """Re-derive the active positions from the store's live mask. Kept

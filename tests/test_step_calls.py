@@ -10,7 +10,9 @@ calls instead of timing them, so a wrapper that creeps back into the
 forward pass, the loss, the backward pass or the optimizer fails on any host.
 An evaluation of the same model (soft vote, head predictions and every
 metric) is held to the same rule, and so are a cnn-shaped step (a conv
-backbone and three conv heads, Adam) and its evaluation.
+backbone and three conv heads, Adam) and its evaluation. Each step runs
+twice: its optimizer over the whole store in one block, and over many
+small ones.
 """
 
 import cProfile
@@ -19,6 +21,7 @@ import pstats
 import numpy as np
 import pytest
 
+import sparsetrails.train as train_module
 from sparsetrails.data import Dataset
 from sparsetrails.model import (build_trails, composite_loss, forward_heads, mlp_spec,
                                 model_backward, small_cnn_spec)
@@ -62,9 +65,13 @@ def steps():
            rng.standard_normal((32, 1, 14, 14), np.float32), rng.integers(0, 10, 32))
 
 
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "many-blocks"])
 @pytest.mark.parametrize("model,config,x,y", steps(), ids=["rings", "cnn"])
-def test_a_training_step_calls_no_numpy_helper(model, config, x, y):
+def test_a_training_step_calls_no_numpy_helper(model, config, x, y, blocks, monkeypatch):
+    if blocks:  # the optimizer's loop over store blocks, 256 entries a block
+        monkeypatch.setattr(train_module, "STEP_BUDGET", 1024)
     optimizer = Optimizer(config, model.named_parameters())
+    assert optimizer._edges.size == ((model.store.values.size - 1) // 256 if blocks else 0)
 
     def step():
         outputs = forward_heads(model, x, record=True)

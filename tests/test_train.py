@@ -134,7 +134,21 @@ class TestOptimizerStep:
         np.testing.assert_allclose(ref.array, 0.95, rtol=1e-6)
 
 
+def small_blocks(monkeypatch, entries=24):
+    """Make an optimizer built after this call step over blocks of `entries`
+    float32 entries, so a toy store spans many."""
+    monkeypatch.setattr(train_module, "STEP_BUDGET", entries * 4)
+
+
+def block_spans(optimizer):
+    """(first active, past the last) of each of the optimizer's store blocks."""
+    cuts = [0, *optimizer.active.searchsorted(optimizer._edges).tolist(),
+            optimizer.active.size]
+    return list(zip(cuts, cuts[1:]))
+
+
 class TestCompactState:
+    @pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "blocks-of-24"])
     @pytest.mark.parametrize("kind, strategy, prune_method, independent", [
         ("sgd_momentum", "rigl", "magnitude", False),
         ("adam", "set", "soft_magnitude", False),
@@ -142,7 +156,10 @@ class TestCompactState:
         ("adam", "rigl", "magnitude", True),
     ])
     def test_fit_matches_the_dense_optimizer_bit_for_bit(self, kind, strategy,
-                                                         prune_method, independent):
+                                                         prune_method, independent,
+                                                         blocked, monkeypatch):
+        if blocked:
+            small_blocks(monkeypatch)
         data = gen_synthetic("rings", 64, noise=0.2, seed=5)
         oneshot = strategy == "prune_oneshot"
         sched = TopologySchedule(strategy=strategy, prune_method=prune_method, delta_t=5,
@@ -165,6 +182,7 @@ class TestCompactState:
 
         model, compact = run(Optimizer)
         oracle_model, dense = run(DenseOptimizer)
+        assert len(block_spans(compact)) == (-(-model.store.values.size // 24) if blocked else 1)
         assert compact.adam_t == dense.adam_t
         state = compact.state
         for slot in compact.slots.values():
@@ -175,6 +193,64 @@ class TestCompactState:
                 assert ref.mask.tobytes() == oracle.mask.tobytes(), ref.name
             for slot, arr in dense.state[ref.name].items():
                 assert state[ref.name][slot].tobytes() == arr.tobytes(), (ref.name, slot)
+
+    @staticmethod
+    def blocked_store(monkeypatch):
+        """A store in blocks of 20 entries: a/0/weight [0, 96) with no active
+        entry in block [20, 40), a/0/bias [96, 108), a/1/weight [108, 144) and
+        a/1/bias [144, 147). The edges at 100, 120 and 140 cut records, and
+        the last block [140, 147) holds a/1/weight's active 140, 141 and
+        masked 142, 143, then the bias."""
+        small_blocks(monkeypatch, 20)
+        rng = np.random.default_rng(7)
+        store = ParamStore({"a": ([LayerSpec.linear(8, 12), LayerSpec.linear(12, 3)], None)})
+        weights = [ref for ref in store.refs if ref.mask is not None]
+        for ref in weights:
+            ref.mask[...] = rng.random(ref.mask.shape) < 0.5
+        store.mask[20:40] = 0
+        store.mask[140:144] = [1, 1, 0, 0]
+        store.values[...] = rng.standard_normal(store.values.size) * store.mask
+        return store
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    def test_blocks_with_no_active_entry_or_a_cut_record_match_the_dense_optimizer(
+            self, kind, monkeypatch):
+        store = self.blocked_store(monkeypatch)
+        oracle = copy.deepcopy(store)
+        config = small_config(optimizer=kind, weight_decay=5e-4)
+        compact, dense = Optimizer(config, store.refs), DenseOptimizer(config, oracle.refs)
+        spans = block_spans(compact)
+        assert len(spans) == 8 and spans[1][0] == spans[1][1]  # block [20, 40) is empty
+        rng = np.random.default_rng(8)
+        for t in range(1, 6):
+            store.grad[...] = oracle.grad[...] = rng.standard_normal(store.grad.size)
+            compact.step(lr=0.05, step=t)
+            dense.step(lr=0.05, step=t)
+        assert store.values.tobytes() == oracle.values.tobytes()
+        state = compact.state
+        for ref in store.refs:
+            for slot, arr in dense.state[ref.name].items():
+                assert state[ref.name][slot].tobytes() == arr.tobytes(), (ref.name, slot)
+
+    @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
+    @pytest.mark.parametrize("bad, name", [(np.nan, "NaN"), (np.inf, "inf")])
+    @pytest.mark.parametrize("position", [141, 142], ids=["active", "masked"])
+    def test_non_finite_in_the_last_block_aborts_before_any_update(
+            self, kind, bad, name, position, monkeypatch):
+        store = self.blocked_store(monkeypatch)
+        opt = Optimizer(small_config(optimizer=kind, weight_decay=5e-4), store.refs)
+        store.grad[...] = np.random.default_rng(9).standard_normal(store.grad.size)
+        opt.step(lr=0.05, step=1)  # slots and adam_t away from their start
+        values, slots, adam_t = store.values.copy(), copy.deepcopy(opt.slots), opt.adam_t
+        store.grad[position] = bad
+        store.grad[145] = np.inf if name == "NaN" else np.nan  # later, in a/1/bias
+        with pytest.raises(TrainingDiverged, match=f"^{name} gradient in a/1/weight$") as info:
+            opt.step(lr=0.05, step=2)
+        assert info.value.step == 2
+        assert store.values.tobytes() == values.tobytes()
+        assert opt.adam_t == adam_t
+        for slot, arr in slots.items():
+            assert opt.slots[slot].tobytes() == arr.tobytes(), slot
 
     def test_state_view_rejects_indices_that_disagree_with_the_mask(self):
         model = toy_model(sparsity=0.6)
@@ -188,16 +264,22 @@ class TestCompactState:
         assert opt.state[ref.name]["momentum"].reshape(-1)[position] == 0.0
 
     @pytest.mark.parametrize("kind", ["sgd_momentum", "adam"])
-    def test_step_allocates_less_than_one_dense_weight(self, kind):
-        # a float32 pass over the whole weight, gradient or slots allocates a
-        # weight-sized array; the compact step's arrays have nnz entries
+    @pytest.mark.parametrize("fan_in, layers, blocks", [(256, 1, 1), (512, 4, 8)],
+                             ids=["one-block", "eight-blocks"])
+    def test_step_allocates_one_compact_gradient_and_one_blocks_temporaries(
+            self, kind, fan_in, layers, blocks):
+        # a pass over the whole store, or over all its active entries at once,
+        # allocates more than this: the step's arrays are the compact gradient
+        # and, one block at a time, the block's active weights and temporaries
         rng = np.random.default_rng(0)
-        store = ParamStore({"w": ([LayerSpec.linear(512, 512, has_bias=False)], None)})
-        ref, = store.refs
-        ref.mask[...] = rng.random((512, 512)) < 0.1
-        ref.array[...] = rng.standard_normal((512, 512)) * ref.mask
-        ref.grad[...] = rng.standard_normal((512, 512)) * ref.mask
+        store = ParamStore({"w": ([LayerSpec.linear(fan_in, 512, has_bias=False)] * layers,
+                                  None)})
+        store.mask[...] = rng.random(store.mask.size) < 0.1
+        store.values[...] = rng.standard_normal(store.values.size) * store.mask
+        store.grad[...] = rng.standard_normal(store.grad.size) * store.mask
         opt = Optimizer(small_config(optimizer=kind, weight_decay=5e-4), store.refs)
+        spans = block_spans(opt)
+        assert len(spans) == blocks  # 2^17 float32 entries a block
         opt.step(lr=0.1)
         tracemalloc.start()
         try:
@@ -205,8 +287,12 @@ class TestCompactState:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ref.array.nbytes
-
+        # the block's weights and one temporary, or with Adam's expression
+        # three: at most four arrays of one block's active entries
+        arrays = {"sgd_momentum": 2, "adam": 4}[kind]
+        compact = opt.active.size * store.grad.itemsize
+        block = max(hi - lo for lo, hi in spans) * store.grad.itemsize
+        assert peak < compact + arrays * block + 8192, (peak, compact, block)
 
     def test_fit_step_allocates_no_weight_sized_gradient(self):
         # two heads of 512x512 at density 0.1, as in the wide workload: backward
@@ -469,6 +555,24 @@ class TestCostTable:
         # the original keeps its own masks and count
         assert count_flops(fresh) == dense
         assert oracles.forward_flops(fresh) == (dense.forward_sparse, dense.forward_dense)
+
+    @pytest.mark.parametrize("strategy", ["rigl", "prune_oneshot"])
+    def test_count_from_the_active_positions_equals_the_count_from_the_masks(self, strategy):
+        # a conv net's layers have different multipliers, and an independent
+        # ensemble's bias records sit between its weights
+        oneshot = strategy == "prune_oneshot"
+        data = images((2, 5, 5))
+        config = small_config(total_steps=6, eval_interval=6, lr=0.05,
+                              topology=TopologySchedule(strategy=strategy, delta_t=3))
+        for model in (build_trails(small_cnn_spec((2, 5, 5), 3, 2, 2), 1, 2,
+                                   0.0 if oneshot else 0.6, seed=0),
+                      build_independent_ensemble(small_cnn_spec((2, 5, 5), 3, 2, 2), 2,
+                                                 sparsity=0.0 if oneshot else 0.6, seed=0)):
+            optimizer = Optimizer(config, model.named_parameters())
+            assert count_flops(model, optimizer.active) == count_flops(model)
+            fit(model, data, data, config, sparsity_target=0.8 if oneshot else None,
+                optimizer=optimizer)
+            assert count_flops(model, optimizer.active) == count_flops(model)
 
     def test_count_and_restore_walk_no_shapes(self, monkeypatch):
         data = images((1, 4, 4))
