@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import Stream, permutations
+from .rng import Stream, as_open_unit, as_random, draw_u64, normal_pairs, permutations
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -101,7 +101,19 @@ def _class_counts(n: int, classes: int) -> list[int]:
 
 
 def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
-    """Deterministic 2-D binary classification tasks with balanced classes."""
+    """Deterministic 2-D binary classification tasks with balanced classes.
+
+    Class 0's points come first, then class 1's, each point drawn from one
+    stream by a fixed pattern of scalar calls, and a closing permutation
+    interleaves the classes:
+
+    - rings: `random` for the angle, then `normal` for the radius offset;
+    - two_clusters: two `normal` calls;
+    - xor_grid: two `random` calls for the coordinates, two `normal` calls.
+
+    Every `next_u64` output these calls use is drawn in one bulk call and
+    picked by position; `tests/oracles.py` keeps the per-point loop.
+    """
     if kind not in SYNTHETIC_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if n < 2:
@@ -110,36 +122,35 @@ def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
         raise ValueError(f"noise must be nonnegative, got {noise}")
     stream = Stream(seed).child("synthetic", kind)
     counts = _class_counts(n, 2)
-    xs, ys = [], []
+    labels = np.repeat(np.arange(2, dtype=np.int64), counts)
 
     if kind == "two_clusters":
+        words = draw_u64(stream, 2 * n).reshape(n, 2)   # one Box-Muller pair a point
+        z = normal_pairs(as_open_unit(words[:, 0]), as_random(words[:, 1]))
         centers = np.array([[-1.5, -1.5], [1.5, 1.5]])
-        for cls, count in enumerate(counts):
-            for _ in range(count):
-                xs.append(centers[cls] + noise * np.array([stream.normal(),
-                                                           stream.normal()]))
-                ys.append(cls)
+        points = centers[labels] + noise * z
     elif kind == "rings":
-        radii = (1.0, 2.0)
-        for cls, count in enumerate(counts):
-            for _ in range(count):
-                theta = 2.0 * np.pi * stream.random()
-                r = radii[cls] + noise * stream.normal()
-                xs.append([r * np.cos(theta), r * np.sin(theta)])
-                ys.append(cls)
+        # a pair of points draws: angle, Box-Muller pair, angle (an odd
+        # last point leaves its spare normal unused)
+        pairs = (n + 1) // 2
+        words = np.zeros(4 * pairs, dtype=np.uint64)
+        words[:n + 2 * pairs] = draw_u64(stream, n + 2 * pairs)
+        words = words.reshape(pairs, 4)
+        theta = 2.0 * np.pi * as_random(words[:, [0, 3]].reshape(-1)[:n])
+        z = normal_pairs(as_open_unit(words[:, 1]), as_random(words[:, 2])).reshape(-1)[:n]
+        r = np.array([1.0, 2.0])[labels] + noise * z
+        points = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
     else:  # xor_grid: class 0 in the (+,+)/(-,-) quadrants, class 1 otherwise
-        quadrants = {0: [(1, 1), (-1, -1)], 1: [(1, -1), (-1, 1)]}
-        for cls, count in enumerate(counts):
-            for i in range(count):
-                sx, sy = quadrants[cls][i % 2]
-                point = np.array([sx * (0.1 + 0.9 * stream.random()),
-                                  sy * (0.1 + 0.9 * stream.random())])
-                point += noise * np.array([stream.normal(), stream.normal()])
-                xs.append(point)
-                ys.append(cls)
+        words = draw_u64(stream, 4 * n).reshape(n, 4)   # x, y, Box-Muller pair
+        # quadrant signs alternate within each class, starting with (+, +)
+        # for class 0 and (+, -) for class 1
+        within = np.concatenate([np.arange(count) for count in counts])
+        sx = np.where(within % 2 == 0, 1.0, -1.0)
+        signs = np.stack([sx, np.where(labels == 0, sx, -sx)], axis=1)
+        points = signs * (0.1 + 0.9 * as_random(words[:, :2]))
+        points += noise * normal_pairs(as_open_unit(words[:, 2]), as_random(words[:, 3]))
 
-    inputs = np.asarray(xs, dtype=np.float32)
-    labels = np.asarray(ys, dtype=np.int64)
+    inputs = points.astype(np.float32)
     perm = stream.permutation(n)  # interleave the classes
     return Dataset(inputs=inputs[perm], labels=labels[perm], num_classes=2)
 

@@ -11,6 +11,7 @@ gives distinct, statistically independent streams for distinct id tuples.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,14 +29,18 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
+@lru_cache(maxsize=256)
+def _string_token(token: str) -> int:
+    """A string id's 64-bit value, folded from its UTF-8 bytes once per process."""
+    value = 0
+    for byte in token.encode("utf-8"):
+        _, value = _splitmix64((value ^ byte) & _MASK64)
+    return value
+
+
 def _fold(seed: int, token: int | str) -> int:
     """Mix one id token into a 64-bit seed value."""
-    if isinstance(token, str):
-        value = 0
-        for byte in token.encode("utf-8"):
-            _, value = _splitmix64((value ^ byte) & _MASK64)
-    else:
-        value = token & _MASK64
+    value = _string_token(token) if isinstance(token, str) else token & _MASK64
     _, out = _splitmix64((seed ^ value) & _MASK64)
     return out
 
@@ -103,17 +108,14 @@ class Stream:
     #
     # Each helper returns exactly the values, and leaves the stream in exactly
     # the state, that the same number of scalar calls would (`random`,
-    # `open_unit`, `randbelow`); the draws are only computed in bulk.
+    # `open_unit`, `randbelow`); the draws are only computed in bulk. A
+    # pending normal spare stays pending, as under the scalar calls.
 
     def uniforms(self, n: int) -> np.ndarray:
-        draws, = _bulk_u64([self], n)
-        draws >>= 11
-        out = draws.astype(np.float64)
-        out *= _DOUBLE_SCALE
-        return out
+        return as_random(_bulk_u64([self], n)[0])
 
     def gumbels(self, n: int) -> np.ndarray:
-        opens = ((_bulk_u64([self], n)[0] >> 11).astype(np.float64) + 0.5) * _DOUBLE_SCALE
+        opens = as_open_unit(_bulk_u64([self], n)[0])
         # math.log, not np.log: the two may differ in the last bit, and a
         # Gumbel-top-k ranking is sensitive to that
         return np.array([-math.log(-math.log(x)) for x in opens.tolist()],
@@ -156,6 +158,51 @@ class Stream:
     def set_state(self, state: tuple[int, int, int, int]) -> None:
         self._s0, self._s1, self._s2, self._s3 = (w & _MASK64 for w in state)
         self._gauss_spare = None
+
+
+# ---------------------------------------------------------------------------
+# scalar draws computed from bulk outputs
+# ---------------------------------------------------------------------------
+#
+# A caller that interleaves `random`, `open_unit` and `normal` calls in a
+# fixed pattern can draw all of their `next_u64` outputs at once with
+# `draw_u64`, pick each call's outputs by position, and turn them into the
+# calls' values here.
+
+def draw_u64(stream: Stream, n: int) -> np.ndarray:
+    """The next n outputs of `stream.next_u64()`, as a uint64 array."""
+    return _bulk_u64([stream], n)[0]
+
+
+def as_random(words: np.ndarray) -> np.ndarray:
+    """`random()` of each output in words (uint64, overwritten)."""
+    words >>= 11
+    out = words.astype(np.float64)
+    out *= _DOUBLE_SCALE
+    return out
+
+
+def as_open_unit(words: np.ndarray) -> np.ndarray:
+    """`open_unit()` of each output in words (uint64, overwritten)."""
+    words >>= 11
+    out = words.astype(np.float64)
+    out += 0.5
+    out *= _DOUBLE_SCALE
+    return out
+
+
+def normal_pairs(opens: np.ndarray, randoms: np.ndarray) -> np.ndarray:
+    """(k, 2) float64: row i holds the two values that two `normal()` calls
+    return from the Box-Muller pair of opens[i] and randoms[i]. The log,
+    sqrt, cos and sin are `math`'s, as in `normal()`: numpy's may differ in
+    the last bit. Products are the same in either."""
+    out = np.empty((len(opens), 2), dtype=np.float64)
+    logs = np.array(list(map(math.log, opens.tolist())))
+    r = np.array(list(map(math.sqrt, (-2.0 * logs).tolist())))
+    theta = (2.0 * math.pi * randoms).tolist()
+    np.multiply(r, list(map(math.cos, theta)), out=out[:, 0])
+    np.multiply(r, list(map(math.sin, theta)), out=out[:, 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +277,49 @@ def _group_size(n: int) -> int:
     return max(1, _GROUP_COLUMNS // _lane_shape(n)[1])
 
 
+def _stepped(stream: Stream, n: int) -> list[int]:
+    """The word s1 before each of the next n steps of `stream`, which ends n
+    steps on. The state is stepped in local variables and written back once;
+    `_scramble` turns the words into the `next_u64()` outputs."""
+    s0, s1, s2, s3 = stream._s0, stream._s1, stream._s2, stream._s3
+    seen = []
+    append = seen.append
+    for _ in range(n):
+        append(s1)
+        t = s1 << 17
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 = (s2 ^ t) & _MASK64
+        s3 = (s3 << 45 | s3 >> 19) & _MASK64
+    stream._s0, stream._s1, stream._s2, stream._s3 = s0, s1, s2, s3
+    return seen
+
+
+_FIVE, _SEVEN, _NINE, _FIFTY_SEVEN = (np.uint64(c) for c in (5, 7, 9, 57))
+
+
+def _scramble(seen: np.ndarray, high: np.ndarray) -> None:
+    """Output = rotl(s1 * 5, 7) * 9 of every s1 word in seen (uint64, in
+    place); high is scratch of the same shape."""
+    np.multiply(seen, _FIVE, out=seen)
+    np.right_shift(seen, _FIFTY_SEVEN, out=high)
+    np.left_shift(seen, _SEVEN, out=seen)
+    np.bitwise_or(seen, high, out=seen)
+    np.multiply(seen, _NINE, out=seen)
+
+
 def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
     """The next n outputs of each stream's `next_u64()`, as the rows of an
-    (S, n) uint64 array, advancing every stream n steps."""
+    (S, n) uint64 array, advancing every stream n steps. The state words
+    are read and written directly, so a pending normal spare stays pending."""
     count = len(streams)
     if n < _LANE_CUTOFF:
-        return np.array([[stream.next_u64() for _ in range(n)] for stream in streams],
-                        dtype=np.uint64).reshape(count, n)
+        out = np.array([_stepped(stream, n) for stream in streams],
+                       dtype=np.uint64).reshape(count, n)
+        _scramble(out, np.empty_like(out))
+        return out
     steps, lanes = _lane_shape(n)
     # after the n-th draw a stream is in lane `last`'s state after
     # `remainder` of its steps; that lane is stepped too, even when no draw
@@ -244,8 +327,8 @@ def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
     last, remainder = divmod(n, steps)
     # column lane * count + s starts stream s's lane: [V, A^B V, A^(2B) V, ...]
     starts = np.empty((256, lanes, count), dtype=np.uint8)
-    starts[:, 0] = _state_bits(np.array([stream.get_state() for stream in streams],
-                                        dtype=np.uint64).T)
+    starts[:, 0] = _state_bits(np.array([(stream._s0, stream._s1, stream._s2, stream._s3)
+                                         for stream in streams], dtype=np.uint64).T)
     filled, j = 1, steps.bit_length() - 1
     while filled < lanes:                 # lanes [filled, 2 filled) are A^(B 2^j) ahead
         ahead = min(filled, lanes - filled)
@@ -275,17 +358,11 @@ def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
         shl(s3, 45, out=s3)
         or_(s3, t, out=s3)
     for stream, words in zip(streams, final):
-        stream.set_state(words)
-    # output = rotl(s1 * 5, 7) * 9, scrambled in place; the output block
-    # serves as scratch until the transposed copy overwrites it with each
-    # stream's lanes one after another
+        stream._s0, stream._s1, stream._s2, stream._s3 = words
+    # the output block serves as scratch for the scramble until the
+    # transposed copy overwrites it with each stream's lanes one after another
     out = np.empty((count, lanes * steps), dtype=np.uint64)
-    high = out.reshape(steps, columns)
-    seen *= 5
-    np.right_shift(seen, 57, out=high)
-    seen <<= 7
-    seen |= high
-    seen *= 9
+    _scramble(seen, out.reshape(steps, columns))
     out.reshape(count, lanes, steps)[...] = seen.reshape(steps, lanes, count).T
     return out[:, :n]
 

@@ -16,6 +16,10 @@
   it draws at once; and the partial Fisher-Yates shuffle walked one swap
   at a time over a dict of moved positions, which `rng._shuffled_prefix`
   must reproduce from the swap targets alone.
+- The synthetic tasks point by point, one scalar `random` or `normal`
+  call per value, which `data.gen_synthetic` must reproduce from one bulk
+  draw; and a substream's seed with every string id folded from its bytes
+  on each call, which `Stream.child`'s once-per-process fold must keep.
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries; and the compact
@@ -287,6 +291,28 @@ def col2im_conv_backward(layer: Layer, x: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def child_seed(seed: int, ids) -> int:
+    """`Stream(seed).child(*ids).seed`, folding every string id from its
+    UTF-8 bytes on each call."""
+    mask = (1 << 64) - 1
+
+    def splitmix(z: int) -> int:
+        z = (z + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    for token in ids:
+        if isinstance(token, str):
+            value = 0
+            for byte in token.encode("utf-8"):
+                value = splitmix(value ^ byte)
+        else:
+            value = token & mask
+        seed = splitmix(seed ^ value)
+    return seed
+
+
 def uniforms(stream: Stream, n: int) -> np.ndarray:
     return np.array([stream.random() for _ in range(n)], dtype=np.float64)
 
@@ -305,6 +331,45 @@ def permutation(stream: Stream, n: int) -> np.ndarray:
         j = stream.randbelow(i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+def gen_synthetic(kind: str, n: int, noise: float, seed: int) -> Dataset:
+    """The synthetic tasks point by point, each value from its own scalar
+    `random` or `normal` call, then the scalar closing permutation: the
+    bytes `data.gen_synthetic` must give from its one bulk draw."""
+    stream = Stream(seed).child("synthetic", kind)
+    base, extra = divmod(n, 2)
+    counts = [base + (1 if i < extra else 0) for i in range(2)]
+    xs, ys = [], []
+    if kind == "two_clusters":
+        centers = np.array([[-1.5, -1.5], [1.5, 1.5]])
+        for cls, count in enumerate(counts):
+            for _ in range(count):
+                xs.append(centers[cls] + noise * np.array([stream.normal(),
+                                                           stream.normal()]))
+                ys.append(cls)
+    elif kind == "rings":
+        radii = (1.0, 2.0)
+        for cls, count in enumerate(counts):
+            for _ in range(count):
+                theta = 2.0 * np.pi * stream.random()
+                r = radii[cls] + noise * stream.normal()
+                xs.append([r * np.cos(theta), r * np.sin(theta)])
+                ys.append(cls)
+    else:
+        quadrants = {0: [(1, 1), (-1, -1)], 1: [(1, -1), (-1, 1)]}
+        for cls, count in enumerate(counts):
+            for i in range(count):
+                sx, sy = quadrants[cls][i % 2]
+                point = np.array([sx * (0.1 + 0.9 * stream.random()),
+                                  sy * (0.1 + 0.9 * stream.random())])
+                point += noise * np.array([stream.normal(), stream.normal()])
+                xs.append(point)
+                ys.append(cls)
+    inputs = np.asarray(xs, dtype=np.float32)
+    labels = np.asarray(ys, dtype=np.int64)
+    perm = permutation(stream, n)
+    return Dataset(inputs=inputs[perm], labels=labels[perm], num_classes=2)
 
 
 def epoch_batches(dataset: Dataset, batch_size: int, seed: int, epoch: int,

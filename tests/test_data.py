@@ -93,6 +93,31 @@ class TestSynthetic:
         np.testing.assert_array_equal(ds.labels, want)
 
 
+class TestSyntheticBytes:
+    """The bulk draw gives the per-point loop's bytes: even and odd n on both
+    sides of the lane cutoff, several seeds and noise levels, noise 0 too."""
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 511, 513, 1001, 2000])
+    @pytest.mark.parametrize("kind", ["rings", "two_clusters", "xor_grid"])
+    def test_bulk_draw_equals_the_per_point_loop(self, kind, n):
+        for seed in (0, 1, 2**64 - 1):
+            for noise in (0.0, 0.3, 2.5):
+                got = gen_synthetic(kind, n, noise, seed)
+                want = oracles.gen_synthetic(kind, n, noise, seed)
+                assert got.inputs.dtype == want.inputs.dtype == np.float32
+                assert got.labels.dtype == want.labels.dtype == np.int64
+                assert got.inputs.tobytes() == want.inputs.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("n", [1001, 2001])
+    def test_odd_rings_past_the_lane_cutoff_build(self, n):
+        # the per-point loop leaves a normal pending before the closing
+        # permutation, which then draws on the lane path
+        ds = gen_synthetic("rings", n, 0.3, seed=0)
+        assert len(ds) == n and np.bincount(ds.labels).tolist() == [(n + 1) // 2, n // 2]
+        assert ds.inputs.tobytes() == oracles.gen_synthetic("rings", n, 0.3, 0).inputs.tobytes()
+
+
 class TestSplitAndNormalize:
     def test_split_is_deterministic_partition(self):
         ds = gen_synthetic("two_clusters", 50, 0.2, seed=9)

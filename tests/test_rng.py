@@ -175,6 +175,32 @@ def test_permutation_equals_the_downward_swap_loop(n):
         assert_bulk_matches_oracle("permutation", seed, n)
 
 
+@pytest.mark.parametrize("n", [100, 600])
+@pytest.mark.parametrize("helper", HELPERS)
+def test_bulk_draws_keep_a_pending_normal(helper, n):
+    # after an odd number of normal() calls the Box-Muller spare is pending:
+    # the bulk helpers, below and past the lane cutoff, neither read the
+    # state through get_state() nor drop the spare
+    bulk, scalar = Stream(31 + n), Stream(31 + n)
+    assert bulk.normal() == scalar.normal()
+    got, want = draw(helper, bulk, n, True), draw(helper, scalar, n, False)
+    assert got.tobytes() == want.tobytes()
+    assert bulk.normal() == scalar.normal()       # the pending spare
+    assert bulk.get_state() == scalar.get_state()
+    bulk.normal()
+    with pytest.raises(RuntimeError, match="cached normal pending"):
+        bulk.get_state()                           # a checkpoint still refuses it
+
+
+def test_string_ids_fold_as_their_bytes():
+    # string ids are folded once per process; the cached value must be the
+    # byte-by-byte fold, whatever order the ids first appear in
+    for seed in (0, 7, 2**64 - 1):
+        for ids in [("mask", 0, 3), ("init", 2, 1), ("topo", 1, 4), ("synthetic", "rings"),
+                    ("epoch", 46), ("", "é", 2**70), ("mask", "mask")]:
+            assert Stream(seed).child(*ids).seed == oracles.child_seed(seed, ids)
+
+
 @pytest.mark.parametrize("helper, args", [
     ("choice_without_replacement", (262_144, 26_214)),   # a 512x512 mask at density 0.1
     ("uniforms", (262_144,)),                            # a 512x512 layer's weights
@@ -237,6 +263,23 @@ def test_many_streams_permute_as_each_alone(n, count):
         assert row.tobytes() == a.permutation(n).tobytes()
         assert row.tobytes() == oracles.permutation(s, n).tobytes()
         assert t.get_state() == a.get_state() == s.get_state()
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, CUTOFF - 1])
+def test_local_state_loop_equals_next_u64(n, count, spare):
+    together, scalar = (streams(count, n, 40 + n) for _ in range(2))
+    if spare:
+        for t, s in zip(together, scalar):
+            assert t.normal() == s.normal()
+    got = rng._bulk_u64(together, n)
+    assert got.shape == (count, n) and got.dtype == np.uint64
+    for row, t, s in zip(got, together, scalar):
+        assert row.tolist() == [s.next_u64() for _ in range(n)]
+        assert (t._s0, t._s1, t._s2, t._s3) == (s._s0, s._s1, s._s2, s._s3)
+        assert t._gauss_spare == s._gauss_spare
+        assert (t._gauss_spare is None) != spare
 
 
 # -- the partial Fisher-Yates resolver against the swap walk ------------------
