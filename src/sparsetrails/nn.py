@@ -218,17 +218,19 @@ def active_indices(mask: np.ndarray) -> np.ndarray:
 
 def init_layer(layer: Layer, stream: Stream) -> None:
     """Kaiming-uniform fan-in init of a layer's zeroed store views: its
-    weights are drawn dense and written where its mask is set, then its
-    bias is drawn. A relu layer draws nothing."""
+    weights take one draw per position, dense, but only the draws where
+    its mask is set are made into values and written; then its bias is
+    drawn. A relu layer draws nothing."""
     spec = layer.spec
     if spec.kind == "relu":
         return
     values, mask = layer.weight.values, layer.weight.mask
-    draws = stream.uniforms(values.size).reshape(values.shape)
+    kept = active_indices(mask)
+    draws = stream.uniforms(values.size, at=kept)
     draws *= 2.0                     # (u * 2 - 1) * bound, in place in float64
     draws -= 1.0
     draws *= math.sqrt(6.0 / spec.fan_in)
-    np.copyto(values, draws, casting="same_kind", where=mask.view(bool))
+    values.reshape(-1)[kept] = draws
     if spec.has_bias:
         layer.bias[...] = (stream.uniforms(layer.bias.size) * 2.0 - 1.0) \
             * (1.0 / math.sqrt(spec.fan_in))

@@ -111,8 +111,11 @@ class Stream:
     # `open_unit`, `randbelow`); the draws are only computed in bulk. A
     # pending normal spare stays pending, as under the scalar calls.
 
-    def uniforms(self, n: int) -> np.ndarray:
-        return as_random(_bulk_u64([self], n)[0])
+    def uniforms(self, n: int, *, at: np.ndarray | None = None) -> np.ndarray:
+        """n `random()` values; with `at`, only `uniforms(n)[at]`, which
+        scrambles and converts just those draws. The stream moves n steps
+        either way."""
+        return as_random(_bulk_u64([self], n, at=at)[0])
 
     def gumbels(self, n: int) -> np.ndarray:
         opens = as_open_unit(_bulk_u64([self], n)[0])
@@ -298,6 +301,7 @@ def _stepped(stream: Stream, n: int) -> list[int]:
 
 
 _FIVE, _SEVEN, _NINE, _FIFTY_SEVEN = (np.uint64(c) for c in (5, 7, 9, 57))
+_SEVENTEEN, _NINETEEN, _FORTY_FIVE = (np.uint64(c) for c in (17, 19, 45))
 
 
 def _scramble(seen: np.ndarray, high: np.ndarray) -> None:
@@ -310,14 +314,18 @@ def _scramble(seen: np.ndarray, high: np.ndarray) -> None:
     np.multiply(seen, _NINE, out=seen)
 
 
-def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
+def _bulk_u64(streams: list[Stream], n: int, *, at: np.ndarray | None = None) -> np.ndarray:
     """The next n outputs of each stream's `next_u64()`, as the rows of an
-    (S, n) uint64 array, advancing every stream n steps. The state words
-    are read and written directly, so a pending normal spare stays pending."""
+    (S, n) uint64 array, advancing every stream n steps; with `at`, integer
+    positions in range(n), only the rows' columns at those positions, and
+    only they are scrambled. The state words are read and written
+    directly, so a pending normal spare stays pending."""
     count = len(streams)
     if n < _LANE_CUTOFF:
         out = np.array([_stepped(stream, n) for stream in streams],
                        dtype=np.uint64).reshape(count, n)
+        if at is not None:
+            out = out[:, at]
         _scramble(out, np.empty_like(out))
         return out
     steps, lanes = _lane_shape(n)
@@ -338,27 +346,46 @@ def _bulk_u64(streams: list[Stream], n: int) -> np.ndarray:
         starts[:, filled:filled + ahead] = (product & 1).reshape(256, ahead, count)
         filled += ahead
         j += 1
-    state = _bits_state(starts.reshape(256, -1))
-    s0, s1, s2, s3 = state                # rows of `state`, stepped in place
+    s0, s1, s2, s3 = _bits_state(starts.reshape(256, -1))   # stepped in place
     columns = lanes * count
-    seen = np.empty((steps, columns), dtype=np.uint64)   # s1 before each step
+    # row i is s1 before step i: each step writes the next s1 into the next
+    # row, so the rows are the live s1 and no step copies it
+    seen = np.empty((steps, columns), dtype=np.uint64)
+    seen[0] = s1
     t = np.empty(columns, dtype=np.uint64)
     xor, or_, shl, shr = np.bitwise_xor, np.bitwise_or, np.left_shift, np.right_shift
-    for i in range(steps):
+    # the last row's step is not taken: the state kept is at most
+    # `remainder` < steps steps into its lane
+    for i, (s1, s1_next) in enumerate(zip(seen, seen[1:])):
         if i == remainder:
-            final = state[:, last * count:].T.tolist()
-        seen[i] = s1
-        shl(s1, 17, out=t)
+            final = [w[last * count:].tolist() for w in (s0, s1, s2, s3)]
+        shl(s1, _SEVENTEEN, out=t)
         xor(s2, s0, out=s2)
         xor(s3, s1, out=s3)
-        xor(s1, s2, out=s1)
+        xor(s1, s2, out=s1_next)
         xor(s0, s3, out=s0)
         xor(s2, t, out=s2)
-        shr(s3, 19, out=t)                # s3 = rotl(s3, 45)
-        shl(s3, 45, out=s3)
+        shr(s3, _NINETEEN, out=t)         # s3 = rotl(s3, 45)
+        shl(s3, _FORTY_FIVE, out=s3)
         or_(s3, t, out=s3)
-    for stream, words in zip(streams, final):
+    if remainder == steps - 1:
+        final = [w[last * count:].tolist() for w in (s0, seen[-1], s2, s3)]
+    for stream, words in zip(streams, zip(*final)):
         stream._s0, stream._s1, stream._s2, stream._s3 = words
+    if at is not None:
+        # draw p of stream s is row p % B of column (p // B) * S + s
+        at = np.asarray(at, dtype=np.intp)
+        low = at.min(initial=0)
+        if low < -n or at.max(initial=0) >= n:
+            raise IndexError(f"a position in `at` is outside range({n})")
+        if low < 0:                       # negative positions count from the end
+            at = at % n
+        flat = at & (steps - 1)
+        flat *= columns
+        flat += (at >> (steps.bit_length() - 1)) * count
+        out = seen.reshape(-1)[flat + np.arange(count)[:, None]]
+        _scramble(out, np.empty_like(out))
+        return out
     # the output block serves as scratch for the scramble until the
     # transposed copy overwrites it with each stream's lanes one after another
     out = np.empty((count, lanes * steps), dtype=np.uint64)

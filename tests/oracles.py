@@ -20,6 +20,9 @@
   call per value, which `data.gen_synthetic` must reproduce from one bulk
   draw; and a substream's seed with every string id folded from its bytes
   on each call, which `Stream.child`'s once-per-process fold must keep.
+- A layer's weight init from one dense draw per position, every draw made
+  into a value and the values written where the mask is set: the bytes
+  `nn.init_layer` must give from the kept draws alone.
 - A dense masked optimizer: every slot has its parameter's shape and each
   step updates every entry, the arithmetic the compact `Optimizer` must
   reproduce bit for bit at the active entries; and the compact
@@ -406,6 +409,24 @@ def shuffled_prefix(swaps: np.ndarray) -> np.ndarray:
         picks.append(moved.get(j, j))
         moved[j] = moved.get(i, i)
     return np.array(picks, dtype=np.int64)
+
+
+def init_layer(layer: Layer, stream: Stream) -> None:
+    """Kaiming-uniform fan-in init of a layer's zeroed store views: its
+    weights are drawn dense and written where its mask is set, then its
+    bias is drawn. A relu layer draws nothing."""
+    spec = layer.spec
+    if spec.kind == "relu":
+        return
+    values, mask = layer.weight.values, layer.weight.mask
+    draws = stream.uniforms(values.size).reshape(values.shape)
+    draws *= 2.0                     # (u * 2 - 1) * bound, in place in float64
+    draws -= 1.0
+    draws *= math.sqrt(6.0 / spec.fan_in)
+    np.copyto(values, draws, casting="same_kind", where=mask.view(bool))
+    if spec.has_bias:
+        layer.bias[...] = (stream.uniforms(layer.bias.size) * 2.0 - 1.0) \
+            * (1.0 / math.sqrt(spec.fan_in))
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sparsetrails import nn
-from sparsetrails.nn import (Layer, LayerSpec, layer_forward, loss_forward, stack_backward,
-                             stack_forward)
+from sparsetrails.nn import (Layer, LayerSpec, ParamStore, layer_forward, loss_forward,
+                             stack_backward, stack_forward)
 from sparsetrails.rng import Stream
 
 from conftest import (BLAS_THREADS, gradcheck_stack, make_linear, masked, max_relative_error,
                       random_stack, relative_errors, standalone_layer)
 from oracles import (axis_loss_forward, col2im_conv_backward, conv2d_backward, conv2d_forward,
                      finite_difference_gradient, helper_loss_backward, helper_loss_forward,
-                     per_head_conv_forward, stack_finite_difference)
+                     init_layer as oracle_init_layer, per_head_conv_forward,
+                     stack_finite_difference)
 
 
 class TestLayerForward:
@@ -72,6 +73,35 @@ class TestLayerForward:
         layer = standalone_layer(LayerSpec.conv2d(2, 2, 3, 3), stream)
         with pytest.raises(ValueError, match=r"\(B, 2, H, W\)"):
             layer_forward(layer, np.zeros((1, 3, 5, 5), dtype=np.float32))
+
+
+class TestInitLayer:
+    """`init_layer` makes values of the draws its mask keeps only; the store
+    bytes and each stream's end state are those of the dense init."""
+
+    # a 196x512 backbone layer; per head a conv just past the lane cutoff
+    # (8x8x3x3 = 576 draws), a 512x10 classifier, and a 20x10 layer below it
+    GROUPS = {"backbone": ([LayerSpec.linear(196, 512), LayerSpec.relu()], None),
+              "heads": ([LayerSpec.conv2d(8, 8, 3, 3), LayerSpec.linear(512, 10),
+                         LayerSpec.linear(20, 10)], ["head0", "head1"])}
+
+    @pytest.mark.parametrize("density", [0.0, 1.0, 0.1, 0.5])
+    def test_store_bytes_equal_the_dense_init(self, density):
+        got, want = ParamStore(self.GROUPS), ParamStore(self.GROUPS)
+        picks = np.random.default_rng(int(density * 10))
+        for a, b in zip(got.refs, want.refs):
+            if a.mask is not None:
+                a.mask[...] = b.mask[...] = picks.random(a.mask.shape) < density
+        for c, (component, layers) in enumerate(got.components.items()):
+            for i, (layer, oracle_layer) in enumerate(zip(layers, want.components[component])):
+                stream, oracle_stream = (Stream(9).child("init", c, i) for _ in range(2))
+                nn.init_layer(layer, stream)
+                oracle_init_layer(oracle_layer, oracle_stream)
+                assert stream.get_state() == oracle_stream.get_state()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
+        # only the kept weights and the biases are set
+        assert np.count_nonzero(got.values) == np.count_nonzero(got.mask)
 
 
 class TestConvOracle:

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsetrails import rng
+from sparsetrails.nn import LayerSpec, ParamStore, init_layer
 from sparsetrails.rng import Stream
 
 import oracles
@@ -282,6 +283,66 @@ def test_local_state_loop_equals_next_u64(n, count, spare):
         assert (t._gauss_spare is None) != spare
 
 
+# -- draws kept at chosen positions against the dense draw -------------------
+
+def positions(kind: str, n: int) -> np.ndarray:
+    """Positions in range(n): none, all, an unsorted third, or a sorted
+    half with every other position twice, in int64 as `active_indices`
+    gives them."""
+    picks = np.random.default_rng(n)
+    if kind == "empty":
+        return np.array([], dtype=np.int64)
+    if kind == "all":
+        return np.arange(n)
+    if kind == "unsorted":
+        return picks.permutation(n)[:n // 3 + 1] if n else np.arange(0)
+    half = np.sort(picks.choice(n, n // 2 + 1, replace=False)) if n else np.arange(0)
+    return np.sort(np.concatenate([half, half[::2]]))
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("kind", ["empty", "all", "unsorted", "repeated"])
+@pytest.mark.parametrize("n", [0, 1, CUTOFF - 1, CUTOFF, CUTOFF + 1, 100_352, 262_144])
+def test_uniforms_at_positions_equal_the_dense_draw_indexed(n, kind, spare):
+    kept, dense = Stream(60 + n), Stream(60 + n)
+    if spare:
+        assert kept.normal() == dense.normal()
+    at = positions(kind, n)
+    if kind == "repeated" and n > 1:
+        assert np.unique(at).size < at.size
+    got, want = kept.uniforms(n, at=at), dense.uniforms(n)[at]
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert (kept._s0, kept._s1, kept._s2, kept._s3) == (dense._s0, dense._s1, dense._s2, dense._s3)
+    assert kept._gauss_spare == dense._gauss_spare
+    assert (kept._gauss_spare is None) != spare
+
+
+@pytest.mark.parametrize("n", [CUTOFF - 1, 5000])
+def test_many_streams_keep_the_same_positions(n):
+    together, dense = (streams(3, n, 70 + n) for _ in range(2))
+    at = positions("unsorted", n)
+    got = rng._bulk_u64(together, n, at=at)
+    assert got.tobytes() == rng._bulk_u64(dense, n)[:, at].tobytes()
+    for t, d in zip(together, dense):
+        assert t.get_state() == d.get_state()
+
+
+@pytest.mark.parametrize("n", [CUTOFF - 1, 4097])
+def test_uniforms_at_takes_positions_as_indexing_does(n):
+    # negative positions count from the end; one outside [-n, n) is refused
+    # after the stream has moved n steps, as the dense draw indexed would be
+    at = np.array([-1, 0, -n, n - 1, 5, -6])
+    got, want = Stream(n).uniforms(n, at=at), Stream(n).uniforms(n)[at]
+    assert got.tobytes() == want.tobytes()
+    for outside in (n, -n - 1):
+        kept, dense = Stream(n), Stream(n)
+        with pytest.raises(IndexError):
+            kept.uniforms(n, at=np.array([0, outside]))
+        dense.uniforms(n)
+        assert kept.get_state() == dense.get_state()
+
+
 # -- the partial Fisher-Yates resolver against the swap walk ------------------
 
 @st.composite
@@ -333,8 +394,13 @@ class TestDrawMemory:
     """A wide layer's set-up draws, and a run's epoch orders, hold a few
     copies of their output at most."""
 
+    # a 512x512 layer's weights, and its mask's picks at density 0.1
+    DENSE, KEPT = 262_144, 26_214
+
     @staticmethod
-    def peak_over_output(draw) -> float:
+    def peak_bytes(draw) -> tuple[int, np.ndarray]:
+        """The traced peak of a second call of draw, over the memory held
+        at its start, and what the call returned."""
         draw()   # builds the jump matrices this size needs, kept for the process
         tracemalloc.start()
         try:
@@ -343,10 +409,38 @@ class TestDrawMemory:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
+        return peak, out
+
+    @classmethod
+    def peak_over_output(cls, draw) -> float:
+        peak, out = cls.peak_bytes(draw)
         return peak / out.nbytes
 
     def test_uniforms_peak_is_under_four_outputs(self):
         assert self.peak_over_output(lambda: Stream(1).uniforms(262_144)) < 4
+
+    def test_uniforms_at_a_tenth_peak_is_under_one_and_a_half_dense_outputs(self):
+        # the block of s1 words is held, the dense output block is not
+        # (measured 1.38 dense outputs, 13.8 of its own)
+        at = np.sort(Stream(5).choice_without_replacement(self.DENSE, self.KEPT))
+        peak, _ = self.peak_bytes(lambda: Stream(1).uniforms(self.DENSE, at=at))
+        assert peak < 1.5 * self.DENSE * 8
+
+    def test_a_masked_layers_set_up_peak_is_under_one_and_a_half_dense_outputs(self):
+        # its mask's picks, then its init from the kept draws (measured 1.48
+        # dense float64 outputs; the dense init took 2.08)
+        layer = ParamStore({"layer": ([LayerSpec.linear(512, 512)], None)}).layers["layer"][0]
+
+        def set_up() -> np.ndarray:
+            layer.weight.mask[...] = 0
+            layer.weight.values[...] = 0
+            layer.weight.mask.reshape(-1)[
+                Stream(5).choice_without_replacement(self.DENSE, self.KEPT)] = 1
+            init_layer(layer, Stream(1))
+            return layer.weight.values
+
+        peak, _ = self.peak_bytes(set_up)
+        assert peak < 1.5 * self.DENSE * 8
 
     def test_mask_picks_peak_is_under_twelve_outputs(self):
         draw = lambda: Stream(1).choice_without_replacement(262_144, 26_214)  # noqa: E731
