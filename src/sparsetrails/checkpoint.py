@@ -23,11 +23,11 @@ Layout (all integers little-endian):
 
 Masked entries are not stored, in the file or in a `Checkpoint`: a masked
 weight's values, like its optimizer slots, are its active entries, 1-D in
-`active` order. A capture copies them and keeps views of the rest; a
-restore writes +0.0 over a masked weight's range, then its active entries,
-so masked weights are +0.0 without a scan of the store. A checkpoint
-restores parameters, masks, optimizer state and the live topology streams,
-so a resumed run replays the uninterrupted run exactly.
+the order of its mask's 1s. A capture copies them and keeps views of the
+rest; a restore writes the masks, finds the active positions from them and
+scatters every entry there into a store written +0.0. A checkpoint restores
+parameters, masks, optimizer state and the live topology streams, so a
+resumed run replays the uninterrupted run exactly.
 Files are written whole or not at all (`write_atomic`).
 """
 
@@ -61,7 +61,7 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     """A run's state. `params` holds a masked weight as its active entries,
-    1-D in `active` order, as `opt_state` holds every slot."""
+    1-D in the order of its mask's 1s, as `opt_state` holds every slot."""
     version: int
     config_hash: str
     step: int
@@ -72,7 +72,6 @@ class Checkpoint:
     masks: dict[str, np.ndarray] = field(default_factory=dict)
     opt_state: dict[str, np.ndarray] = field(default_factory=dict)  # 1-D, active entries
     rng_states: dict[str, tuple[int, int, int, int]] = field(default_factory=dict)
-    active: dict[str, np.ndarray] = field(default_factory=dict)  # a mask's sorted flat 1s
 
 
 def _slot_key(name: str, slot: str) -> str:
@@ -83,7 +82,7 @@ def _slot_key(name: str, slot: str) -> str:
 def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
             step: int, config_hash: str) -> Checkpoint:
     """The run's state at `step`. A masked weight's `params` entry is a copy of
-    its active entries, 1-D in `active` order (one `take` gathers them all).
+    its active entries, 1-D in store order (one `take` gathers them all).
     The rest of `params`, `masks` and `opt_state` are views of the live store
     and optimizer slots, not copies: a capture is valid until the next step,
     so save it at once or `copy.deepcopy` it to keep it."""
@@ -102,7 +101,6 @@ def capture(model: TrailsModel, optimizer: Optimizer, ledger: FlopsLedger,
         else:
             ckpt.params[ref.name] = active_values[lo:hi]
             ckpt.masks[ref.name] = ref.mask
-            ckpt.active[ref.name] = optimizer.active[lo:hi] - ref.offset
         for slot, arr in slots:
             ckpt.opt_state[_slot_key(ref.name, slot)] = arr[lo:hi]
     ckpt.rng_states = {key: stream.get_state()
@@ -244,8 +242,7 @@ def _parse(r: _Reader, path: str) -> Checkpoint:
             bits = np.unpackbits(np.frombuffer(r.take((size + 7) // 8), np.uint8),
                                  count=size)
             ckpt.masks[name] = bits.reshape(shape)
-            ckpt.active[name] = active_indices(bits)
-            n = ckpt.active[name].size
+            n = int(np.count_nonzero(bits))
         slots = Optimizer.SLOTS[ckpt.optimizer_kind]
         # the record's bytes are read before any array is sized from its shape
         width = 1 + len(slots)
@@ -283,13 +280,13 @@ def _entry(entries: dict[str, np.ndarray], key: str, shape: tuple[int, ...] | No
 
 def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             ledger: FlopsLedger) -> int:
-    """Load a checkpoint into live objects; returns the step to resume from.
-    Each component's records fill its range of the model's parameter store.
-    A masked record's active list is checked against its own mask, its range
-    is written +0.0, then its active entries are scattered there, so masked
-    weights are +0.0 without a scan of the store. The lists, in store order,
-    become the optimizer's active positions, and the ledger's sparse forward
-    FLOPs are counted from them, not from the masks again."""
+    """Load a checkpoint into live objects, `capture`'s inverse; returns the
+    step to resume from. The masks are written first, and the store's active
+    positions found from them once; cut per record as `capture` cuts them,
+    they size each record's entries, become the optimizer's `active` and
+    count the ledger's sparse forward FLOPs. Every entry is copied out of the
+    checkpoint (a fresh capture's are views of the buffers written here)
+    before the store is written +0.0 and the entries scattered there."""
     records = model.component_parameters()
     keys = {ref.name for ref in records}
     if keys != set(ckpt.params):
@@ -301,32 +298,30 @@ def restore(ckpt: Checkpoint, model: TrailsModel, optimizer: Optimizer,
             f"checkpoint optimizer {ckpt.optimizer_kind!r} != configured "
             f"{optimizer.kind!r}")
     order = sorted(records, key=lambda ref: ref.offset)
-    listed = []  # each record's active positions in the store, in store order
     for ref in order:
-        if ref.mask is None:
-            ref.array[...] = _entry(ckpt.params, ref.name, ref.array.shape, "parameter")
-            listed.append(np.arange(ref.offset, ref.offset + ref.array.size))
-            continue
-        ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
-        at = _entry(ckpt.active, ref.name, (int(np.count_nonzero(ref.mask)),),
-                    "active indices")
-        # count_nonzero positions, strictly increasing, in range, 1 in the mask
-        if at.size and not (0 <= at[0] and at[-1] < ref.mask.size
-                            and (np.diff(at) > 0).all() and ref.mask.reshape(-1)[at].all()):
-            raise CheckpointError(f"checkpoint active indices {ref.name} disagree with its mask")
-        listed.append(at + ref.offset)
-        ref.array[...] = 0.0
-        model.store.values[listed[-1]] = _entry(ckpt.params, ref.name, at.shape, "parameter")
-    optimizer.active = np.concatenate(listed)
-    for slot in Optimizer.SLOTS[optimizer.kind]:
-        optimizer.slots[slot] = np.concatenate(
-            [_entry(ckpt.opt_state, _slot_key(ref.name, slot), at.shape, "optimizer slot")
-             for ref, at in zip(order, listed)], dtype=model.store.values.dtype)
+        if ref.mask is not None:
+            ref.mask[...] = _entry(ckpt.masks, ref.name, ref.mask.shape, "mask")
+    active = active_indices(model.store.mask)
+    cuts = active.searchsorted(
+        [end for ref in order for end in (ref.offset, ref.offset + ref.array.size)]).tolist()
+    shares = [(ref, hi - lo) for ref, lo, hi in zip(order, cuts[::2], cuts[1::2])]
+    dtype = model.store.values.dtype
+    values = np.concatenate(
+        [_entry(ckpt.params, ref.name, ref.array.shape if ref.mask is None else (count,),
+                "parameter").reshape(-1) for ref, count in shares], dtype=dtype)
+    slots = {slot: np.concatenate(
+        [_entry(ckpt.opt_state, _slot_key(ref.name, slot), (count,), "optimizer slot")
+         for ref, count in shares], dtype=dtype) for slot in Optimizer.SLOTS[optimizer.kind]}
+    # the entries are copies by now, so the fill cannot reach them
+    model.store.values[...] = 0.0
+    model.store.values[active] = values
+    optimizer.active = active
+    optimizer.slots.update(slots)
     optimizer.adam_t = ckpt.adam_t
     for key, stream in model.topo_streams.items():
         if key not in ckpt.rng_states:
             raise CheckpointError(f"checkpoint missing rng stream {key}")
         stream.set_state(ckpt.rng_states[key])
     ledger.cumulative_train = ckpt.cumulative_flops
-    ledger.forward_sparse = count_flops(model, optimizer.active).forward_sparse
+    ledger.forward_sparse = count_flops(model, active).forward_sparse
     return ckpt.step

@@ -102,7 +102,7 @@ def _restored(cfg: dict, resume: str | None, force: bool):
     model = make_model(cfg)
     tconf = make_train_config(cfg)
     optimizer = Optimizer(tconf, model.named_parameters())
-    ledger = count_flops(model)
+    ledger = count_flops(model, optimizer.active)
     step = 0
     if resume is not None:
         ckpt = load_checkpoint(resume)

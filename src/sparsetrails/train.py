@@ -160,16 +160,15 @@ def count_flops(model: TrailsModel, active: np.ndarray | None = None) -> FlopsLe
     """Per-sample forward FLOPs of the ensemble, backbone once plus every
     head, from the model's cost table: each weight array's active count (all
     M heads' at once for a stacked one) at its position multiplier. The
-    counts come from the masks, or, given the store's sorted active
-    positions (an optimizer's `active`), from where each array's range
-    starts and ends among them, without a scan of the masks."""
+    counts are where each array's range starts and ends among the store's
+    sorted active positions: `active` if given (an optimizer's), else found
+    from the store's mask."""
     weights = [ref for ref in model.store.refs if ref.mask is not None]
     if active is None:
-        counts = [int(np.count_nonzero(ref.mask)) for ref in weights]
-    else:
-        cuts = active.searchsorted(
-            [end for ref in weights for end in (ref.offset, ref.offset + ref.mask.size)]).tolist()
-        counts = [hi - lo for lo, hi in zip(cuts[::2], cuts[1::2])]
+        active = active_indices(model.store.mask)
+    cuts = active.searchsorted(
+        [end for ref in weights for end in (ref.offset, ref.offset + ref.mask.size)]).tolist()
+    counts = [hi - lo for lo, hi in zip(cuts[::2], cuts[1::2])]
     sparse = dense = model.fixed_flops
     for ref, count in zip(weights, counts):
         per_weight = 2 * model.flops_multipliers[ref.name]

@@ -26,8 +26,11 @@ package from its tree's `src/`. The matrix:
 
 Every run writes a checkpoint at every evaluation and dumps its last
 disagreements. `sparsetrails eval` then reads back the final checkpoint of
-the one-shot pruned run and of the resumed run, and writes `eval.json`
-beside the run's other files: its FLOPs come from the restored masks. The IDX images are written once, into a directory both
+the one-shot pruned run, of both resumed runs and of wide-mlp-rigl at seed
+0, and writes `eval.json` beside the run's other files: its FLOPs come
+from the restored masks. Wide's is the largest store, and the Adam
+independent ensemble's empty backbone puts its components furthest from
+store order. The IDX images are written once, into a directory both
 trees read, so the config hashes agree. Each file must be byte-equal,
 except `config.resolved.json`, which is compared without `out_dir`. The
 first difference is printed with its file and field, and the exit code is
@@ -60,7 +63,8 @@ from sparsetrails.checkpoint import CheckpointError, load_checkpoint  # noqa: E4
 RESUMED = {"cnn-idx-set-s0-resumed": "cnn-idx-set-s0",
            "rings-adam-independent-resumed": "rings-adam-independent"}
 # runs whose final checkpoint `sparsetrails eval` evaluates
-EVALUATED = ("rings-prune-oneshot", "cnn-idx-set-s0-resumed")
+EVALUATED = ("rings-prune-oneshot", "cnn-idx-set-s0-resumed", "wide-mlp-rigl-s0",
+             "rings-adam-independent-resumed")
 # the rings network (2 -> 16, six blocks, 2 classes) as explicit layers, the
 # linear of block 4, in the heads at split index 3, without a bias
 RINGS_LAYERS = {

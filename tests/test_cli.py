@@ -612,6 +612,25 @@ class TestArtifactWrites:
         assert (out / "history.jsonl").read_bytes() == history
         assert (out / "summary.csv").read_bytes() == summary
 
+    @pytest.mark.xfail(strict=True, reason="only the record after a checkpoint carries what "
+                       "happened before it, and a crash before that record loses it")
+    def test_resume_in_place_after_a_crash_keeps_the_prune_event(self, tmp_path):
+        # evaluations at 20 and 40, checkpoints every 10 steps, the prune at
+        # step 30: a crash after checkpoint 30 leaves the step-20 record only
+        cfg = json.loads(RINGS_CONFIG.read_text())
+        cfg["train"]["total_steps"] = 40
+        cfg["topology"].update(strategy="prune_oneshot", delta_t=10, prune_at_fraction=0.75)
+        cfg.update(eval_interval=20, checkpoint_every=10, out_dir=str(tmp_path / "run"))
+        path, out = tmp_path / "cfg.json", tmp_path / "run"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--quiet"]) == 0
+        history = (out / "history.jsonl").read_text()
+        assert [e["step"] for e in json.loads(history.splitlines()[1])["events"]] == [30]
+        (out / "history.jsonl").write_text(history.splitlines(keepends=True)[0])
+        assert main(["train", "--config", str(path), "--quiet",
+                     "--resume", str(out / "checkpoint_000030.bin")]) == 0
+        assert (out / "history.jsonl").read_text() == history
+
     def test_failed_checkpoint_write_exits_three_and_keeps_earlier_files(
             self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path, checkpoint_every=10)

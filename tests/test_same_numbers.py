@@ -14,7 +14,7 @@ def test_two_step_matrix_matches_a_copy_of_the_tree(tmp_path, capsys):
     assert same_numbers.main(["--against", str(copy), "--steps", "2",
                               "--work", str(work)]) == 0
     out = capsys.readouterr().out
-    assert "same numbers: 13 runs, 2 evals, 93 files" in out
+    assert "same numbers: 13 runs, 4 evals, 95 files" in out
     lines = same_numbers.src_lines(ROOT)
     assert f"src lines: {lines} -> {lines}\n" in out
     # each resumed run rewrote the run's artifacts after its first checkpoint
